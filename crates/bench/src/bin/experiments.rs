@@ -206,7 +206,7 @@ fn main() {
     if !write_json {
         return;
     }
-    let mut json = String::from("{\n  \"schema\": \"lanecert-bench/7\",\n");
+    let mut json = String::from("{\n  \"schema\": \"lanecert-bench/8\",\n");
     let _ = writeln!(json, "  \"threads\": {},", ctx.threads);
     json.push_str("  \"tables\": [\n");
     for (i, (name, seconds, rendered)) in results.iter().enumerate() {

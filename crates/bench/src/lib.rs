@@ -18,6 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
 use lanecert::theorem1::PathwidthScheme;
 use lanecert::{
     attacks, registry, BatchJob, Certifier, Configuration, ProverHint, Scheme, SchemeOptions,
@@ -371,20 +373,21 @@ pub fn table_t4(ctx: &RunCtx) -> String {
 
 /// T5: prover/verifier wall-clock scaling (rough, single run per point),
 /// timed through the erased certify/verify entry points — plus the
-/// sharded [`Certifier::par_verify`] at the context's worker count.
+/// pool-sharded [`Engine::verify`] at the context's worker count.
 pub fn table_t5(ctx: &RunCtx) -> String {
     let scale = ctx.scale;
     let sizes: &[usize] = scale.pick(&[64usize, 256, 1024, 4096], &[64usize, 256]);
     let mut out = format!(
-        "T5: runtime scaling (connected, path family; par-verify at {} threads)\n\
+        "T5: runtime scaling (connected, path family; engine verify at {} workers)\n\
          n      prove(ms)  verify-all(ms)  par-verify(ms)  per-vertex(us)\n",
         ctx.threads,
     );
     let certifier = theorem1_certifier(Algebra::shared(Connected));
+    let engine = engine_for(ctx, theorem1_certifier(Algebra::shared(Connected)));
     let clock = lanecert_obs::Clock::monotonic();
     for &n in sizes {
         let (g, rep) = path_family(n);
-        let cfg = Configuration::with_random_ids(g, 3);
+        let cfg = Arc::new(Configuration::with_random_ids(g, 3));
         let hint = ProverHint::with_representation(rep);
         let t0 = clock.now_ns();
         let labels = certifier.certify_with(&cfg, &hint).unwrap();
@@ -394,9 +397,9 @@ pub fn table_t5(ctx: &RunCtx) -> String {
         let ver_ms = clock.seconds_since(t1) * 1e3;
         assert!(report.accepted());
         let t2 = clock.now_ns();
-        let par_report = certifier.par_verify(&cfg, &labels, ctx.threads).unwrap();
+        let par_report = engine.verify(cfg, Arc::new(labels)).unwrap();
         let par_ms = clock.seconds_since(t2) * 1e3;
-        assert_eq!(par_report, report, "par-verify must be bit-identical");
+        assert_eq!(par_report, report, "engine verify must be bit-identical");
         out += &format!(
             "{:<6} {:>9.2}  {:>14.2}  {:>14.2}  {:>13.2}\n",
             n,

@@ -2,29 +2,24 @@
 //! `BENCH_results.json`: the same corpus pushed through the engine at
 //! 1/2/4/8 workers, plus a pure verify-stage sweep.
 //!
-//! Three measurements, because the pipeline has two very different
-//! stages and one historical bottleneck:
+//! Two measurements, because the pipeline has two very different stages:
 //!
-//! * **Pipeline** (the default engine: proving *and* verifying on the
-//!   pool): a [`CorpusSpec`] streamed end to end per worker count.
-//!   Since canonical algebra interning this mode is bit-identical to
-//!   the sequential path — the sweep records the speedup that used to
-//!   cost parity.
-//! * **Driver-prove** (the pre-canonical engine shape,
-//!   `parallel_prove(false)`): same corpus with proving serialized on
-//!   the driver — the baseline the pipeline series is compared against;
-//!   `prove_speedup_vs_driver` on each pipeline run is the win from
-//!   deleting the sequential-prove restriction.
+//! * **Pipeline** (proving *and* verifying on the pool): a [`CorpusSpec`]
+//!   streamed end to end through [`Engine::run`] per worker count,
+//!   bit-identical to the sequential path.
 //! * **Verify-only**: one large instance proven once, then
-//!   everywhere-verified via [`lanecert::Certifier::par_verify`] per
-//!   thread count — the paper's verifier is embarrassingly parallel, and
-//!   this isolates exactly that stage.
+//!   everywhere-verified via [`Engine::verify`] per worker count — the
+//!   paper's verifier is embarrassingly parallel, and this isolates
+//!   exactly that stage on the code path production runs.
 //!
-//! Speedups are reported against the 1-worker run of the same sweep.
+//! Both series get one untimed warm-up pass, so the 1-worker run does
+//! not absorb the process's one-time costs. Speedups are reported
+//! against the 1-worker run of the same sweep.
 //! They are honest wall-clock measurements: on a single-core machine
 //! expect ≈ 1×.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use lanecert::{registry, Certifier, Configuration, ProverHint};
 use lanecert_algebra::{props::Connected, Algebra};
@@ -55,16 +50,12 @@ pub struct PipelineRun {
     pub vertices_per_sec: f64,
     /// Throughput relative to the 1-worker run.
     pub speedup_vs_1: f64,
-    /// Throughput relative to the driver-prove run at the same worker
-    /// count (zero in the `driver_prove` series itself): the measured
-    /// win from proving on the pool.
-    pub prove_speedup_vs_driver: f64,
 }
 
-/// One verify-only run at a fixed thread count.
+/// One verify-only run at a fixed worker count.
 #[derive(Clone, Debug)]
 pub struct VerifyRun {
-    /// Verification threads.
+    /// Engine workers.
     pub workers: usize,
     /// Repetitions of the verify pass inside the timed window.
     pub reps: usize,
@@ -74,7 +65,7 @@ pub struct VerifyRun {
     pub seconds: f64,
     /// Vertices per second.
     pub vertices_per_sec: f64,
-    /// Throughput relative to the 1-thread run.
+    /// Throughput relative to the 1-worker run.
     pub speedup_vs_1: f64,
 }
 
@@ -160,12 +151,8 @@ pub struct HintlessRun {
 pub struct ThroughputReport {
     /// Description of the streamed corpus.
     pub corpus: String,
-    /// End-to-end pipeline runs (pool proving — the default engine),
-    /// one per [`WORKER_COUNTS`] entry.
+    /// End-to-end pipeline runs, one per [`WORKER_COUNTS`] entry.
     pub pipeline: Vec<PipelineRun>,
-    /// Driver-prove baseline runs (`parallel_prove(false)`), one per
-    /// [`WORKER_COUNTS`] entry.
-    pub driver_prove: Vec<PipelineRun>,
     /// Verify-only runs, one per [`WORKER_COUNTS`] entry.
     pub verify_only: Vec<VerifyRun>,
     /// Hintless certification runs (no supplied representation), one
@@ -208,63 +195,55 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
         spec.len(),
     );
 
-    let run_series = |parallel_prove: bool| -> Vec<PipelineRun> {
-        let mut series = Vec::new();
-        let mut base_rate = 0.0;
-        for workers in WORKER_COUNTS {
-            let engine = Engine::builder()
-                .certifier(theorem1_certifier(Algebra::shared(Connected)))
-                .workers(workers)
-                .shard_threshold(512)
-                .parallel_prove(parallel_prove)
-                .build()
-                .expect("spec is complete");
-            let report = engine.run(spec.jobs());
-            assert_eq!(
-                report.batch.refused() + report.batch.failed(),
-                0,
-                "throughput corpus must certify cleanly: {}",
-                report.batch.summary()
-            );
-            let t = report.throughput;
-            let rate = t.vertices_per_sec();
-            if workers == 1 {
-                base_rate = rate;
-            }
-            series.push(PipelineRun {
-                workers,
-                jobs: t.jobs,
-                vertices: t.vertices,
-                seconds: t.wall_seconds,
-                jobs_per_sec: t.jobs_per_sec(),
-                vertices_per_sec: rate,
-                speedup_vs_1: if base_rate > 0.0 {
-                    rate / base_rate
-                } else {
-                    0.0
-                },
-                prove_speedup_vs_driver: 0.0,
-            });
+    let mut pipeline = Vec::new();
+    let mut base_rate = 0.0;
+    for workers in WORKER_COUNTS {
+        let engine = Engine::builder()
+            .certifier(theorem1_certifier(Algebra::shared(Connected)))
+            .workers(workers)
+            .shard_threshold(512)
+            .build()
+            .expect("spec is complete");
+        if workers == 1 {
+            // Untimed warm-up: the process's first run pays one-time
+            // costs that would otherwise bias the 1-worker baseline
+            // every speedup is taken against.
+            engine.run(spec.jobs());
         }
-        series
-    };
-    // The driver-prove baseline first, then the default pool-proving
-    // pipeline, with the per-worker-count comparison folded in.
-    let driver_prove = run_series(false);
-    let mut pipeline = run_series(true);
-    for (p, d) in pipeline.iter_mut().zip(&driver_prove) {
-        if d.vertices_per_sec > 0.0 {
-            p.prove_speedup_vs_driver = p.vertices_per_sec / d.vertices_per_sec;
+        let report = engine.run(spec.jobs());
+        assert_eq!(
+            report.batch.refused() + report.batch.failed(),
+            0,
+            "throughput corpus must certify cleanly: {}",
+            report.batch.summary()
+        );
+        let t = report.throughput;
+        let rate = t.vertices_per_sec();
+        if workers == 1 {
+            base_rate = rate;
         }
+        pipeline.push(PipelineRun {
+            workers,
+            jobs: t.jobs,
+            vertices: t.vertices,
+            seconds: t.wall_seconds,
+            jobs_per_sec: t.jobs_per_sec(),
+            vertices_per_sec: rate,
+            speedup_vs_1: if base_rate > 0.0 {
+                rate / base_rate
+            } else {
+                0.0
+            },
+        });
     }
 
     // Verify-only: one big path instance, proven once; the verify stage is
-    // then re-run per thread count over the same labels. The prover's
+    // then re-run per worker count over the same shared labels. The prover's
     // hierarchy walk is chain-deep — 8192 stack frames on a path — so the
     // one-off prove runs on a dedicated thread with an explicit 32 MiB
     // stack instead of the main thread (whose 8 MiB default overflows).
     //
-    // Each thread count is timed over `reps` back-to-back passes after
+    // Each worker count is timed over `reps` back-to-back passes after
     // one untimed warmup: a single quick-scale pass is a few
     // milliseconds, far too small a window for the CI bench-regression
     // gate to compare runs without tripping on scheduler noise. The
@@ -272,9 +251,9 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
     let n = scale.pick(8192, 512);
     let reps = scale.pick(3, 10);
     let (g, rep) = path_family(n);
-    let cfg = Configuration::with_random_ids(g, 17);
+    let cfg = Arc::new(Configuration::with_random_ids(g, 17));
     let certifier = theorem1_certifier(Algebra::shared(Connected));
-    let labels = std::thread::scope(|s| {
+    let labels = Arc::new(std::thread::scope(|s| {
         std::thread::Builder::new()
             .stack_size(32 * 1024 * 1024)
             .spawn_scoped(s, || {
@@ -284,23 +263,31 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
             .join()
             .expect("prover thread panicked")
             .expect("path family certifies")
-    });
+    }));
+    let verify_engine = |workers: usize| {
+        Engine::builder()
+            .certifier(theorem1_certifier(Algebra::shared(Connected)))
+            .workers(workers)
+            .build()
+            .expect("spec is complete")
+    };
+    let verify = |engine: &Engine| {
+        let report = engine
+            .verify(Arc::clone(&cfg), Arc::clone(&labels))
+            .expect("honest labels verify");
+        assert!(report.accepted());
+    };
     let clock = Clock::monotonic();
     let mut verify_only = Vec::new();
     let mut base_rate = 0.0;
     let mut mem_stats = MemStats::default();
     for workers in WORKER_COUNTS {
-        assert!(certifier
-            .par_verify(&cfg, &labels, workers)
-            .expect("honest labels verify")
-            .accepted());
+        let engine = verify_engine(workers);
+        verify(&engine);
         let before = alloc_snapshot.map(|snap| snap());
         let t0 = clock.now_ns();
         for _ in 0..reps {
-            let report = certifier
-                .par_verify(&cfg, &labels, workers)
-                .expect("honest labels verify");
-            assert!(report.accepted());
+            verify(&engine);
         }
         let seconds = clock.seconds_since(t0);
         if workers == 1 {
@@ -337,17 +324,16 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
         });
     }
 
-    // Instrumentation overhead: the 1-thread verify workload again,
+    // Instrumentation overhead: the 1-worker verify workload again,
     // untraced then traced. Both windows run the identical code path —
     // only the presence of a recording session differs.
     let obs_overhead = {
+        let engine = verify_engine(1);
+        verify(&engine);
         let timed_pass = || {
             let t0 = clock.now_ns();
             for _ in 0..reps {
-                assert!(certifier
-                    .par_verify(&cfg, &labels, 1)
-                    .expect("honest labels verify")
-                    .accepted());
+                verify(&engine);
             }
             let seconds = clock.seconds_since(t0);
             if seconds > 0.0 {
@@ -375,7 +361,6 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
     ThroughputReport {
         corpus,
         pipeline,
-        driver_prove,
         verify_only,
         hintless: hintless_series(scale, &clock),
         mem_stats,
@@ -471,25 +456,10 @@ impl ThroughputReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "Throughput: {}\npipeline (pool prove + sharded verify — bit-identical to sequential)\n\
-             workers  jobs  vertices  wall(s)   jobs/s    vert/s  speedup  vs-driver\n",
+             workers  jobs  vertices  wall(s)   jobs/s    vert/s  speedup\n",
             self.corpus,
         );
         for r in &self.pipeline {
-            let _ = writeln!(
-                out,
-                "{:>7}  {:>4}  {:>8}  {:>7.3}  {:>7.1}  {:>8.0}  {:>6.2}x  {:>8.2}x",
-                r.workers,
-                r.jobs,
-                r.vertices,
-                r.seconds,
-                r.jobs_per_sec,
-                r.vertices_per_sec,
-                r.speedup_vs_1,
-                r.prove_speedup_vs_driver,
-            );
-        }
-        out.push_str("driver-prove baseline (prove serialized on the driver)\nworkers  jobs  vertices  wall(s)   jobs/s    vert/s  speedup\n");
-        for r in &self.driver_prove {
             let _ = writeln!(
                 out,
                 "{:>7}  {:>4}  {:>8}  {:>7.3}  {:>7.1}  {:>8.0}  {:>6.2}x",
@@ -502,7 +472,7 @@ impl ThroughputReport {
                 r.speedup_vs_1,
             );
         }
-        out.push_str("verify-only (one instance, par_verify, steady state)\nworkers  reps  vertices  wall(s)    vert/s  speedup\n");
+        out.push_str("verify-only (one instance, Engine::verify, steady state)\nworkers  reps  vertices  wall(s)    vert/s  speedup\n");
         for r in &self.verify_only {
             let _ = writeln!(
                 out,
@@ -561,24 +531,6 @@ impl ThroughputReport {
             let _ = writeln!(
                 json,
                 "      {{\"workers\": {}, \"jobs\": {}, \"vertices\": {}, \"seconds\": {:.6}, \
-                 \"jobs_per_sec\": {:.3}, \"vertices_per_sec\": {:.3}, \"speedup_vs_1\": {:.4}, \
-                 \"prove_speedup_vs_driver\": {:.4}}}{}",
-                r.workers,
-                r.jobs,
-                r.vertices,
-                r.seconds,
-                r.jobs_per_sec,
-                r.vertices_per_sec,
-                r.speedup_vs_1,
-                r.prove_speedup_vs_driver,
-                comma(i, self.pipeline.len()),
-            );
-        }
-        json.push_str("    ],\n    \"driver_prove\": [\n");
-        for (i, r) in self.driver_prove.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "      {{\"workers\": {}, \"jobs\": {}, \"vertices\": {}, \"seconds\": {:.6}, \
                  \"jobs_per_sec\": {:.3}, \"vertices_per_sec\": {:.3}, \"speedup_vs_1\": {:.4}}}{}",
                 r.workers,
                 r.jobs,
@@ -587,7 +539,7 @@ impl ThroughputReport {
                 r.jobs_per_sec,
                 r.vertices_per_sec,
                 r.speedup_vs_1,
-                comma(i, self.driver_prove.len()),
+                comma(i, self.pipeline.len()),
             );
         }
         json.push_str("    ],\n    \"verify_only\": [\n");
@@ -668,17 +620,11 @@ mod tests {
     fn quick_sweep_runs_and_serializes() {
         let report = sweep(Scale::Quick);
         assert_eq!(report.pipeline.len(), WORKER_COUNTS.len());
-        assert_eq!(report.driver_prove.len(), WORKER_COUNTS.len());
         assert_eq!(report.verify_only.len(), WORKER_COUNTS.len());
         assert!((report.pipeline[0].speedup_vs_1 - 1.0).abs() < 1e-9);
         assert!(report.pipeline.iter().all(|r| r.vertices > 0));
-        assert!(report
-            .pipeline
-            .iter()
-            .all(|r| r.prove_speedup_vs_driver > 0.0));
         let rendered = report.render();
         assert!(rendered.contains("verify-only"));
-        assert!(rendered.contains("driver-prove baseline"));
         assert!(rendered.contains("hintless"));
         assert!(report.verify_only.iter().all(|r| r.reps > 0));
         assert_eq!(report.hintless.len(), 4, "two families × two sizes");
@@ -695,7 +641,6 @@ mod tests {
         assert!(!report.mem_stats.enabled, "no hook installed in tests");
         let json = report.to_json(|s| s.to_string());
         assert!(json.contains("\"pipeline\""));
-        assert!(json.contains("\"driver_prove\""));
         assert!(json.contains("\"verify_only\""));
         assert!(json.contains("\"hintless\""));
         assert!(json.contains("\"solver_nodes\""));
@@ -704,7 +649,6 @@ mod tests {
         assert!(json.contains("\"mem_stats\""));
         assert!(json.contains("\"allocations_per_vertex\""));
         assert!(json.contains("\"speedup_vs_1\""));
-        assert!(json.contains("\"prove_speedup_vs_driver\""));
         assert!(json.contains("\"obs_overhead\""));
         assert!(json.contains("\"slowdown\""));
         assert!(rendered.contains("obs-overhead"));

@@ -98,7 +98,8 @@ impl Certifier {
     }
 
     /// Runs the verifier everywhere against encoded (possibly adversarial)
-    /// labels.
+    /// labels, on the calling thread. `lanecert_engine::Engine::verify`
+    /// shards the same pass across a worker pool.
     ///
     /// # Errors
     ///
@@ -111,25 +112,6 @@ impl Certifier {
         self.scheme.verify_encoded(cfg, labels)
     }
 
-    /// Like [`Certifier::verify`] with the vertex set sharded across
-    /// `threads` OS threads. The report is bit-identical to the
-    /// sequential path (see
-    /// [`DynScheme::par_verify_encoded`](crate::DynScheme::par_verify_encoded));
-    /// for pipeline-level parallelism over many configurations use the
-    /// `lanecert-engine` crate instead.
-    ///
-    /// # Errors
-    ///
-    /// [`CertError::LabelCountMismatch`] for wrong-length labelings.
-    pub fn par_verify(
-        &self,
-        cfg: &Configuration,
-        labels: &EncodedLabeling,
-        threads: usize,
-    ) -> Result<RunReport, CertError> {
-        self.scheme.par_verify_encoded(cfg, labels, threads)
-    }
-
     /// Prove + everywhere-verify with the default hint.
     ///
     /// # Errors
@@ -137,16 +119,6 @@ impl Certifier {
     /// Propagates prover refusals.
     pub fn run(&self, cfg: &Configuration) -> Result<RunReport, CertError> {
         self.run_with(cfg, &self.hint)
-    }
-
-    /// Prove sequentially, then verify with [`Certifier::par_verify`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates prover refusals.
-    pub fn par_run(&self, cfg: &Configuration, threads: usize) -> Result<RunReport, CertError> {
-        let labels = self.scheme.prove_encoded(cfg, &self.hint)?;
-        self.par_verify(cfg, &labels, threads)
     }
 
     /// Prove + everywhere-verify with an explicit hint.
@@ -330,22 +302,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CertError::UnknownScheme { .. }));
-    }
-
-    #[test]
-    fn par_run_matches_sequential_run() {
-        let c = Certifier::builder()
-            .property(Algebra::shared(Connected))
-            .pathwidth(2)
-            .build()
-            .unwrap();
-        let cfg = Configuration::with_random_ids(generators::ladder(10), 5);
-        let sequential = c.run(&cfg).unwrap();
-        for threads in [1, 3, 8] {
-            assert_eq!(c.par_run(&cfg, threads).unwrap(), sequential);
-        }
-        let labels = c.certify(&cfg).unwrap();
-        assert_eq!(c.par_verify(&cfg, &labels, 4).unwrap(), sequential);
     }
 
     #[test]

@@ -313,8 +313,7 @@ impl EncodedLabeling {
 /// [`BoxedScheme`] for registries and batch runners. `Send + Sync` are
 /// supertraits: every vertex verifies from its local view alone, so
 /// erased schemes are shareable across threads by construction — the
-/// parallel entry points ([`DynScheme::par_verify_encoded`], the
-/// `lanecert-engine` pipeline) rely on it.
+/// `lanecert-engine` pipeline relies on it.
 pub trait DynScheme: Send + Sync {
     /// Registry/display name of the scheme instance.
     fn name(&self) -> String;
@@ -360,9 +359,8 @@ pub trait DynScheme: Send + Sync {
 
     /// Runs the verifier at the contiguous vertex slice
     /// `range.start..range.end` only, returning one verdict per vertex in
-    /// index order — the sharding primitive behind
-    /// [`DynScheme::par_verify_encoded`] and the engine's per-vertex
-    /// fan-out. A vertex's view (and therefore its verdict) is
+    /// index order — the sharding primitive behind the engine's
+    /// per-vertex fan-out. A vertex's view (and therefore its verdict) is
     /// bit-identical to the full [`DynScheme::verify_encoded`] pass.
     ///
     /// # Hot-path invariants
@@ -394,92 +392,6 @@ pub trait DynScheme: Send + Sync {
         labels: &EncodedLabeling,
         range: std::ops::Range<usize>,
     ) -> Result<Vec<Verdict>, CertError>;
-
-    /// Runs the verifier everywhere, sharding the vertex set across
-    /// `threads` OS threads (scoped; clamped to `1..=n`, and down to a
-    /// sequential pass when shards would fall under
-    /// [`PAR_VERIFY_MIN_SHARD`] vertices — see
-    /// [`par_verify_threads`]). Verdict order,
-    /// verdict values, and label-size statistics are bit-identical to
-    /// [`DynScheme::verify_encoded`] — shards are contiguous vertex
-    /// ranges concatenated in index order, and every per-vertex check is
-    /// a pure function of the vertex's view.
-    ///
-    /// # Errors
-    ///
-    /// [`CertError::LabelCountMismatch`] when `labels` has the wrong
-    /// length for `cfg`.
-    fn par_verify_encoded(
-        &self,
-        cfg: &Configuration,
-        labels: &EncodedLabeling,
-        threads: usize,
-    ) -> Result<RunReport, CertError> {
-        let g = cfg.csr();
-        if labels.len() != g.edge_count() {
-            return Err(CertError::LabelCountMismatch {
-                expected: g.edge_count(),
-                got: labels.len(),
-            });
-        }
-        let n = g.vertex_count();
-        let threads = par_verify_threads(threads, n);
-        if threads == 1 {
-            return self.verify_encoded(cfg, labels);
-        }
-        // Stride-align shard boundaries (64 vertices ≈ one cache line of
-        // the u32 CSR offsets table) so threads stream disjoint line
-        // ranges of the arena; verdicts are a pure function of each view,
-        // so alignment never changes the concatenated output.
-        let chunk = n.div_ceil(threads);
-        let chunk = if chunk >= 64 {
-            chunk.next_multiple_of(64)
-        } else {
-            chunk
-        };
-        let shards: Vec<Result<Vec<Verdict>, CertError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = (t * chunk)..((t + 1) * chunk).min(n);
-                    s.spawn(move || self.verify_encoded_range(cfg, labels, range))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(no-panic) reason="propagates a shard panic to the caller; shards themselves are panic-free on wire bytes"
-                .map(|h| h.join().expect("verifier shard panicked"))
-                .collect()
-        });
-        let mut verdicts = Vec::with_capacity(n);
-        for shard in shards {
-            verdicts.extend(shard?);
-        }
-        Ok(RunReport {
-            verdicts,
-            max_label_bits: labels.max_bits(),
-            total_label_bits: labels.total_bits(),
-            edges: g.edge_count(),
-        })
-    }
-}
-
-/// Minimum vertices per shard before [`DynScheme::par_verify_encoded`]
-/// fans out. A whole-graph verification pass over a few thousand
-/// vertices takes well under a millisecond, so below this point thread
-/// spawn/join overhead costs more than it saves — the committed bench
-/// numbers showed 2-worker verify-only running at 0.6× sequential on a
-/// 512-vertex instance before this cutoff existed.
-pub const PAR_VERIFY_MIN_SHARD: usize = 2048;
-
-/// Effective thread count for [`DynScheme::par_verify_encoded`]: the
-/// request, clamped to `1..=n` and further so that every shard keeps at
-/// least [`PAR_VERIFY_MIN_SHARD`] vertices. Returns 1 (sequential) for
-/// instances too small to amortize fan-out. Pure, so the cutoff is
-/// testable without timing.
-pub fn par_verify_threads(requested: usize, n: usize) -> usize {
-    requested
-        .clamp(1, n.max(1))
-        .min((n / PAR_VERIFY_MIN_SHARD).max(1))
 }
 
 /// Rejects labelings recorded under a different scheme fingerprint (see
@@ -764,45 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn par_verify_is_bit_identical_to_sequential() {
-        let cfg = Configuration::with_sequential_ids(generators::cycle_graph(17));
-        let boxed: BoxedScheme = Box::new(Sevens);
-        let mut enc = boxed.prove_encoded(&cfg, &ProverHint::auto()).unwrap();
-        enc.flip_bit(3, 2);
-        let sequential = boxed.verify_encoded(&cfg, &enc).unwrap();
-        for threads in [1, 2, 4, 32] {
-            let parallel = boxed.par_verify_encoded(&cfg, &enc, threads).unwrap();
-            assert_eq!(parallel, sequential, "{threads} threads");
-        }
-        // Count mismatches surface as the same error, not a panic.
-        assert_eq!(
-            boxed
-                .par_verify_encoded(&cfg, &EncodedLabeling::default(), 4)
-                .unwrap_err(),
-            CertError::LabelCountMismatch {
-                expected: 17,
-                got: 0
-            }
-        );
-    }
-
-    #[test]
-    fn par_verify_stays_sequential_below_the_shard_cutoff() {
-        // The BENCH regression this pins: 2-worker verify-only ran at
-        // 0.6× sequential on a 512-vertex instance because fan-out
-        // overhead dominated the sub-millisecond pass.
-        assert_eq!(par_verify_threads(2, 512), 1);
-        assert_eq!(par_verify_threads(8, PAR_VERIFY_MIN_SHARD), 1);
-        assert_eq!(par_verify_threads(8, 2 * PAR_VERIFY_MIN_SHARD), 2);
-        // Large instances still fan all the way out…
-        assert_eq!(par_verify_threads(8, 16 * PAR_VERIFY_MIN_SHARD), 8);
-        // …and the existing clamps survive the cutoff.
-        assert_eq!(par_verify_threads(0, 10 * PAR_VERIFY_MIN_SHARD), 1);
-        assert_eq!(par_verify_threads(64, 0), 1);
-        assert_eq!(par_verify_threads(usize::MAX, 3), 1);
-    }
-
-    #[test]
     fn fingerprint_mismatch_fails_loudly() {
         // A labeling recorded under a different scheme/table version must
         // surface as a typed error, not misdecode into rejections.
@@ -819,8 +692,6 @@ mod tests {
         let err = boxed
             .verify_encoded_range(&cfg, &foreign, 0..2)
             .unwrap_err();
-        assert!(matches!(err, CertError::FingerprintMismatch { .. }));
-        let err = boxed.par_verify_encoded(&cfg, &foreign, 3).unwrap_err();
         assert!(matches!(err, CertError::FingerprintMismatch { .. }));
         // Unstamped labelings (hand-built corpora) skip the check.
         let unstamped = EncodedLabeling::new(enc.to_vec());

@@ -2,9 +2,8 @@
 //!
 //! Every scheme in the workspace — the Theorem 1 scheme, the FMR+24-style
 //! baseline, and the classic 1-bit schemes — reports prover refusals and
-//! harness failures through [`CertError`]. This replaces the previous mix
-//! of `ProveError`, `Option`-returning provers, and `assert!`-based
-//! harness checks.
+//! harness failures through [`CertError`], never through `Option`s or
+//! `assert!`s.
 
 use std::error::Error;
 use std::fmt;

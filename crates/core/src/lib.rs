@@ -73,10 +73,7 @@ pub use scheme::{
 };
 
 pub mod erased;
-pub use erased::{
-    par_verify_threads, BoxedScheme, DynScheme, EncodedLabel, EncodedLabelRef, EncodedLabeling,
-    PAR_VERIFY_MIN_SHARD,
-};
+pub use erased::{BoxedScheme, DynScheme, EncodedLabel, EncodedLabelRef, EncodedLabeling};
 
 pub mod registry;
 pub use registry::{SchemeRegistry, SchemeSpec};

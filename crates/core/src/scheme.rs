@@ -310,8 +310,8 @@ pub(crate) fn check_rep_fits(rep: &IntervalRep, cfg: &Configuration) -> Result<(
 /// ([`crate::bits`]).
 pub trait Scheme {
     /// The per-edge label format. Labels are plain wire data; the
-    /// `Send + Sync` bounds let the erased layer shard verification across
-    /// threads ([`DynScheme::par_verify_encoded`](crate::DynScheme)).
+    /// `Send + Sync` bounds let the engine shard verification across
+    /// threads ([`DynScheme::verify_encoded_range`](crate::DynScheme)).
     type Label: Enc + Clone + Send + Sync;
 
     /// Registry/display name of the scheme instance.

@@ -36,11 +36,6 @@ pub use labels::EdgeLabel;
 use crate::scheme::{Labeling, ProverHint, Scheme, Verdict, VertexView};
 use crate::{CertError, Configuration};
 
-/// The old name of the error type, kept for one release while downstreams
-/// migrate to the unified [`CertError`].
-#[deprecated(note = "use lanecert::CertError; prover refusals are CertError variants now")]
-pub type ProveError = CertError;
-
 /// Scheme parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct SchemeOptions {

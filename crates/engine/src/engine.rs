@@ -26,14 +26,15 @@
 //! any scheduling. Pinned for every registered scheme family by the
 //! parity proptests in `tests/engine_parity.rs`.
 //!
-//! `parallel_prove(false)` moves proving back onto the driver thread, in
-//! job order. That is no longer needed for parity on canonical schemes —
-//! it remains as the measurement baseline (the throughput sweep's
-//! `driver_prove` series), and it is what the builder auto-selects for
-//! the rare *sealed* algebra (a property too large to pre-enumerate,
-//! whose dynamic-tail ids are still arrival-ordered — the builder asks
-//! the scheme via `DynScheme::canonical_labels`, so sealed schemes keep
-//! reproducible sizes by default; verdicts agree in either placement).
+//! Placement is derived, never configured: the builder asks the scheme
+//! (`DynScheme::canonical_labels`). The one exception to pool proving is
+//! the rare *sealed* algebra — a property too large to pre-enumerate,
+//! whose dynamic-tail ids are still arrival-ordered — which proves on the
+//! driver thread in job order, so its label sizes stay reproducible too.
+//!
+//! [`Engine::verify`] runs the verify stage alone for one standing
+//! labeling: the same single-task or sharded path, one result slot,
+//! bit-identical to [`Certifier::verify`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,12 +64,9 @@ pub struct Throughput {
     /// Wall-clock duration of the whole run, in seconds.
     pub wall_seconds: f64,
     /// Time spent in the prove stage, summed over whichever threads
-    /// proved. Under [`EngineBuilder::parallel_prove`]`(false)` this is
-    /// driver wall-clock time (and `wall_seconds - prove_seconds`
-    /// bounds the verify stage's critical path from above); in the
-    /// default pool-proving mode it is CPU-seconds accumulated from the
-    /// workers' own prove timings, so it can legitimately exceed
-    /// `wall_seconds` when proves overlap.
+    /// proved: CPU-seconds accumulated from each prove's own timing, so
+    /// it can legitimately exceed `wall_seconds` when proves overlap on
+    /// the pool.
     pub prove_seconds: f64,
 }
 
@@ -154,7 +152,9 @@ pub struct Engine {
     certifier: Arc<Certifier>,
     shard_threshold: usize,
     window_per_worker: usize,
-    parallel_prove: bool,
+    /// Derived from `DynScheme::canonical_labels` at build time: `false`
+    /// only for sealed algebras, which prove on the driver.
+    prove_on_pool: bool,
     /// Set by [`EngineBuilder::trace`]; every run installs a session.
     trace: Option<TraceConfig>,
     /// The trace clock when tracing, the monotonic clock otherwise —
@@ -203,12 +203,7 @@ impl Engine {
         let run_span = lanecert_obs::span!("run");
         let start_ns = self.clock.now_ns();
         let window = (self.window_per_worker * self.workers()).max(1);
-        let state = Arc::new(RunState {
-            slots: Mutex::new(Vec::new()),
-            in_flight: Mutex::new(0),
-            job_done: Condvar::new(),
-            prove_ns: AtomicU64::new(0),
-        });
+        let state = Arc::new(RunState::with_slots(0));
 
         for (index, job) in jobs.into_iter().enumerate() {
             {
@@ -226,50 +221,19 @@ impl Engine {
                 .lock()
                 .expect("engine state poisoned")
                 .push(None);
-            let task = JobTask {
-                state: Arc::clone(&state),
-                certifier: Arc::clone(&self.certifier),
-                index,
-                shards: self.shard_plan(),
-                spawner: self.pool.spawner(),
-                clock: self.clock.clone(),
-            };
-            if self.parallel_prove {
-                // Default: the prove is a pool task like any other —
-                // canonical class ids make it a pure function of the
-                // job, so scheduling cannot perturb the labels. The
-                // prove stage times itself (see [`JobTask::prove`]), so
-                // worker-side prove time is attributed exactly as on
-                // the driver path.
+            let task = self.job_task(&state, index);
+            if self.prove_on_pool {
+                // Canonical class ids make the prove a pure function of
+                // the job, so it is a pool task like any other.
                 self.pool.spawn(move || task.prove_and_verify(job));
             } else {
-                // Measurement baseline / sealed-algebra mode: prove on
-                // the driver, in job order; hand only the verification
-                // to the pool.
-                if let Some((task, cfg, labels)) = task.prove(job) {
-                    task.submit_verify(cfg, labels);
-                }
+                // Sealed algebra: prove on the driver, in job order; the
+                // verification still goes to the pool.
+                task.prove_and_verify(job);
             }
         }
 
-        // Drain: wait for the window to empty.
-        {
-            let mut in_flight = state.in_flight.lock().expect("engine state poisoned");
-            while *in_flight > 0 {
-                in_flight = state
-                    .job_done
-                    .wait(in_flight)
-                    .expect("engine state poisoned");
-            }
-        }
-
-        let outcomes: Vec<BatchOutcome> = state
-            .slots
-            .lock()
-            .expect("engine state poisoned")
-            .drain(..)
-            .map(|slot| slot.expect("every submitted job reports"))
-            .collect();
+        let outcomes = state.drain();
         let wall_ns = self.clock.now_ns().saturating_sub(start_ns);
         drop(run_span);
         let mut throughput = Throughput {
@@ -306,10 +270,46 @@ impl Engine {
         }
     }
 
-    fn shard_plan(&self) -> ShardPlan {
-        ShardPlan {
-            threshold: self.shard_threshold,
-            workers: self.workers(),
+    /// Verifies one standing labeling on the pool: the verify stage of
+    /// [`Engine::run`] on its own, sharded per vertex range once `cfg`
+    /// reaches the shard threshold. The report is bit-identical to
+    /// [`Certifier::verify`] at any worker count. `cfg` and `labels` are
+    /// shared with the verify tasks, never copied, so re-verifying the
+    /// same labeling allocates O(1) beyond the verifier's own decode.
+    ///
+    /// Call it from outside the engine's pool, as [`Engine::run`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Certifier::verify`]: [`CertError::LabelCountMismatch`] for a
+    /// wrong-length labeling, [`CertError::FingerprintMismatch`] for one
+    /// stamped by another scheme; a panicking scheme becomes
+    /// [`CertError::Internal`].
+    pub fn verify(
+        &self,
+        cfg: Arc<Configuration>,
+        labels: Arc<EncodedLabeling>,
+    ) -> Result<RunReport, CertError> {
+        let state = Arc::new(RunState::with_slots(1));
+        NamedTask {
+            task: self.job_task(&state, 0),
+            name: String::new(),
+        }
+        .submit_verify(cfg, labels);
+        state.drain().pop().expect("the verify slot reports").result
+    }
+
+    fn job_task(&self, state: &Arc<RunState>, index: usize) -> JobTask {
+        JobTask {
+            state: Arc::clone(state),
+            certifier: Arc::clone(&self.certifier),
+            index,
+            shards: ShardPlan {
+                threshold: self.shard_threshold,
+                workers: self.workers(),
+            },
+            spawner: self.pool.spawner(),
+            clock: self.clock.clone(),
         }
     }
 }
@@ -323,12 +323,40 @@ struct RunState {
     /// the final drain).
     job_done: Condvar,
     /// Nanoseconds spent proving, accumulated by whichever thread ran
-    /// each prove — driver or worker — so `prove_seconds` is reported
-    /// in both placements.
+    /// each prove — worker, or driver for sealed algebras.
     prove_ns: AtomicU64,
 }
 
 impl RunState {
+    /// State for `jobs` outcomes already reserved and in flight.
+    fn with_slots(jobs: usize) -> Self {
+        Self {
+            slots: Mutex::new((0..jobs).map(|_| None).collect()),
+            in_flight: Mutex::new(jobs),
+            job_done: Condvar::new(),
+            prove_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Waits until nothing is in flight, then takes the outcomes in slot
+    /// order.
+    fn drain(&self) -> Vec<BatchOutcome> {
+        let mut in_flight = self.in_flight.lock().expect("engine state poisoned");
+        while *in_flight > 0 {
+            in_flight = self
+                .job_done
+                .wait(in_flight)
+                .expect("engine state poisoned");
+        }
+        drop(in_flight);
+        self.slots
+            .lock()
+            .expect("engine state poisoned")
+            .drain(..)
+            .map(|slot| slot.expect("every submitted job reports"))
+            .collect()
+    }
+
     fn finish(&self, index: usize, name: String, result: Result<RunReport, CertError>) {
         self.slots.lock().expect("engine state poisoned")[index] =
             Some(BatchOutcome { name, result });
@@ -391,40 +419,32 @@ struct JobTask {
 }
 
 impl JobTask {
-    /// The prove stage. On refusal/error the outcome is reported and
-    /// `None` returned; on success the encoded labels move on to the
-    /// verify stage together with the (name-carrying) task.
+    /// The prove stage, then a hand-off to the verify stage. A refusal
+    /// or error is reported as the job's outcome.
     ///
     /// A panicking scheme becomes an outcome, not a hung run: the driver
     /// waits for every slot, so an unwound task would otherwise strand it
     /// (the sequential `BatchRunner` would propagate the panic; schemes
     /// are hardened against label-induced panics since the erased layer
     /// landed).
-    fn prove(self, job: BatchJob) -> Option<(NamedTask, Configuration, EncodedLabeling)> {
+    fn prove_and_verify(self, job: BatchJob) {
         let BatchJob { name, cfg, hint } = job;
         let name = name.unwrap_or_else(|| self.index.to_string());
         // Borrow the certifier's default hint rather than cloning it per
-        // job — this runs on the sequential prove critical path.
+        // job.
         let hint = hint.as_ref().unwrap_or_else(|| self.certifier.hint());
-        let _span = lanecert_obs::span!("prove", job = self.index);
+        let span = lanecert_obs::span!("prove", job = self.index);
         let t0 = self.clock.now_ns();
         let result = no_panic(|| self.certifier.scheme().prove_encoded(&cfg, hint));
         let dt = self.clock.now_ns().saturating_sub(t0);
         self.state.prove_ns.fetch_add(dt, Ordering::Relaxed);
         lanecert_obs::record_ns(names::PROVE_NS, dt);
+        drop(span);
         match result {
-            Ok(labels) => Some((NamedTask { task: self, name }, cfg, labels)),
-            Err(e) => {
-                self.state.finish(self.index, name, Err(e));
-                None
+            Ok(labels) => {
+                NamedTask { task: self, name }.submit_verify(Arc::new(cfg), Arc::new(labels));
             }
-        }
-    }
-
-    /// The full pipeline on a pool worker (`parallel_prove` mode).
-    fn prove_and_verify(self, job: BatchJob) {
-        if let Some((task, cfg, labels)) = self.prove(job) {
-            task.submit_verify(cfg, labels);
+            Err(e) => self.state.finish(self.index, name, Err(e)),
         }
     }
 }
@@ -440,7 +460,7 @@ impl NamedTask {
     /// continuation-style shard fan-out for large ones. Never blocks —
     /// the last shard to finish assembles and reports, which is what
     /// keeps the executor deadlock-free.
-    fn submit_verify(self, cfg: Configuration, labels: EncodedLabeling) {
+    fn submit_verify(self, cfg: Arc<Configuration>, labels: Arc<EncodedLabeling>) {
         let NamedTask { task, name } = self;
         match task.shards.ranges(cfg.n()) {
             None => {
@@ -460,8 +480,8 @@ impl NamedTask {
                 let gather = Arc::new(ShardGather {
                     state: Arc::clone(&task.state),
                     certifier: Arc::clone(&task.certifier),
-                    cfg: Arc::new(cfg),
-                    labels: Arc::new(labels),
+                    cfg,
+                    labels,
                     index: task.index,
                     name: Mutex::new(Some(name)),
                     verdicts: Mutex::new((0..ranges.len()).map(|_| None).collect()),
@@ -570,7 +590,6 @@ pub struct EngineBuilder {
     workers: Option<usize>,
     shard_threshold: usize,
     window_per_worker: usize,
-    parallel_prove: Option<bool>,
     heuristic_limit: Option<usize>,
     trace: Option<TraceConfig>,
 }
@@ -582,7 +601,6 @@ impl Default for EngineBuilder {
             workers: None,
             shard_threshold: 1024,
             window_per_worker: 4,
-            parallel_prove: None,
             heuristic_limit: None,
             trace: None,
         }
@@ -614,21 +632,6 @@ impl EngineBuilder {
     /// In-flight jobs per worker the streaming window admits (default 4).
     pub fn window_per_worker(mut self, jobs: usize) -> Self {
         self.window_per_worker = jobs.max(1);
-        self
-    }
-
-    /// Whether the prove stage runs on the pool. The default resolves
-    /// from the scheme itself: **on** whenever the scheme's labels are a
-    /// pure function of the job (`DynScheme::canonical_labels` — true
-    /// for every scheme except one riding a *sealed* algebra), in which
-    /// case reports stay bit-identical to
-    /// [`BatchRunner`](lanecert::BatchRunner); **off** for sealed
-    /// algebras, whose arrival-ordered tail ids would make label sizes
-    /// scheduling-dependent. Set explicitly to force either placement —
-    /// `false` as a measurement baseline, `true` to trade sealed-size
-    /// reproducibility for wall-clock (verdicts agree regardless).
-    pub fn parallel_prove(mut self, enabled: bool) -> Self {
-        self.parallel_prove = Some(enabled);
         self
     }
 
@@ -668,9 +671,7 @@ impl EngineBuilder {
         if let Some(limit) = self.heuristic_limit {
             certifier.set_heuristic_limit(limit);
         }
-        let parallel_prove = self
-            .parallel_prove
-            .unwrap_or_else(|| certifier.scheme().canonical_labels());
+        let prove_on_pool = certifier.scheme().canonical_labels();
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -686,7 +687,7 @@ impl EngineBuilder {
             certifier: Arc::new(certifier),
             shard_threshold: self.shard_threshold,
             window_per_worker: self.window_per_worker,
-            parallel_prove,
+            prove_on_pool,
             trace: self.trace,
             clock,
         })

@@ -45,12 +45,13 @@ impl Layout {
     ///
     /// # Panics
     ///
-    /// Panics if `g` is disconnected or `rep` is not a valid interval
-    /// representation of `g` — callers (the prover) validate both upfront
-    /// and refuse to certify instead.
+    /// `g` must be connected and `rep` a valid interval representation of
+    /// `g`; debug builds assert both, release builds may panic anywhere
+    /// in the pipeline otherwise. Callers (the prover) validate both
+    /// upfront and refuse to certify instead.
     pub fn build(g: &Graph, rep: &IntervalRep, strategy: LaneStrategy) -> Layout {
-        rep.validate(g).expect("invalid interval representation");
-        assert!(
+        debug_assert!(rep.validate(g).is_ok(), "invalid interval representation");
+        debug_assert!(
             lanecert_graph::components::is_connected(g),
             "proof labeling schemes run on connected networks"
         );
@@ -77,6 +78,7 @@ impl Layout {
             }
             _ => embedding::shortest_path_embedding(g, &completion),
         };
+        #[cfg(debug_assertions)]
         embedding.validate(g, &completion);
         let construction = Construction::from_completion(&completion, rep)
             .build()

@@ -48,11 +48,12 @@ pub struct RecursiveLanes {
 ///
 /// # Panics
 ///
-/// Panics if `g` is disconnected or `rep` is not a valid representation of
-/// `g` (the construction's invariants are asserted throughout).
+/// `g` must be connected and `rep` a valid representation of `g`; debug
+/// builds assert both upfront, and the construction's invariants are
+/// asserted throughout.
 pub fn recursive_partition(g: &Graph, rep: &IntervalRep) -> RecursiveLanes {
-    rep.validate(g).expect("interval representation invalid");
-    assert!(
+    debug_assert!(rep.validate(g).is_ok(), "interval representation invalid");
+    debug_assert!(
         lanecert_graph::components::is_connected(g),
         "recursive partition requires a connected graph"
     );
@@ -532,6 +533,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "requires a connected graph")]
     fn rejects_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();

@@ -5,11 +5,15 @@
 //! **bit-identical** to the sequential `BatchRunner`: same names, same
 //! per-vertex verdicts in the same order, same label-size statistics,
 //! same refusal errors — regardless of scheduling (the shard threshold is
-//! forced low so the per-vertex fan-out path is exercised too). A second
+//! forced low so the per-vertex fan-out path is exercised too). The same
+//! sweep checks `Engine::verify` against `Certifier::verify` on standing
+//! labelings: honest, bit-flipped, wrong-length and restamped. A second
 //! proptest pins the stronger claim behind it: the encoded labels
 //! themselves are a pure function of `(graph, property, hint)` across
 //! independently built certifiers. A regression test pins the canonical
 //! `StateId` assignment of a fixed small algebra.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -17,7 +21,9 @@ use lanecert_suite::algebra::{props, Algebra, FreezeOptions, FrozenAlgebra, Stat
 use lanecert_suite::engine::{CorpusFamily, CorpusSpec, FormulaCorpus};
 use lanecert_suite::graph::generators;
 use lanecert_suite::pls::{compiled, registry};
-use lanecert_suite::{BatchJob, BatchRunner, Certifier, Configuration, Engine};
+use lanecert_suite::{
+    BatchJob, BatchRunner, CertError, Certifier, Configuration, EncodedLabeling, Engine,
+};
 
 /// A named, rebuildable certifier constructor.
 type Factory = (&'static str, fn() -> Certifier);
@@ -143,6 +149,36 @@ fn jobs_for(scheme: &str, seed: u64, small: usize, large: usize) -> Vec<BatchJob
         .collect()
 }
 
+/// Standing labelings for `Engine::verify`, all over the largest
+/// configuration `certifier` certifies in `jobs`: the honest labeling, a
+/// bit-flipped copy, a wrong-length copy and a copy restamped with a
+/// foreign fingerprint.
+fn standing_labelings(
+    certifier: &Certifier,
+    jobs: Vec<BatchJob>,
+) -> (Arc<Configuration>, [Arc<EncodedLabeling>; 4]) {
+    let (cfg, honest) = jobs
+        .into_iter()
+        .filter_map(|job| {
+            let hint = job.hint.as_ref().unwrap_or_else(|| certifier.hint());
+            let labels = certifier.certify_with(&job.cfg, hint).ok()?;
+            (!labels.is_empty()).then_some((job.cfg, labels))
+        })
+        .max_by_key(|(cfg, _)| cfg.n())
+        .expect("every corpus has a certifying job");
+    let mut flipped = honest.clone();
+    flipped.flip_bit(honest.len() / 2, 0);
+    let mut short = honest.to_vec();
+    short.pop();
+    let restamped = honest
+        .clone()
+        .with_fingerprint(certifier.scheme().fingerprint() ^ 1);
+    (
+        Arc::new(cfg),
+        [honest, flipped, EncodedLabeling::new(short), restamped].map(Arc::new),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -157,6 +193,20 @@ proptest! {
         for (name, certifier) in scheme_factories() {
             let sequential =
                 BatchRunner::new(certifier()).run(jobs_for(name, seed, small, large));
+            let reference = certifier();
+            let (cfg, standing) = standing_labelings(&reference, jobs_for(name, seed, small, large));
+            let expected: Vec<_> = standing.iter().map(|l| reference.verify(&cfg, l)).collect();
+            prop_assert!(expected[0].as_ref().is_ok_and(|r| r.accepted()), "{}", name);
+            prop_assert!(
+                matches!(expected[2], Err(CertError::LabelCountMismatch { .. })),
+                "{}",
+                name
+            );
+            prop_assert!(
+                matches!(expected[3], Err(CertError::FingerprintMismatch { .. })),
+                "{}",
+                name
+            );
             for workers in [1usize, 2, 8] {
                 let engine = Engine::builder()
                     .certifier(certifier())
@@ -176,9 +226,18 @@ proptest! {
                 );
                 prop_assert_eq!(parallel.throughput.jobs, sequential.outcomes.len());
                 // Prove time is attributed from inside the prove task,
-                // so pool-mode runs report it too (as summed worker
-                // CPU-seconds), not just driver-mode runs.
+                // as summed worker CPU-seconds.
                 prop_assert!(parallel.throughput.prove_seconds > 0.0);
+                // The verify stage alone, over the same forced shards.
+                for (labels, want) in standing.iter().zip(&expected) {
+                    prop_assert_eq!(
+                        &engine.verify(Arc::clone(&cfg), Arc::clone(labels)),
+                        want,
+                        "{} verify at {} workers",
+                        name,
+                        workers
+                    );
+                }
             }
         }
     }
