@@ -1,0 +1,87 @@
+//! Label-bytes pin for the Theorem 1 prover.
+//!
+//! Certifies `connected` at pathwidth 2 from each family's known
+//! representation, with fixed graph and identifier seeds, and compares an
+//! FNV-1a digest of every labeling's `(bytes, bits)` against a hard-coded
+//! value. The parity suites compare two paths through the same prover;
+//! this suite is what catches a prover rewrite that changes a single
+//! label bit. FNV-1a rather than `DefaultHasher`, whose output may change
+//! between Rust releases.
+
+use lanecert_suite::algebra::{props, Algebra};
+use lanecert_suite::{Certifier, Configuration, CorpusFamily, EncodedLabeling, ProverHint};
+
+/// FNV-1a over each label's bit length (8 bytes, little endian) and then
+/// its bytes, in label order.
+fn digest(labels: &EncodedLabeling) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0100_0000_01b3;
+    let mut h = OFFSET;
+    for label in labels.iter() {
+        for &b in (label.bits as u64).to_le_bytes().iter().chain(label.bytes) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+    }
+    h
+}
+
+/// The pinned instances with their digests: `(family, n, digest)`.
+/// Graph seed 7, identifier seed `n`.
+fn pins() -> Vec<(CorpusFamily, usize, u64)> {
+    let pw2 = || CorpusFamily::RandomPathwidth { k: 2, density: 0.4 };
+    vec![
+        (CorpusFamily::Path, 512, 0x4670_aa87_9930_77dd),
+        (CorpusFamily::Path, 2048, 0x9de3_2660_e9d5_b571),
+        (CorpusFamily::Ladder, 512, 0xed92_cd27_5efe_80b2),
+        (CorpusFamily::Ladder, 2048, 0xab41_7f07_6f09_48e4),
+        (pw2(), 512, 0xf4b9_1c17_d3cc_d005),
+        (pw2(), 2048, 0xdf8d_8332_83af_5295),
+        (CorpusFamily::Caterpillar, 512, 0xc29c_c98e_cfb7_a34e),
+        (CorpusFamily::Caterpillar, 2048, 0x80fe_82f3_5680_a8fa),
+        (CorpusFamily::Cycle, 512, 0x5e7a_801c_cfd0_beed),
+        (CorpusFamily::Cycle, 2048, 0xec60_371f_09ca_8374),
+    ]
+}
+
+/// Runs `f` on a thread with enough stack for the prover's recursive
+/// hierarchy walk on 2k-vertex chains in debug builds.
+fn with_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(64 * 1024 * 1024)
+            .spawn_scoped(s, f)
+            .expect("spawn deep-stack thread")
+            .join()
+            .expect("deep-stack thread panicked")
+    })
+}
+
+#[test]
+fn theorem1_label_bytes_are_pinned() {
+    let certifier = Certifier::builder()
+        .property(Algebra::shared(props::Connected))
+        .pathwidth(2)
+        .build()
+        .expect("theorem1 connected certifier");
+    let mismatches: Vec<String> = with_deep_stack(|| {
+        pins()
+            .into_iter()
+            .filter_map(|(family, n, want)| {
+                let (graph, rep) = family.instance(n, 7);
+                let cfg = Configuration::with_random_ids(graph, n as u64);
+                let hint = ProverHint::with_representation(rep.expect("hinted family"));
+                let labels = certifier
+                    .certify_with(&cfg, &hint)
+                    .unwrap_or_else(|e| panic!("{}/n{n}: {e}", family.name()));
+                let got = digest(&labels);
+                (got != want).then(|| format!("{}/n{n}: got {got:#018x}", family.name()))
+            })
+            .collect()
+    });
+    assert!(
+        mismatches.is_empty(),
+        "label digests moved:\n{}",
+        mismatches.join("\n")
+    );
+}
