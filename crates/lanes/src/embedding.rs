@@ -121,11 +121,18 @@ impl Embedding {
 /// Embeds every virtual edge along a BFS shortest path in `g` — the
 /// *greedy* strategy. No worst-case congestion bound, but measured
 /// congestion is small on the benchmark families (ablation T9).
+///
+/// Each path is exactly `bfs(g, u).path_to(v)`, found by one reused
+/// early-exit [`PathSearcher`](traversal::PathSearcher): a query visits
+/// only the vertices a full BFS discovers before `v`, so virtual edges
+/// between nearby vertices cost a small ball each rather than `O(n)`.
 pub fn shortest_path_embedding(g: &Graph, completion: &Completion) -> Embedding {
     let mut emb = Embedding::new();
+    let mut searcher = traversal::PathSearcher::new();
     for e in completion.virtual_edges() {
         let (u, v) = completion.graph.endpoints(e);
-        let path = traversal::shortest_path(g, u, v)
+        let path = searcher
+            .path(g, u, v)
             .unwrap_or_else(|| panic!("G must be connected (no {u}–{v} path)"));
         emb.insert(e, path);
     }

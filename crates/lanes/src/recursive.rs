@@ -16,6 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use lanecert_graph::traversal::PathSearcher;
 use lanecert_graph::{Graph, VertexId};
 use lanecert_pathwidth::{Interval, IntervalRep};
 
@@ -75,6 +76,7 @@ pub fn embedding_from_paths(
     e1_paths: &HashMap<PairKey, Vec<VertexId>>,
 ) -> Embedding {
     let mut emb = Embedding::new();
+    let mut searcher = PathSearcher::new();
     for e in completion.virtual_edges() {
         let (u, v) = completion.graph.endpoints(e);
         let role = &completion.roles[e.index()];
@@ -85,7 +87,7 @@ pub fn embedding_from_paths(
                 .clone()
         } else {
             // E2 head-link: arbitrary path (Proposition 4.6's second claim).
-            lanecert_graph::traversal::shortest_path(g, u, v).expect("connected graph")
+            searcher.path(g, u, v).expect("connected graph")
         };
         let path = if path[0] == u {
             path
