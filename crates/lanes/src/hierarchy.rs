@@ -103,7 +103,77 @@ pub struct Hierarchy {
     pub k: usize,
 }
 
+/// The member tree of the future root `T`-node while
+/// [`build_hierarchy`] runs: the `P`-node and every member not yet wrapped
+/// into an inner `T`-node, indexed by [`NodeId`].
+#[derive(Default)]
+struct RootTree {
+    /// `parent[x]` is member `x`'s parent (`None` for the `P`-node root).
+    parent: Vec<Option<NodeId>>,
+    /// `depth[x]` is member `x`'s distance from the `P`-node.
+    depth: Vec<usize>,
+    /// Member children, in attachment order.
+    children: Vec<Vec<NodeId>>,
+    /// `true` while `x` is a member of the tree.
+    member: Vec<bool>,
+}
+
+impl RootTree {
+    /// Adds node `x` as a member below `parent`.
+    fn attach(&mut self, x: NodeId, parent: Option<NodeId>) {
+        if self.member.len() <= x {
+            self.parent.resize(x + 1, None);
+            self.depth.resize(x + 1, 0);
+            self.children.resize_with(x + 1, Vec::new);
+            self.member.resize(x + 1, false);
+        }
+        self.parent[x] = parent;
+        self.depth[x] = parent.map_or(0, |p| self.depth[p] + 1);
+        self.member[x] = true;
+        if let Some(p) = parent {
+            self.children[p].push(x);
+        }
+    }
+
+    fn up(&self, x: NodeId) -> NodeId {
+        self.parent[x].expect("member tree is connected")
+    }
+
+    /// Lowest common ancestor: lift the deeper side to the other's depth,
+    /// then lift both together until they meet.
+    fn lca(&self, mut a: NodeId, mut b: NodeId) -> NodeId {
+        while self.depth[a] > self.depth[b] {
+            a = self.up(a);
+        }
+        while self.depth[b] > self.depth[a] {
+            b = self.up(b);
+        }
+        while a != b {
+            a = self.up(a);
+            b = self.up(b);
+        }
+        a
+    }
+
+    /// The child of `ancestor` on the path down to its strict descendant
+    /// `x`.
+    fn child_towards(&self, ancestor: NodeId, mut x: NodeId) -> NodeId {
+        while self.parent[x] != Some(ancestor) {
+            x = self.up(x);
+        }
+        x
+    }
+}
+
 /// Builds the hierarchy of a built construction (Proposition 5.6).
+///
+/// The root member tree keeps a depth per member, so each `E-insert`
+/// finds its lowest common ancestor `gp` by lifting the deeper side and
+/// then both sides, and finds the subtree to wrap by walking up from the
+/// lane's lowest member until the parent is `gp`. Every node walked over
+/// lies on a path strictly below `gp` and is wrapped into a `T`-node,
+/// which takes it out of the root tree for good, so the LCA and wrap
+/// walks cost amortized `O(#nodes)` over the whole construction.
 ///
 /// # Panics
 ///
@@ -131,22 +201,10 @@ pub fn build_hierarchy(built: &BuiltConstruction) -> Hierarchy {
     };
     let p_id = push(p_node, &mut nodes);
 
-    // Root-tree bookkeeping.
-    let mut member_parent: HashMap<NodeId, Option<NodeId>> = HashMap::new();
-    let mut member_children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    member_parent.insert(p_id, None);
+    let mut tree = RootTree::default();
+    tree.attach(p_id, None);
     let mut lowest: Vec<NodeId> = vec![p_id; k];
     let mut cur: Vec<VertexId> = c.initial.clone();
-
-    // Walks to the root collecting the ancestor chain (self first).
-    let ancestors = |member_parent: &HashMap<NodeId, Option<NodeId>>, mut x: NodeId| {
-        let mut chain = vec![x];
-        while let Some(Some(p)) = member_parent.get(&x) {
-            chain.push(*p);
-            x = *p;
-        }
-        chain
-    };
 
     for (step, op) in c.ops.iter().enumerate() {
         let op_edge = built.op_edge[step];
@@ -167,66 +225,47 @@ pub fn build_hierarchy(built: &BuiltConstruction) -> Hierarchy {
                     },
                     &mut nodes,
                 );
-                let parent = lowest[lane];
-                member_parent.insert(e_id, Some(parent));
-                member_children.entry(parent).or_default().push(e_id);
+                tree.attach(e_id, Some(lowest[lane]));
                 lowest[lane] = e_id;
                 cur[lane] = vertex;
             }
             Op::EInsert { i, j } => {
                 let gi = lowest[i];
                 let gj = lowest[j];
-                // Lowest common ancestor in the member tree.
-                let chain_i = ancestors(&member_parent, gi);
-                let set_i: BTreeSet<NodeId> = chain_i.iter().copied().collect();
-                let chain_j = ancestors(&member_parent, gj);
-                let gp = *chain_j
-                    .iter()
-                    .find(|x| set_i.contains(x))
-                    .expect("member tree is connected");
+                let gp = tree.lca(gi, gj);
 
                 // Wraps the subtree hanging from `gp` towards `target` into
                 // a T-node, removing its members from the root tree.
                 let wrap = |target: NodeId,
                             nodes: &mut Vec<HierarchyNode>,
-                            member_parent: &mut HashMap<NodeId, Option<NodeId>>,
-                            member_children: &mut HashMap<NodeId, Vec<NodeId>>|
+                            tree: &mut RootTree|
                  -> NodeId {
-                    // Child of gp on the path towards target.
-                    let chain = ancestors(member_parent, target);
-                    let pos = chain.iter().position(|&x| x == gp).expect("gp on chain");
-                    assert!(pos > 0, "target must be a strict descendant of gp");
-                    let sub_root = chain[pos - 1];
+                    let sub_root = tree.child_towards(gp, target);
                     // Collect the subtree in DFS order (sub_root first).
                     let mut members = Vec::new();
                     let mut stack = vec![sub_root];
                     while let Some(m) = stack.pop() {
                         members.push(m);
-                        if let Some(ch) = member_children.get(&m) {
-                            stack.extend(ch.iter().copied());
-                        }
+                        stack.extend(tree.children[m].iter().copied());
                     }
                     let index_of: HashMap<NodeId, usize> =
                         members.iter().enumerate().map(|(x, &m)| (m, x)).collect();
                     let rel_parent: Vec<Option<usize>> = members
                         .iter()
-                        .map(|m| {
-                            if *m == sub_root {
+                        .map(|&m| {
+                            if m == sub_root {
                                 None
                             } else {
-                                Some(index_of[&member_parent[m].expect("non-root member")])
+                                Some(index_of[&tree.up(m)])
                             }
                         })
                         .collect();
                     // Detach from the root tree.
-                    for m in &members {
-                        member_parent.remove(m);
-                        member_children.remove(m);
+                    for &m in &members {
+                        tree.member[m] = false;
+                        tree.children[m] = Vec::new();
                     }
-                    member_children
-                        .get_mut(&gp)
-                        .expect("gp has children")
-                        .retain(|&x| x != sub_root);
+                    tree.children[gp].retain(|&x| x != sub_root);
                     let lanes = nodes[sub_root].lanes;
                     let tin = nodes[sub_root].tin.clone();
                     let tout: BTreeMap<Lane, VertexId> =
@@ -257,7 +296,7 @@ pub fn build_hierarchy(built: &BuiltConstruction) -> Hierarchy {
                         &mut nodes,
                     )
                 } else {
-                    wrap(gi, &mut nodes, &mut member_parent, &mut member_children)
+                    wrap(gi, &mut nodes, &mut tree)
                 };
                 let right = if gj == gp {
                     push(
@@ -273,7 +312,7 @@ pub fn build_hierarchy(built: &BuiltConstruction) -> Hierarchy {
                         &mut nodes,
                     )
                 } else {
-                    wrap(gj, &mut nodes, &mut member_parent, &mut member_children)
+                    wrap(gj, &mut nodes, &mut tree)
                 };
 
                 assert!(
@@ -300,8 +339,7 @@ pub fn build_hierarchy(built: &BuiltConstruction) -> Hierarchy {
                     },
                     &mut nodes,
                 );
-                member_parent.insert(b_id, Some(gp));
-                member_children.entry(gp).or_default().push(b_id);
+                tree.attach(b_id, Some(gp));
                 for lane in lanes.iter() {
                     lowest[lane] = b_id;
                 }
@@ -309,17 +347,16 @@ pub fn build_hierarchy(built: &BuiltConstruction) -> Hierarchy {
         }
     }
 
-    // Final root T-node over the surviving members.
-    let mut members: Vec<NodeId> = member_parent.keys().copied().collect();
-    members.sort_unstable();
-    // Put the P-node first (it is the member-tree root).
-    let p_pos = members.iter().position(|&m| m == p_id).expect("P survives");
-    members.swap(0, p_pos);
+    // Final root T-node over the surviving members, in id order. The
+    // P-node has the smallest id and is never wrapped, so it comes first
+    // as the member-tree root must.
+    let members: Vec<NodeId> = (0..tree.member.len()).filter(|&m| tree.member[m]).collect();
+    debug_assert_eq!(members.first(), Some(&p_id));
     let index_of: HashMap<NodeId, usize> =
         members.iter().enumerate().map(|(x, &m)| (m, x)).collect();
     let rel_parent: Vec<Option<usize>> = members
         .iter()
-        .map(|m| member_parent[m].map(|p| index_of[&p]))
+        .map(|&m| tree.parent[m].map(|p| index_of[&p]))
         .collect();
     let root = {
         nodes.push(HierarchyNode {
@@ -657,6 +694,44 @@ mod tests {
         let (h, built) = hierarchy_of(&g);
         h.validate(&built);
         assert!(h.depth() >= 2, "nontrivial hierarchy expected");
+    }
+
+    /// Scaling regression: with ancestor chains walked to the root, these
+    /// two hierarchies took about 10¹⁰ steps; with depth-tracked LCAs
+    /// they take about a second each even unoptimized. `validate` is skipped:
+    /// its `subtree_tout` is quadratic and meant for small inputs.
+    #[test]
+    fn long_chains_build_in_linear_time() {
+        use crate::{LaneStrategy, Layout};
+        use lanecert_pathwidth::{Interval, PathDecomposition};
+
+        let n = 1 << 16;
+        let path = generators::path_graph(n);
+        let path_rep = IntervalRep::new((0..n as u32).map(|i| Interval::new(i, i + 1)).collect());
+
+        let cols = 1 << 14;
+        let ladder = generators::ladder(cols);
+        let at = |r: usize, c: usize| VertexId::new(r * cols + c);
+        let bags: Vec<Vec<VertexId>> = (0..cols - 1)
+            .flat_map(|c| {
+                [
+                    vec![at(0, c), at(1, c), at(0, c + 1)],
+                    vec![at(1, c), at(0, c + 1), at(1, c + 1)],
+                ]
+            })
+            .collect();
+        let ladder_rep = IntervalRep::from_decomposition(&PathDecomposition::new(bags), 2 * cols);
+
+        for (g, rep) in [(path, path_rep), (ladder, ladder_rep)] {
+            // `Layout::build` ends in `build_hierarchy`.
+            let h = Layout::build(&g, &rep, LaneStrategy::Greedy).hierarchy;
+            assert!(
+                h.depth() <= 2 * h.k,
+                "depth {} > 2k = {}",
+                h.depth(),
+                2 * h.k
+            );
+        }
     }
 
     #[test]
