@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use lanecert_algebra::FrozenAlgebra;
 use lanecert_graph::{EdgeId, VertexId};
-use lanecert_lanes::{Layout, NodeId, NodeKind};
+use lanecert_lanes::{Hierarchy, Layout, NodeId, NodeKind};
 
 use super::labels::*;
 use super::summary::{self, Summary};
@@ -21,12 +21,87 @@ struct Frames<'a> {
     alg: &'a FrozenAlgebra,
     cfg: &'a Configuration,
     layout: &'a Layout,
+    kids: &'a [Vec<Vec<usize>>],        // per T-node, per member index
     marked: Vec<bool>,                  // per built-graph edge
     node_summary: Vec<Option<Summary>>, // per hierarchy node
     member_subtree: HashMap<(NodeId, usize), Summary>,
-    t_root_vertex: HashMap<NodeId, VertexId>,
-    t_dist: HashMap<NodeId, Vec<u32>>, // per vertex, u32::MAX outside
-    edge_frames: Vec<Vec<FrameLbl>>,   // per built-graph edge (d_* = 0 placeholders)
+    t_pointers: HashMap<NodeId, Pointers>,
+    edge_frames: Vec<Vec<FrameLbl>>, // per built-graph edge (d_* = 0 placeholders)
+}
+
+/// A T-node's pointer root and the BFS distances from it inside the
+/// node's realized subgraph, stored for the realized vertices only.
+struct Pointers {
+    root: VertexId,
+    /// Realized vertices, sorted.
+    vertices: Vec<VertexId>,
+    /// `dist[x]` is the distance of `vertices[x]` (`u32::MAX` if unreached).
+    dist: Vec<u32>,
+}
+
+impl Pointers {
+    /// BFS over the realized `edges` only, from the smallest vertex of the
+    /// root member (`vertices` must contain every endpoint).
+    fn new(root: VertexId, vertices: Vec<VertexId>, edges: &[(VertexId, VertexId)]) -> Self {
+        let at = |v: VertexId| vertices.binary_search(&v).expect("endpoint is realized");
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); vertices.len()];
+        for &(a, b) in edges {
+            let (a, b) = (at(a), at(b));
+            adj[a].push(b);
+            adj[b].push(a);
+        }
+        let mut dist = vec![u32::MAX; vertices.len()];
+        let mut queue = std::collections::VecDeque::from([at(root)]);
+        dist[at(root)] = 0;
+        while let Some(x) = queue.pop_front() {
+            for &y in &adj[x] {
+                if dist[y] == u32::MAX {
+                    dist[y] = dist[x] + 1;
+                    queue.push_back(y);
+                }
+            }
+        }
+        Self {
+            root,
+            vertices,
+            dist,
+        }
+    }
+
+    /// Distance of `v` from the root; `u32::MAX` outside the subgraph.
+    fn dist(&self, v: VertexId) -> u32 {
+        self.vertices
+            .binary_search(&v)
+            .map_or(u32::MAX, |x| self.dist[x])
+    }
+}
+
+/// Per T-node (empty for other nodes), per member index: the member's
+/// children in the merge tree, sorted by lane mask (deterministic and
+/// label-independent).
+fn kid_lists(h: &Hierarchy) -> Vec<Vec<Vec<usize>>> {
+    h.nodes
+        .iter()
+        .map(|node| {
+            let NodeKind::T {
+                members,
+                member_parent,
+            } = &node.kind
+            else {
+                return Vec::new();
+            };
+            let mut kids = vec![Vec::new(); members.len()];
+            for (c, p) in member_parent.iter().enumerate() {
+                if let Some(p) = *p {
+                    kids[p].push(c);
+                }
+            }
+            for list in &mut kids {
+                list.sort_by_key(|&c| h.nodes[members[c]].lanes.0);
+            }
+            kids
+        })
+        .collect()
 }
 
 pub(super) fn build_labels(
@@ -42,15 +117,16 @@ pub(super) fn build_labels(
         .edges()
         .map(|(_, e)| cfg.graph().has_edge(e.u, e.v))
         .collect();
+    let kids = kid_lists(&layout.hierarchy);
     let mut fr = Frames {
         alg,
         cfg,
         layout,
+        kids: &kids,
         marked,
         node_summary: vec![None; n_nodes],
         member_subtree: HashMap::new(),
-        t_root_vertex: HashMap::new(),
-        t_dist: HashMap::new(),
+        t_pointers: HashMap::new(),
         edge_frames: vec![Vec::new(); bg.edge_count()],
     };
     let root = fr
@@ -143,8 +219,8 @@ impl<'a> Frames<'a> {
         if let Some(s) = &self.node_summary[node] {
             return Ok(s.clone());
         }
-        let h = &self.layout.hierarchy;
-        let out = match h.nodes[node].kind.clone() {
+        let h: &'a Hierarchy = &self.layout.hierarchy;
+        let out = match h.nodes[node].kind {
             NodeKind::V { lane, vertex } => summary::base_v(self.alg, lane, self.id(vertex)),
             NodeKind::E {
                 lane,
@@ -158,7 +234,10 @@ impl<'a> Frames<'a> {
                 self.id(tout),
                 self.marked[edge.index()],
             )?,
-            NodeKind::P { vertices, edges } => {
+            NodeKind::P {
+                ref vertices,
+                ref edges,
+            } => {
                 let ids: Vec<u64> = vertices.iter().map(|&v| self.id(v)).collect();
                 let marks: Vec<bool> = edges.iter().map(|e| self.marked[e.index()]).collect();
                 summary::base_p(self.alg, &ids, &marks)?
@@ -185,20 +264,13 @@ impl<'a> Frames<'a> {
         if let Some(s) = self.member_subtree.get(&(t, m_idx)) {
             return Ok(s.clone());
         }
-        let NodeKind::T {
-            members,
-            member_parent,
-        } = self.layout.hierarchy.nodes[t].kind.clone()
-        else {
+        let h: &'a Hierarchy = &self.layout.hierarchy;
+        let NodeKind::T { members, .. } = &h.nodes[t].kind else {
             return Err("subtree on non-T node".into());
         };
+        let kids: &'a [usize] = &self.kids[t][m_idx];
         let mut acc = self.summarize(members[m_idx])?;
-        // Children sorted by lane mask (deterministic, label-independent).
-        let mut kids: Vec<usize> = (0..members.len())
-            .filter(|&c| member_parent[c] == Some(m_idx))
-            .collect();
-        kids.sort_by_key(|&c| self.layout.hierarchy.nodes[members[c]].lanes.0);
-        for c in kids {
+        for &c in kids {
             let sub = self.subtree(t, c)?;
             acc = summary::parent(self.alg, &sub, &acc)?;
         }
@@ -207,7 +279,9 @@ impl<'a> Frames<'a> {
     }
 
     /// Chooses pointer roots and computes BFS distances inside each
-    /// T-node's realized subgraph.
+    /// T-node's realized subgraph. Each search runs over the T-node's own
+    /// realized edges, so the total cost is the summed size of the
+    /// realized subgraphs, not `O(n)` per T-node.
     fn pointers(&mut self) {
         let h = &self.layout.hierarchy;
         let realized = h.realized();
@@ -218,19 +292,17 @@ impl<'a> Frames<'a> {
             };
             let (rv, _) = &realized[members[0]];
             let root = *rv.iter().next().expect("root member has a vertex");
-            self.t_root_vertex.insert(id, root);
-            let (_, edges) = &realized[id];
-            let allowed: std::collections::HashSet<EdgeId> = edges.iter().copied().collect();
-            let tree =
-                lanecert_graph::traversal::bfs_restricted(bg, root, |e| allowed.contains(&e));
-            self.t_dist.insert(id, tree.dist);
+            let (vertices, edges) = &realized[id];
+            let edges: Vec<(VertexId, VertexId)> = edges.iter().map(|&e| bg.endpoints(e)).collect();
+            let pointers = Pointers::new(root, vertices.iter().copied().collect(), &edges);
+            self.t_pointers.insert(id, pointers);
         }
     }
 
     /// DFS assigning frame templates to owned edges.
     fn walk(&mut self, node: NodeId, chain: &mut Vec<FrameLbl>) -> Result<(), String> {
-        let h = &self.layout.hierarchy;
-        match h.nodes[node].kind.clone() {
+        let h: &'a Hierarchy = &self.layout.hierarchy;
+        match h.nodes[node].kind {
             NodeKind::V { .. } => {}
             NodeKind::E {
                 lane,
@@ -247,7 +319,10 @@ impl<'a> Frames<'a> {
                 }));
                 self.edge_frames[edge.index()] = frames;
             }
-            NodeKind::P { vertices, edges } => {
+            NodeKind::P {
+                ref vertices,
+                ref edges,
+            } => {
                 let ids: Vec<u64> = vertices.iter().map(|&v| self.id(v)).collect();
                 let marks: Vec<bool> = edges.iter().map(|e| self.marked[e.index()]).collect();
                 for (pos, e) in edges.iter().enumerate() {
@@ -304,19 +379,13 @@ impl<'a> Frames<'a> {
                     chain.pop();
                 }
             }
-            NodeKind::T {
-                members,
-                member_parent,
-            } => {
-                let root_vertex = self.id(self.t_root_vertex[&node]);
+            NodeKind::T { ref members, .. } => {
+                let root_vertex = self.id(self.t_pointers[&node].root);
+                let kids: &'a [Vec<usize>] = &self.kids[node];
                 for (idx, &m) in members.iter().enumerate() {
                     let sub = self.subtree(node, idx)?;
-                    let mut kids: Vec<usize> = (0..members.len())
-                        .filter(|&c| member_parent[c] == Some(idx))
-                        .collect();
-                    kids.sort_by_key(|&c| self.layout.hierarchy.nodes[members[c]].lanes.0);
-                    let mut children = Vec::with_capacity(kids.len());
-                    for &c in &kids {
+                    let mut children = Vec::with_capacity(kids[idx].len());
+                    for &c in &kids[idx] {
                         let s = self.subtree(node, c)?;
                         children.push(BasicInfoLbl {
                             node: members[c] as u32,
@@ -346,18 +415,19 @@ impl<'a> Frames<'a> {
         Ok(())
     }
 
-    /// Fills per-edge fields (endpoint ids ordered, pointer distances).
-    fn materialize(&self, edge: EdgeId, u: VertexId, v: VertexId) -> EdgeCertLbl {
+    /// Fills per-edge fields (endpoint ids ordered, pointer distances),
+    /// moving the edge's frame templates out.
+    fn materialize(&mut self, edge: EdgeId, u: VertexId, v: VertexId) -> EdgeCertLbl {
         let (mut a, mut b) = (u, v);
         if self.id(a) > self.id(b) {
             std::mem::swap(&mut a, &mut b);
         }
-        let mut frames = self.edge_frames[edge.index()].clone();
+        let mut frames = std::mem::take(&mut self.edge_frames[edge.index()]);
         for f in frames.iter_mut() {
             if let FrameLbl::T(t) = f {
-                let dist = &self.t_dist[&(t.t_node as usize)];
-                t.d_a = dist[a.index()];
-                t.d_b = dist[b.index()];
+                let pointers = &self.t_pointers[&(t.t_node as usize)];
+                t.d_a = pointers.dist(a);
+                t.d_b = pointers.dist(b);
             }
         }
         EdgeCertLbl {
