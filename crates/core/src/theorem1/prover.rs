@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use lanecert_algebra::FrozenAlgebra;
-use lanecert_graph::{EdgeId, VertexId};
+use lanecert_graph::{traversal, EdgeId, Graph, VertexId};
 use lanecert_lanes::{Hierarchy, Layout, NodeId, NodeKind};
 
 use super::labels::*;
@@ -40,34 +40,6 @@ struct Pointers {
 }
 
 impl Pointers {
-    /// BFS over the realized `edges` only, from the smallest vertex of the
-    /// root member (`vertices` must contain every endpoint).
-    fn new(root: VertexId, vertices: Vec<VertexId>, edges: &[(VertexId, VertexId)]) -> Self {
-        let at = |v: VertexId| vertices.binary_search(&v).expect("endpoint is realized");
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); vertices.len()];
-        for &(a, b) in edges {
-            let (a, b) = (at(a), at(b));
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut dist = vec![u32::MAX; vertices.len()];
-        let mut queue = std::collections::VecDeque::from([at(root)]);
-        dist[at(root)] = 0;
-        while let Some(x) = queue.pop_front() {
-            for &y in &adj[x] {
-                if dist[y] == u32::MAX {
-                    dist[y] = dist[x] + 1;
-                    queue.push_back(y);
-                }
-            }
-        }
-        Self {
-            root,
-            vertices,
-            dist,
-        }
-    }
-
     /// Distance of `v` from the root; `u32::MAX` outside the subgraph.
     fn dist(&self, v: VertexId) -> u32 {
         self.vertices
@@ -293,9 +265,25 @@ impl<'a> Frames<'a> {
             let (rv, _) = &realized[members[0]];
             let root = *rv.iter().next().expect("root member has a vertex");
             let (vertices, edges) = &realized[id];
-            let edges: Vec<(VertexId, VertexId)> = edges.iter().map(|&e| bg.endpoints(e)).collect();
-            let pointers = Pointers::new(root, vertices.iter().copied().collect(), &edges);
-            self.t_pointers.insert(id, pointers);
+            let vertices: Vec<VertexId> = vertices.iter().copied().collect();
+            let at = |v: VertexId| vertices.binary_search(&v).expect("endpoint is realized");
+            let local = Graph::from_edges(
+                vertices.len(),
+                edges.iter().map(|&e| {
+                    let (a, b) = bg.endpoints(e);
+                    (at(a), at(b))
+                }),
+            )
+            .expect("realized edges form a simple graph");
+            let dist = traversal::bfs(&local, VertexId::new(at(root))).dist;
+            self.t_pointers.insert(
+                id,
+                Pointers {
+                    root,
+                    vertices,
+                    dist,
+                },
+            );
         }
     }
 

@@ -49,19 +49,6 @@ impl BfsTree {
 ///
 /// Panics if `root` is out of range.
 pub fn bfs(g: &Graph, root: VertexId) -> BfsTree {
-    bfs_restricted(g, root, |_| true)
-}
-
-/// Runs BFS from `root`, traversing only edges for which `allow` returns
-/// `true`. Used to grow spanning structures inside certified subgraphs.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn bfs_restricted<F>(g: &Graph, root: VertexId, mut allow: F) -> BfsTree
-where
-    F: FnMut(EdgeId) -> bool,
-{
     let n = g.vertex_count();
     assert!(root.index() < n, "root out of range");
     let mut tree = BfsTree {
@@ -77,9 +64,6 @@ where
     while let Some(v) = queue.pop_front() {
         tree.order.push(v);
         for h in g.incident(v) {
-            if !allow(h.edge) {
-                continue;
-            }
             let w = h.to;
             if tree.dist[w.index()] == u32::MAX {
                 tree.dist[w.index()] = tree.dist[v.index()] + 1;
@@ -307,14 +291,6 @@ mod tests {
                 .len(),
             12
         );
-    }
-
-    #[test]
-    fn restricted_bfs_ignores_forbidden_edges() {
-        let g = generators::cycle_graph(4);
-        // Forbid edge 0 (between v0 and v1): distances wrap the other way.
-        let tree = bfs_restricted(&g, VertexId(0), |e| e.index() != 0);
-        assert_eq!(tree.dist[1], 3);
     }
 
     #[test]
