@@ -238,10 +238,9 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
     }
 
     // Verify-only: one big path instance, proven once; the verify stage is
-    // then re-run per worker count over the same shared labels. The prover's
-    // hierarchy walk is chain-deep — 8192 stack frames on a path — so the
-    // one-off prove runs on a dedicated thread with an explicit 32 MiB
-    // stack instead of the main thread (whose 8 MiB default overflows).
+    // then re-run per worker count over the same shared labels. The prover
+    // recurses only as deep as the hierarchy (at most 2k nodes), so the
+    // one-off prove runs on the calling thread's default stack.
     //
     // Each worker count is timed over `reps` back-to-back passes after
     // one untimed warmup: a single quick-scale pass is a few
@@ -253,17 +252,11 @@ pub fn sweep_with(scale: Scale, alloc_snapshot: Option<AllocSnapshot>) -> Throug
     let (g, rep) = path_family(n);
     let cfg = Arc::new(Configuration::with_random_ids(g, 17));
     let certifier = theorem1_certifier(Algebra::shared(Connected));
-    let labels = Arc::new(std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(32 * 1024 * 1024)
-            .spawn_scoped(s, || {
-                certifier.certify_with(&cfg, &ProverHint::with_representation(rep))
-            })
-            .expect("spawn prover thread")
-            .join()
-            .expect("prover thread panicked")
-            .expect("path family certifies")
-    }));
+    let labels = Arc::new(
+        certifier
+            .certify_with(&cfg, &ProverHint::with_representation(rep))
+            .expect("path family certifies"),
+    );
     let verify_engine = |workers: usize| {
         Engine::builder()
             .certifier(theorem1_certifier(Algebra::shared(Connected)))
@@ -414,19 +407,10 @@ fn hintless_series(scale: Scale, clock: &Clock) -> Vec<HintlessRun> {
                 .build()
                 .expect("theorem1 spec is complete");
             let cfg = Configuration::with_random_ids(g, 29);
-            // The prover's hierarchy walk is chain-deep on these
-            // families — same dedicated big-stack thread as the
-            // verify-only prove above.
             let t0 = clock.now_ns();
-            let report = std::thread::scope(|s| {
-                std::thread::Builder::new()
-                    .stack_size(32 * 1024 * 1024)
-                    .spawn_scoped(s, || certifier.run(&cfg))
-                    .expect("spawn hintless prover thread")
-                    .join()
-                    .expect("hintless prover thread panicked")
-                    .expect("hintless certification must resolve a decomposition")
-            });
+            let report = certifier
+                .run(&cfg)
+                .expect("hintless certification must resolve a decomposition");
             let certify_seconds = clock.seconds_since(t0);
             series.push(HintlessRun {
                 family,

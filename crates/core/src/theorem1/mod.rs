@@ -167,6 +167,14 @@ impl PathwidthScheme {
                 Err(CertError::PropertyViolated)
             };
         }
+        // Every lane partition needs at least `width` lanes; refusing here
+        // keeps an over-wide representation out of `Layout::build`.
+        if rep.width() > self.opts.max_lanes {
+            return Err(CertError::TooManyLanes {
+                needed: rep.width(),
+                bound: self.opts.max_lanes,
+            });
+        }
         let layout = Layout::build(g, rep, self.opts.strategy);
         if layout.lane_count() > self.opts.max_lanes {
             return Err(CertError::TooManyLanes {

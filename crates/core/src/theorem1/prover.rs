@@ -1,7 +1,5 @@
 //! The certificate assignment (the centralized prover of Theorem 1).
 
-use std::collections::HashMap;
-
 use lanecert_algebra::FrozenAlgebra;
 use lanecert_graph::{traversal, EdgeId, Graph, VertexId};
 use lanecert_lanes::{Hierarchy, Layout, NodeId, NodeKind};
@@ -21,12 +19,12 @@ struct Frames<'a> {
     alg: &'a FrozenAlgebra,
     cfg: &'a Configuration,
     layout: &'a Layout,
-    kids: &'a [Vec<Vec<usize>>],        // per T-node, per member index
-    marked: Vec<bool>,                  // per built-graph edge
-    node_summary: Vec<Option<Summary>>, // per hierarchy node
-    member_subtree: HashMap<(NodeId, usize), Summary>,
-    t_pointers: HashMap<NodeId, Pointers>,
-    edge_frames: Vec<Vec<FrameLbl>>, // per built-graph edge (d_* = 0 placeholders)
+    kids: &'a [Vec<Vec<usize>>],       // per T-node, per member index
+    marked: Vec<bool>,                 // per built-graph edge
+    summaries: Vec<Summary>,           // per hierarchy node
+    member_subtree: Vec<Vec<Summary>>, // per T-node, per member index
+    t_pointers: Vec<Option<Pointers>>, // per T-node
+    edge_frames: Vec<Vec<FrameLbl>>,   // per built-graph edge (d_* = 0 placeholders)
 }
 
 /// A T-node's pointer root and the BFS distances from it inside the
@@ -82,7 +80,6 @@ pub(super) fn build_labels(
     layout: &Layout,
 ) -> Result<ProverOutput, CertError> {
     let bg = &layout.construction.graph;
-    let n_nodes = layout.hierarchy.nodes.len();
     // Mark flags: an edge of the built (completion) graph is marked iff it
     // is an original edge of the network graph.
     let marked: Vec<bool> = bg
@@ -96,15 +93,13 @@ pub(super) fn build_labels(
         layout,
         kids: &kids,
         marked,
-        node_summary: vec![None; n_nodes],
-        member_subtree: HashMap::new(),
-        t_pointers: HashMap::new(),
+        summaries: Vec::new(),
+        member_subtree: Vec::new(),
+        t_pointers: Vec::new(),
         edge_frames: vec![Vec::new(); bg.edge_count()],
     };
-    let root = fr
-        .summarize(layout.hierarchy.root)
-        .map_err(CertError::Internal)?;
-    if !alg.accept(&root.class) {
+    fr.summarize().map_err(CertError::Internal)?;
+    if !alg.accept(&fr.summaries[layout.hierarchy.root].class) {
         return Err(CertError::PropertyViolated);
     }
     fr.pointers();
@@ -186,68 +181,68 @@ impl<'a> Frames<'a> {
         })
     }
 
-    /// Full realized summary of a hierarchy node.
-    fn summarize(&mut self, node: NodeId) -> Result<Summary, String> {
-        if let Some(s) = &self.node_summary[node] {
-            return Ok(s.clone());
-        }
+    /// Realized summaries of every hierarchy node, and of every T-node
+    /// member's merge subtree, in one pass over node ids. Children have
+    /// smaller ids than their parents, and a member's merge-tree parent a
+    /// smaller index than the member, so every input is ready when read.
+    fn summarize(&mut self) -> Result<(), String> {
         let h: &'a Hierarchy = &self.layout.hierarchy;
-        let out = match h.nodes[node].kind {
-            NodeKind::V { lane, vertex } => summary::base_v(self.alg, lane, self.id(vertex)),
-            NodeKind::E {
-                lane,
-                tin,
-                tout,
-                edge,
-            } => summary::base_e(
-                self.alg,
-                lane,
-                self.id(tin),
-                self.id(tout),
-                self.marked[edge.index()],
-            )?,
-            NodeKind::P {
-                ref vertices,
-                ref edges,
-            } => {
-                let ids: Vec<u64> = vertices.iter().map(|&v| self.id(v)).collect();
-                let marks: Vec<bool> = edges.iter().map(|e| self.marked[e.index()]).collect();
-                summary::base_p(self.alg, &ids, &marks)?
-            }
-            NodeKind::B {
-                i,
-                j,
-                left,
-                right,
-                bridge,
-            } => {
-                let l = self.summarize(left)?;
-                let r = self.summarize(right)?;
-                summary::bridge(self.alg, &l, &r, i, j, self.marked[bridge.index()])?
-            }
-            NodeKind::T { .. } => self.subtree(node, 0)?,
-        };
-        self.node_summary[node] = Some(out.clone());
-        Ok(out)
-    }
-
-    /// Summary of `Tree-merge(T_m)` for member index `m_idx` of T-node `t`.
-    fn subtree(&mut self, t: NodeId, m_idx: usize) -> Result<Summary, String> {
-        if let Some(s) = self.member_subtree.get(&(t, m_idx)) {
-            return Ok(s.clone());
+        for (id, node) in h.nodes.iter().enumerate() {
+            let mut subtrees = Vec::new();
+            let out = match node.kind {
+                NodeKind::V { lane, vertex } => summary::base_v(self.alg, lane, self.id(vertex)),
+                NodeKind::E {
+                    lane,
+                    tin,
+                    tout,
+                    edge,
+                } => summary::base_e(
+                    self.alg,
+                    lane,
+                    self.id(tin),
+                    self.id(tout),
+                    self.marked[edge.index()],
+                )?,
+                NodeKind::P {
+                    ref vertices,
+                    ref edges,
+                } => {
+                    let ids: Vec<u64> = vertices.iter().map(|&v| self.id(v)).collect();
+                    let marks: Vec<bool> = edges.iter().map(|e| self.marked[e.index()]).collect();
+                    summary::base_p(self.alg, &ids, &marks)?
+                }
+                NodeKind::B {
+                    i,
+                    j,
+                    left,
+                    right,
+                    bridge,
+                } => summary::bridge(
+                    self.alg,
+                    &self.summaries[left],
+                    &self.summaries[right],
+                    i,
+                    j,
+                    self.marked[bridge.index()],
+                )?,
+                NodeKind::T { ref members, .. } => {
+                    // `Tree-merge(T_m)` per member, highest index first:
+                    // children follow their parent, so each child's
+                    // subtree is final when it is folded in.
+                    subtrees = members.iter().map(|&m| self.summaries[m].clone()).collect();
+                    for m_idx in (0..members.len()).rev() {
+                        for &c in &self.kids[id][m_idx] {
+                            subtrees[m_idx] =
+                                summary::parent(self.alg, &subtrees[c], &subtrees[m_idx])?;
+                        }
+                    }
+                    subtrees[0].clone()
+                }
+            };
+            self.summaries.push(out);
+            self.member_subtree.push(subtrees);
         }
-        let h: &'a Hierarchy = &self.layout.hierarchy;
-        let NodeKind::T { members, .. } = &h.nodes[t].kind else {
-            return Err("subtree on non-T node".into());
-        };
-        let kids: &'a [usize] = &self.kids[t][m_idx];
-        let mut acc = self.summarize(members[m_idx])?;
-        for &c in kids {
-            let sub = self.subtree(t, c)?;
-            acc = summary::parent(self.alg, &sub, &acc)?;
-        }
-        self.member_subtree.insert((t, m_idx), acc.clone());
-        Ok(acc)
+        Ok(())
     }
 
     /// Chooses pointer roots and computes BFS distances inside each
@@ -258,6 +253,7 @@ impl<'a> Frames<'a> {
         let h = &self.layout.hierarchy;
         let realized = h.realized();
         let bg = &self.layout.construction.graph;
+        self.t_pointers = h.nodes.iter().map(|_| None).collect();
         for (id, node) in h.nodes.iter().enumerate() {
             let NodeKind::T { members, .. } = &node.kind else {
                 continue;
@@ -276,18 +272,21 @@ impl<'a> Frames<'a> {
             )
             .expect("realized edges form a simple graph");
             let dist = traversal::bfs(&local, VertexId::new(at(root))).dist;
-            self.t_pointers.insert(
-                id,
-                Pointers {
-                    root,
-                    vertices,
-                    dist,
-                },
-            );
+            self.t_pointers[id] = Some(Pointers {
+                root,
+                vertices,
+                dist,
+            });
         }
     }
 
-    /// DFS assigning frame templates to owned edges.
+    /// The pointers of T-node `t`.
+    fn pointers_of(&self, t: NodeId) -> &Pointers {
+        self.t_pointers[t].as_ref().expect("T-node pointers")
+    }
+
+    /// DFS assigning frame templates to owned edges. Recursive, but only
+    /// as deep as the hierarchy, which Observation 5.5 bounds by `2k`.
     fn walk(&mut self, node: NodeId, chain: &mut Vec<FrameLbl>) -> Result<(), String> {
         let h: &'a Hierarchy = &self.layout.hierarchy;
         match h.nodes[node].kind {
@@ -331,11 +330,11 @@ impl<'a> Frames<'a> {
                 right,
                 bridge,
             } => {
-                let info = |fr: &mut Self, side: NodeId| -> Result<BasicInfoLbl, String> {
-                    let s = fr.summarize(side)?;
+                let info = |fr: &Self, side: NodeId| -> Result<BasicInfoLbl, String> {
+                    let s = &fr.summaries[side];
                     Ok(BasicInfoLbl {
                         node: side as u32,
-                        class: fr.wire_class(&s)?,
+                        class: fr.wire_class(s)?,
                         iface: s.iface.to_lbl(),
                     })
                 };
@@ -368,16 +367,17 @@ impl<'a> Frames<'a> {
                 }
             }
             NodeKind::T { ref members, .. } => {
-                let root_vertex = self.id(self.t_pointers[&node].root);
+                let root_vertex = self.id(self.pointers_of(node).root);
                 let kids: &'a [Vec<usize>] = &self.kids[node];
                 for (idx, &m) in members.iter().enumerate() {
-                    let sub = self.subtree(node, idx)?;
+                    let subtrees = &self.member_subtree[node];
+                    let sub = &subtrees[idx];
                     let mut children = Vec::with_capacity(kids[idx].len());
                     for &c in &kids[idx] {
-                        let s = self.subtree(node, c)?;
+                        let s = &subtrees[c];
                         children.push(BasicInfoLbl {
                             node: members[c] as u32,
-                            class: self.wire_class(&s)?,
+                            class: self.wire_class(s)?,
                             iface: s.iface.to_lbl(),
                         });
                     }
@@ -386,7 +386,7 @@ impl<'a> Frames<'a> {
                         member: m as u32,
                         subtree: BasicInfoLbl {
                             node: m as u32,
-                            class: self.wire_class(&sub)?,
+                            class: self.wire_class(sub)?,
                             iface: sub.iface.to_lbl(),
                         },
                         children,
@@ -413,7 +413,7 @@ impl<'a> Frames<'a> {
         let mut frames = std::mem::take(&mut self.edge_frames[edge.index()]);
         for f in frames.iter_mut() {
             if let FrameLbl::T(t) = f {
-                let pointers = &self.t_pointers[&(t.t_node as usize)];
+                let pointers = self.pointers_of(t.t_node as usize);
                 t.d_a = pointers.dist(a);
                 t.d_b = pointers.dist(b);
             }

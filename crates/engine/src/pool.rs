@@ -254,14 +254,6 @@ impl WorkStealingPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("lanecert-engine-{w}"))
-                    // The theorem1 prover's hierarchy walk recurses
-                    // proportionally to the chain length with multi-KiB
-                    // frames (inline-stored label sequences), so the std
-                    // 2 MiB worker default — and even the main thread's
-                    // 8 MiB — overflow on chains around 8k vertices.
-                    // 32 MiB keeps pool proving safe well past the
-                    // largest bench instance.
-                    .stack_size(32 * 1024 * 1024)
                     .spawn(move || worker_loop(id, w, &shared))
                     .expect("failed to spawn engine worker")
             })

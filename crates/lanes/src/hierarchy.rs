@@ -72,7 +72,8 @@ pub enum NodeKind {
         /// Member node ids (index 0 is the tree root member).
         members: Vec<NodeId>,
         /// `member_parent[x]` is the index (into `members`) of member `x`'s
-        /// parent in the merge tree (`None` for the root member).
+        /// parent in the merge tree (`None` for the root member). Parents
+        /// come first: `member_parent[x] < x`.
         member_parent: Vec<Option<usize>>,
     },
 }
@@ -95,7 +96,9 @@ pub struct HierarchyNode {
 /// A hierarchical decomposition of a lanewidth graph.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
-    /// Node arena; children reference by index.
+    /// Node arena; children reference by index. Nodes are created
+    /// children-first, so every `B` side and `T` member has a smaller id
+    /// than its parent node: id order is a bottom-up order.
     pub nodes: Vec<HierarchyNode>,
     /// The root `T`-node.
     pub root: NodeId,
@@ -387,33 +390,27 @@ impl Hierarchy {
     /// Maximum number of nodes on a root-to-leaf path (Observation 5.5
     /// bounds this by `2k`).
     pub fn depth(&self) -> usize {
-        fn go(h: &Hierarchy, id: NodeId) -> usize {
-            1 + h
+        let mut depth = vec![0; self.nodes.len()];
+        for id in 0..self.nodes.len() {
+            depth[id] = 1 + self
                 .children(id)
                 .into_iter()
-                .map(|c| go(h, c))
+                .map(|c| depth[c])
                 .max()
-                .unwrap_or(0)
+                .unwrap_or(0);
         }
-        go(self, self.root)
+        depth[self.root]
     }
 
     /// The vertices and edges realized by each node (unions over the
     /// subtree plus the node's own primitives), indexed by [`NodeId`].
     pub fn realized(&self) -> Vec<(BTreeSet<VertexId>, BTreeSet<EdgeId>)> {
-        let mut memo: Vec<Option<(BTreeSet<VertexId>, BTreeSet<EdgeId>)>> =
-            vec![None; self.nodes.len()];
-        fn go(
-            h: &Hierarchy,
-            id: NodeId,
-            memo: &mut Vec<Option<(BTreeSet<VertexId>, BTreeSet<EdgeId>)>>,
-        ) {
-            if memo[id].is_some() {
-                return;
-            }
+        let mut out: Vec<(BTreeSet<VertexId>, BTreeSet<EdgeId>)> =
+            Vec::with_capacity(self.nodes.len());
+        for (id, node) in self.nodes.iter().enumerate() {
             let mut vs = BTreeSet::new();
             let mut es = BTreeSet::new();
-            match &h.nodes[id].kind {
+            match &node.kind {
                 NodeKind::V { vertex, .. } => {
                     vs.insert(*vertex);
                 }
@@ -433,21 +430,14 @@ impl Hierarchy {
                 }
                 NodeKind::T { .. } => {}
             }
-            for child in h.children(id) {
-                go(h, child, memo);
-                let (cv, ce) = memo[child].as_ref().unwrap();
+            for child in self.children(id) {
+                let (cv, ce) = &out[child];
                 vs.extend(cv.iter().copied());
                 es.extend(ce.iter().copied());
             }
-            memo[id] = Some((vs, es));
+            out.push((vs, es));
         }
-        go(self, self.root, &mut memo);
-        // Nodes unreachable from the root do not exist; but every node we
-        // create is reachable, so fill any holes defensively.
-        for id in 0..self.nodes.len() {
-            go(self, id, &mut memo);
-        }
-        memo.into_iter().map(Option::unwrap).collect()
+        out
     }
 
     /// The *effective* out-terminals of a `T`-node member's subtree: the
@@ -461,19 +451,24 @@ impl Hierarchy {
         else {
             panic!("subtree_tout on non-T node");
         };
-        let mut out = self.nodes[members[member_idx]].tout.clone();
-        for (child_idx, parent) in member_parent.iter().enumerate() {
-            if *parent == Some(member_idx) {
-                for (l, v) in self.subtree_tout(t_node, child_idx) {
-                    out.insert(l, v);
-                }
+        // Descendants of `member_idx` have larger indices; fold each into
+        // its parent, children first, so a child's map overrides.
+        let mut out: Vec<BTreeMap<Lane, VertexId>> = members
+            .iter()
+            .map(|&m| self.nodes[m].tout.clone())
+            .collect();
+        for x in (member_idx + 1..members.len()).rev() {
+            let child = std::mem::take(&mut out[x]);
+            if let Some(p) = member_parent[x] {
+                out[p].extend(child);
             }
         }
-        out
+        std::mem::take(&mut out[member_idx])
     }
 
     /// Exhaustive structural validation against the construction the
-    /// hierarchy was built from: realized root equals the whole graph,
+    /// hierarchy was built from: children precede their parents in id
+    /// order, realized root equals the whole graph,
     /// bridge endpoints and member gluings are consistent, sibling lanes
     /// are disjoint, child lanes nest, edges are owned exactly once, and
     /// the Observation 5.5 depth bound holds.
@@ -483,6 +478,21 @@ impl Hierarchy {
     /// Panics on the first inconsistency (test/debug helper).
     pub fn validate(&self, built: &BuiltConstruction) {
         let g = &built.graph;
+        // Children precede parents: the order `depth` and `realized` rely on.
+        for (id, node) in self.nodes.iter().enumerate() {
+            assert!(
+                self.children(id).iter().all(|&c| c < id),
+                "node {id}: child after parent"
+            );
+            if let NodeKind::T { member_parent, .. } = &node.kind {
+                for (x, p) in member_parent.iter().enumerate() {
+                    assert!(
+                        p.is_none_or(|p| p < x),
+                        "node {id}: member {x} before its parent"
+                    );
+                }
+            }
+        }
         assert!(
             self.depth() <= 2 * self.k,
             "Observation 5.5 violated: depth {} > 2k = {}",
@@ -699,7 +709,7 @@ mod tests {
     /// Scaling regression: with ancestor chains walked to the root, these
     /// two hierarchies took about 10¹⁰ steps; with depth-tracked LCAs
     /// they take about a second each even unoptimized. `validate` is skipped:
-    /// its `subtree_tout` is quadratic and meant for small inputs.
+    /// its sibling-lane check is quadratic and meant for small inputs.
     #[test]
     fn long_chains_build_in_linear_time() {
         use crate::{LaneStrategy, Layout};

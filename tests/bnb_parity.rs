@@ -112,20 +112,6 @@ fn parallel_bnb_is_deterministic_at_1_2_8_workers() {
     }
 }
 
-/// Runs `f` on a thread with enough stack for the prover's recursive
-/// hierarchy walk on 10k-vertex chain-like graphs: debug frames run
-/// ~3.4 KiB, and a 10k-bag chain walks ~10k frames deep.
-fn with_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn_scoped(s, f)
-            .expect("spawn deep-stack thread")
-            .join()
-            .expect("deep-stack thread panicked")
-    })
-}
-
 #[test]
 fn hintless_certification_covers_10k_vertex_caterpillars() {
     // 3334 spine vertices × 2 legs ≈ 10k vertices, pathwidth 1. Before
@@ -137,16 +123,14 @@ fn hintless_certification_covers_10k_vertex_caterpillars() {
         "family must reach the advertised scale, got {n}"
     );
     assert!(n <= AUTO_HEURISTIC_LIMIT);
-    with_deep_stack(|| {
-        let cfg = Configuration::with_random_ids(g, 23);
-        let certifier = Certifier::builder()
-            .property(Algebra::shared(Connected))
-            .pathwidth(2)
-            .build()
-            .unwrap();
-        let report = certifier.run(&cfg).unwrap();
-        assert!(report.accepted(), "{:?}", report.first_rejection());
-    });
+    let cfg = Configuration::with_random_ids(g, 23);
+    let certifier = Certifier::builder()
+        .property(Algebra::shared(Connected))
+        .pathwidth(2)
+        .build()
+        .unwrap();
+    let report = certifier.run(&cfg).unwrap();
+    assert!(report.accepted(), "{:?}", report.first_rejection());
 }
 
 #[test]
@@ -158,10 +142,8 @@ fn hintless_resolution_covers_10k_vertex_random_interval_graphs() {
     let mut rng = generators::seeded_rng(7);
     let (g, _) = generators::random_interval_graph(10_000, 500_000, 100, &mut rng);
     let cfg = Configuration::with_sequential_ids(g);
-    with_deep_stack(|| {
-        let hint = ProverHint::auto();
-        let rep = hint.resolve(&cfg).unwrap();
-        rep.validate(cfg.graph()).unwrap();
-        assert!(rep.width() >= 1);
-    });
+    let hint = ProverHint::auto();
+    let rep = hint.resolve(&cfg).unwrap();
+    rep.validate(cfg.graph()).unwrap();
+    assert!(rep.width() >= 1);
 }

@@ -44,19 +44,6 @@ fn pins() -> Vec<(CorpusFamily, usize, u64)> {
     ]
 }
 
-/// Runs `f` on a thread with enough stack for the prover's recursive
-/// hierarchy walk on 2k-vertex chains in debug builds.
-fn with_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn_scoped(s, f)
-            .expect("spawn deep-stack thread")
-            .join()
-            .expect("deep-stack thread panicked")
-    })
-}
-
 #[test]
 fn theorem1_label_bytes_are_pinned() {
     let certifier = Certifier::builder()
@@ -64,21 +51,19 @@ fn theorem1_label_bytes_are_pinned() {
         .pathwidth(2)
         .build()
         .expect("theorem1 connected certifier");
-    let mismatches: Vec<String> = with_deep_stack(|| {
-        pins()
-            .into_iter()
-            .filter_map(|(family, n, want)| {
-                let (graph, rep) = family.instance(n, 7);
-                let cfg = Configuration::with_random_ids(graph, n as u64);
-                let hint = ProverHint::with_representation(rep.expect("hinted family"));
-                let labels = certifier
-                    .certify_with(&cfg, &hint)
-                    .unwrap_or_else(|e| panic!("{}/n{n}: {e}", family.name()));
-                let got = digest(&labels);
-                (got != want).then(|| format!("{}/n{n}: got {got:#018x}", family.name()))
-            })
-            .collect()
-    });
+    let mismatches: Vec<String> = pins()
+        .into_iter()
+        .filter_map(|(family, n, want)| {
+            let (graph, rep) = family.instance(n, 7);
+            let cfg = Configuration::with_random_ids(graph, n as u64);
+            let hint = ProverHint::with_representation(rep.expect("hinted family"));
+            let labels = certifier
+                .certify_with(&cfg, &hint)
+                .unwrap_or_else(|e| panic!("{}/n{n}: {e}", family.name()));
+            let got = digest(&labels);
+            (got != want).then(|| format!("{}/n{n}: got {got:#018x}", family.name()))
+        })
+        .collect();
     assert!(
         mismatches.is_empty(),
         "label digests moved:\n{}",

@@ -104,6 +104,26 @@ fn lane_overflow_maps_to_too_many_lanes() {
 }
 
 #[test]
+fn over_wide_representation_maps_to_too_many_lanes() {
+    // All 70 intervals share a point: a valid width-70 representation,
+    // wider than the 64 lanes a lane set can hold. Refused, never a panic.
+    let cfg = Configuration::with_sequential_ids(generators::path_graph(70));
+    let hint = ProverHint::with_representation(lanecert_suite::pathwidth::IntervalRep::new(
+        vec![Interval::new(0, 0); 70],
+    ));
+    assert_refusal_everywhere(
+        &theorem1(4),
+        &connected_certifier(4),
+        &cfg,
+        &hint,
+        &CertError::TooManyLanes {
+            needed: 70,
+            bound: 5,
+        },
+    );
+}
+
+#[test]
 fn solver_limit_maps_to_need_representation() {
     // Past both derivation tiers (exact solver and the beam-search
     // heuristic fallback) with no supplied representation.
