@@ -374,6 +374,53 @@ mod tests {
     }
 
     #[test]
+    fn wire_labels_match_the_typed_encoding() {
+        use crate::erased::{DynScheme, EncodedLabeling};
+        use lanecert_pathwidth::PathDecomposition;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let (pw2, bags) = generators::random_pathwidth_graph(60, 2, 0.5, &mut rng);
+        let pw2_rep = IntervalRep::from_decomposition(&PathDecomposition::new(bags), 60);
+        let ladder = generators::ladder(12);
+        let cycle = generators::cycle_graph(20);
+        let cases = [
+            (rep_of(&ladder), ladder),
+            (rep_of(&cycle), cycle),
+            (pw2_rep, pw2),
+        ];
+        let algebras = [
+            (Algebra::shared(Connected), true),
+            (Algebra::shared(Bipartite), true),
+            (Algebra::shared(HamiltonianCycle), false),
+        ];
+        for (algebra, total) in algebras {
+            let scheme = PathwidthScheme::new(algebra, SchemeOptions::exact_pathwidth(2));
+            assert_eq!(Scheme::canonical_labels(&scheme), total);
+            let mut certified = 0;
+            for (rep, g) in &cases {
+                let cfg = Configuration::with_random_ids(g.clone(), 17);
+                let hint = ProverHint::with_representation(rep.clone());
+                let typed = scheme.prove(&cfg, &hint);
+                let wire = DynScheme::prove_encoded(&scheme, &cfg, &hint);
+                let (typed, wire) = match (typed, wire) {
+                    (Ok(typed), Ok(wire)) => (typed, wire),
+                    (typed, wire) => {
+                        assert_eq!(typed.err(), wire.err());
+                        continue;
+                    }
+                };
+                assert_eq!(EncodedLabeling::encode(&typed).to_vec(), wire.to_vec());
+                assert!(scheme.run(&cfg, &typed).unwrap().accepted());
+                assert!(DynScheme::verify_encoded(&scheme, &cfg, &wire)
+                    .unwrap()
+                    .accepted());
+                certified += 1;
+            }
+            assert!(certified >= 2, "{}", Scheme::name(&scheme));
+        }
+    }
+
+    #[test]
     fn random_graphs_complete() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);

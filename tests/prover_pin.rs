@@ -1,14 +1,14 @@
 //! Label-bytes pin for the Theorem 1 prover.
 //!
-//! Certifies `connected` at pathwidth 2 from each family's known
-//! representation, with fixed graph and identifier seeds, and compares an
-//! FNV-1a digest of every labeling's `(bytes, bits)` against a hard-coded
-//! value. The parity suites compare two paths through the same prover;
+//! Certifies `connected` and `bipartite` at pathwidth 2 from each
+//! family's known representation, with fixed graph and identifier seeds,
+//! and compares an FNV-1a digest of every labeling's `(bytes, bits)`
+//! against a hard-coded value. The parity suites compare two paths through the same prover;
 //! this suite is what catches a prover rewrite that changes a single
 //! label bit. FNV-1a rather than `DefaultHasher`, whose output may change
 //! between Rust releases.
 
-use lanecert_suite::algebra::{props, Algebra};
+use lanecert_suite::algebra::{props, Algebra, SharedAlgebra};
 use lanecert_suite::{Certifier, Configuration, CorpusFamily, EncodedLabeling, ProverHint};
 
 /// FNV-1a over each label's bit length (8 bytes, little endian) and then
@@ -26,9 +26,9 @@ fn digest(labels: &EncodedLabeling) -> u64 {
     h
 }
 
-/// The pinned instances with their digests: `(family, n, digest)`.
-/// Graph seed 7, identifier seed `n`.
-fn pins() -> Vec<(CorpusFamily, usize, u64)> {
+/// The pinned `connected` instances with their digests:
+/// `(family, n, digest)`. Graph seed 7, identifier seed `n`.
+fn connected_pins() -> Vec<(CorpusFamily, usize, u64)> {
     let pw2 = || CorpusFamily::RandomPathwidth { k: 2, density: 0.4 };
     vec![
         (CorpusFamily::Path, 512, 0x4670_aa87_9930_77dd),
@@ -44,15 +44,30 @@ fn pins() -> Vec<(CorpusFamily, usize, u64)> {
     ]
 }
 
-#[test]
-fn theorem1_label_bytes_are_pinned() {
-    let certifier = Certifier::builder()
-        .property(Algebra::shared(props::Connected))
+/// The pinned `bipartite` instances (bipartite families only; the
+/// cycle has even length at both sizes).
+fn bipartite_pins() -> Vec<(CorpusFamily, usize, u64)> {
+    vec![
+        (CorpusFamily::Ladder, 512, 0x1ceb_a4ff_a414_8040),
+        (CorpusFamily::Ladder, 2048, 0x6256_cf31_8a22_f214),
+        (CorpusFamily::Caterpillar, 512, 0xfc96_63d6_c8f2_1f63),
+        (CorpusFamily::Caterpillar, 2048, 0xb1fe_bb65_58a0_6a79),
+        (CorpusFamily::Cycle, 512, 0x28fc_846d_9ee8_4ddd),
+        (CorpusFamily::Cycle, 2048, 0x76b2_d0b1_65ad_5aab),
+    ]
+}
+
+fn certifier(algebra: SharedAlgebra) -> Certifier {
+    Certifier::builder()
+        .property(algebra)
         .pathwidth(2)
         .build()
-        .expect("theorem1 connected certifier");
-    let mismatches: Vec<String> = pins()
-        .into_iter()
+        .expect("theorem1 certifier")
+}
+
+/// Certifies every pinned instance and lists the ones whose digest moved.
+fn mismatches(certifier: &Certifier, pins: Vec<(CorpusFamily, usize, u64)>) -> Vec<String> {
+    pins.into_iter()
         .filter_map(|(family, n, want)| {
             let (graph, rep) = family.instance(n, 7);
             let cfg = Configuration::with_random_ids(graph, n as u64);
@@ -63,10 +78,32 @@ fn theorem1_label_bytes_are_pinned() {
             let got = digest(&labels);
             (got != want).then(|| format!("{}/n{n}: got {got:#018x}", family.name()))
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn theorem1_label_bytes_are_pinned() {
+    let moved = mismatches(
+        &certifier(Algebra::shared(props::Connected)),
+        connected_pins(),
+    );
     assert!(
-        mismatches.is_empty(),
+        moved.is_empty(),
         "label digests moved:\n{}",
-        mismatches.join("\n")
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn theorem1_bipartite_label_bytes_are_pinned() {
+    let certifier = certifier(Algebra::shared(props::Bipartite));
+    // A total freeze makes the wire ids, and so the digests, canonical.
+    assert!(certifier.scheme().canonical_labels());
+    assert_eq!(certifier.scheme().algebra_state_count(), Some(3_720));
+    let moved = mismatches(&certifier, bipartite_pins());
+    assert!(
+        moved.is_empty(),
+        "label digests moved:\n{}",
+        moved.join("\n")
     );
 }
