@@ -27,12 +27,14 @@ const DETERMINISM_CRATES: &[&str] = &[
     "crates/lanes",
 ];
 
-/// Modules reachable from adversarial wire bytes: decoding and verifying
-/// must reject malformed input, never panic on it.
+/// Modules reachable from adversarial wire bytes, where decoding and
+/// verifying must reject malformed input, and the Theorem 1 prover, which
+/// must refuse with a `CertError`: none of them may panic.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/bits.rs",
     "crates/core/src/erased.rs",
     "crates/core/src/theorem1/labels.rs",
+    "crates/core/src/theorem1/prover.rs",
     "crates/core/src/theorem1/verifier.rs",
     "crates/core/src/theorem1/summary.rs",
 ];
@@ -170,6 +172,7 @@ mod tests {
         assert!(ctx_for("crates/algebra/src/frozen.rs").interior_mut);
         assert!(ctx_for("crates/core/src/bits.rs").no_panic);
         assert!(ctx_for("crates/core/src/theorem1/verifier.rs").no_panic);
+        assert!(ctx_for("crates/core/src/theorem1/prover.rs").no_panic);
         let engine = ctx_for("crates/engine/src/pool.rs");
         assert!(!engine.determinism && !engine.no_panic && !engine.interior_mut);
         // obs-clock: everywhere except the obs crate itself and the

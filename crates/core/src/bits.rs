@@ -79,6 +79,52 @@ impl BitWriter {
         }
     }
 
+    /// Appends the first `bits` bits of `src`, a byte-aligned bit string
+    /// such as [`BitWriter::into_bytes`] returns, at the current position
+    /// whatever its alignment. Bytes and bits of `src` past `bits` are
+    /// ignored, so the last byte stays zero-padded.
+    ///
+    /// An aligned writer copies the bytes; otherwise the source is
+    /// shifted in 64 bits at a time. This is how one encoded certificate
+    /// lands in every label that carries it without being re-encoded.
+    pub fn append_bits(&mut self, src: &[u8], bits: usize) {
+        debug_assert!(bits <= src.len() * 8);
+        let bits = bits.min(src.len() * 8);
+        let src = &src[..bits.div_ceil(8)];
+        let shift = self.bit_len % 8;
+        if shift == 0 {
+            self.bytes.extend_from_slice(src);
+        } else {
+            // The partial last byte is re-emitted merged with the source.
+            let mut carry = u64::from(self.bytes.pop().unwrap_or(0));
+            let mut words = src.chunks_exact(8);
+            for chunk in &mut words {
+                let mut raw = [0u8; 8];
+                raw.copy_from_slice(chunk);
+                let word = u64::from_le_bytes(raw);
+                self.bytes
+                    .extend_from_slice(&(carry | (word << shift)).to_le_bytes());
+                carry = word >> (64 - shift);
+            }
+            // At most 7 source bytes plus `shift < 8` carried bits remain.
+            let rest = words.remainder();
+            let mut raw = [0u8; 8];
+            raw[..rest.len()].copy_from_slice(rest);
+            let tail = (carry | (u64::from_le_bytes(raw) << shift)).to_le_bytes();
+            self.bytes.extend_from_slice(&tail[..rest.len() + 1]);
+        }
+        self.bit_len += bits;
+        // Drop what lies past the new end: source padding, and a tail
+        // byte that holds no written bit.
+        self.bytes.truncate(self.bit_len.div_ceil(8));
+        let used = self.bit_len % 8;
+        if used != 0 {
+            if let Some(last) = self.bytes.last_mut() {
+                *last &= (1u8 << used) - 1;
+            }
+        }
+    }
+
     /// Writes a nibble-varint (unsigned LEB-style, 4 bits per group).
     pub fn put_varint(&mut self, mut value: u64) {
         loop {
@@ -426,6 +472,52 @@ mod tests {
     fn truncated_input_fails_cleanly() {
         let (bytes, _) = encode(&vec![1u64 << 40; 3]);
         assert_eq!(decode::<Vec<u64>>(&bytes[..1]), None);
+    }
+
+    /// The bit string `append_bits` must reproduce: the first `bits` bits
+    /// of `src`, written one at a time after `prefix` leading bits.
+    fn bitwise(prefix: usize, src: &[u8], bits: usize) -> BitWriter {
+        let mut w = BitWriter::new();
+        for i in 0..prefix {
+            w.put_bit(i % 3 == 0);
+        }
+        for i in 0..bits {
+            w.put_bit(src[i / 8] >> (i % 8) & 1 == 1);
+        }
+        w
+    }
+
+    #[test]
+    fn append_bits_matches_bitwise_writes() {
+        // Every destination alignment against lengths around the 64-bit
+        // word boundaries; the source's padding bits are set, so the
+        // result must mask them off.
+        let src: Vec<u8> = (0..17u8).map(|i| i.wrapping_mul(0x9D) ^ 0xA5).collect();
+        for offset in 0..8 {
+            for bits in 0..=130 {
+                let mut w = bitwise(offset, &src, 0);
+                w.append_bits(&src, bits);
+                let want = bitwise(offset, &src, bits);
+                assert_eq!(w.bit_len(), want.bit_len(), "offset {offset}, {bits} bits");
+                let (got, want) = (w.into_bytes(), want.into_bytes());
+                assert_eq!(got, want, "offset {offset}, {bits} bits");
+                assert_eq!(got.len(), (offset + bits).div_ceil(8));
+            }
+        }
+    }
+
+    #[test]
+    fn append_bits_continues_the_stream() {
+        // Writes after an append land where bit-by-bit writes would.
+        let (src, bits) = encode(&vec![3u64, 1 << 40, 17]);
+        let mut w = BitWriter::new();
+        w.put_bits(0b101, 3);
+        w.append_bits(&src, bits);
+        w.put_varint(9);
+        let mut r = BitReader::new(&w.bytes);
+        assert_eq!(r.get_bits(3), Some(0b101));
+        assert_eq!(Vec::<u64>::dec(&mut r), Some(vec![3, 1 << 40, 17]));
+        assert_eq!(r.get_varint(), Some(9));
     }
 
     #[test]

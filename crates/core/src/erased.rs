@@ -26,7 +26,10 @@
 //! Label `e` is the borrowed slice `buf[offsets[e]..offsets[e+1]]`,
 //! handed out as an [`EncodedLabelRef`] — verification never copies label
 //! bytes, and the erased prover writes all labels through one reused
-//! [`BitWriter`] straight into the buffer.
+//! [`BitWriter`] straight into the buffer. A scheme that can emit wire
+//! labels without building typed ones overrides
+//! [`Scheme::prove_encoded`]; the Theorem 1 scheme does, and its typed
+//! prover decodes those bytes.
 //!
 //! The erased path is bit-identical to the typed path: encoding happens
 //! with the same [`Enc`] impls, so verdicts and label-size statistics
@@ -147,6 +150,16 @@ impl EncodedLabelRef<'_> {
     }
 }
 
+/// The offsets-table entry of a label ending at byte `end` of the
+/// buffer. Offsets are `u32`, so a buffer past 4 GiB is refused.
+fn label_end(end: usize) -> Result<u32, CertError> {
+    u32::try_from(end).map_err(|_| {
+        CertError::Internal(format!(
+            "label buffer of {end} bytes exceeds the 4 GiB limit of its u32 offsets"
+        ))
+    })
+}
+
 /// An erased labeling: one encoded label per edge in **one contiguous
 /// buffer** (see the [module docs](self) for the layout), optionally
 /// stamped with the [`Scheme::fingerprint`] of the scheme that produced
@@ -191,27 +204,44 @@ impl EncodedLabeling {
     /// Encodes a typed label slice straight into the shared buffer: one
     /// reused [`BitWriter`], zero per-label allocations (no fingerprint
     /// recorded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer outgrows its `u32` offsets (4 GiB);
+    /// [`Scheme::prove_encoded`] reports that as an error instead.
     pub fn encode<L: Enc>(labels: &[L]) -> Self {
+        // lint: allow(no-panic) reason="infallible signature kept for callers; provers use try_encode"
+        Self::try_encode(labels).expect("label buffer overflow")
+    }
+
+    /// [`EncodedLabeling::encode`], refusing a buffer past its 4 GiB
+    /// offset limit with [`CertError::Internal`].
+    pub(crate) fn try_encode<L: Enc>(labels: &[L]) -> Result<Self, CertError> {
         let mut out = Self::default();
         out.offsets.reserve(labels.len());
         out.bits.reserve(labels.len());
         let mut w = BitWriter::new();
         for label in labels {
             label.enc(&mut w);
-            let bits = w.flush_into(&mut out.buf);
-            // lint: allow(no-panic) reason="prover-side encode; a >4 GiB label buffer is a resource exhaustion bug, not adversarial input"
-            out.offsets
-                .push(u32::try_from(out.buf.len()).expect("label buffer overflow"));
-            out.bits.push(bits);
+            out.push_flushed(&mut w)?;
         }
-        out
+        Ok(out)
+    }
+
+    /// Appends the label written into `w` (and resets `w`): the prover's
+    /// way into the buffer, one label at a time.
+    pub(crate) fn push_flushed(&mut self, w: &mut BitWriter) -> Result<(), CertError> {
+        let bits = w.flush_into(&mut self.buf);
+        self.offsets.push(label_end(self.buf.len())?);
+        self.bits.push(bits);
+        Ok(())
     }
 
     fn push_raw(&mut self, bytes: &[u8], bits: usize) {
         self.buf.extend_from_slice(bytes);
-        // lint: allow(no-panic) reason="prover-side encode; a >4 GiB label buffer is a resource exhaustion bug, not adversarial input"
+        // lint: allow(no-panic) reason="packs already-built labels; their total size was addressable when they were built"
         self.offsets
-            .push(u32::try_from(self.buf.len()).expect("label buffer overflow"));
+            .push(label_end(self.buf.len()).expect("label buffer overflow"));
         self.bits.push(bits);
     }
 
@@ -329,7 +359,8 @@ pub trait DynScheme: Send + Sync {
     /// [`Scheme::canonical_labels`]).
     fn canonical_labels(&self) -> bool;
 
-    /// Honest certificate assignment, already wire-encoded.
+    /// Honest certificate assignment, already wire-encoded
+    /// ([`Scheme::prove_encoded`]).
     ///
     /// # Errors
     ///
@@ -490,8 +521,7 @@ impl<S: Scheme + Send + Sync> DynScheme for S {
         cfg: &Configuration,
         hint: &ProverHint,
     ) -> Result<EncodedLabeling, CertError> {
-        let labels = self.prove(cfg, hint)?;
-        Ok(EncodedLabeling::encode(&labels).with_fingerprint(Scheme::fingerprint(self)))
+        Scheme::prove_encoded(self, cfg, hint)
     }
 
     fn verify_encoded(
@@ -600,6 +630,17 @@ mod tests {
             assert_eq!(a.get(i).bits, l.bits);
             assert_eq!(a.get(i).decode::<u64>(), Some(labels[i]));
         }
+    }
+
+    #[test]
+    fn label_offsets_stop_at_4_gib() {
+        assert_eq!(label_end(0), Ok(0));
+        assert_eq!(label_end((1 << 32) - 1), Ok(u32::MAX));
+        let err = label_end(1 << 32).unwrap_err();
+        assert!(
+            matches!(&err, CertError::Internal(m) if m.contains("4 GiB")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use lanecert_graph::EdgeId;
 use lanecert_pathwidth::{bnb, solver, Interval, IntervalRep};
 
 use crate::bits::{self, Enc};
-use crate::{CertError, Configuration};
+use crate::{CertError, Configuration, EncodedLabeling};
 
 /// A per-vertex verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -327,6 +327,27 @@ pub trait Scheme {
         cfg: &Configuration,
         hint: &ProverHint,
     ) -> Result<Labeling<Self::Label>, CertError>;
+
+    /// Honest certificate assignment, already wire-encoded and stamped
+    /// with [`Scheme::fingerprint`]: what the erased layer's
+    /// [`DynScheme::prove_encoded`](crate::DynScheme::prove_encoded)
+    /// returns. The default encodes [`Scheme::prove`]; a scheme that can
+    /// write wire labels directly overrides it, and the bytes must equal
+    /// the encoding of its typed labels.
+    ///
+    /// # Errors
+    ///
+    /// Prover refusals and hint failures; see [`CertError`]. A label
+    /// buffer past the 4 GiB limit of its `u32` offsets is
+    /// [`CertError::Internal`].
+    fn prove_encoded(
+        &self,
+        cfg: &Configuration,
+        hint: &ProverHint,
+    ) -> Result<EncodedLabeling, CertError> {
+        let labels = self.prove(cfg, hint)?;
+        Ok(EncodedLabeling::try_encode(&labels)?.with_fingerprint(self.fingerprint()))
+    }
 
     /// The local verification algorithm at one vertex. The view borrows
     /// its labels from the harness's decode arena (see [`VertexView`]).

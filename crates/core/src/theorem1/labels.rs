@@ -7,6 +7,13 @@
 //! per hierarchy node containing the edge, at most `2k` by
 //! Observation 5.5 — each carrying the *basic information* `B(·)`
 //! (Definition 6.3): lanes, homomorphism class, and terminal identifiers.
+//!
+//! The [`Enc`] impls below define the wire layout. The prover does not
+//! build these types: it encodes each frame once per hierarchy slot
+//! ([`FrameLbl`] up to a `T` frame's `d_a`/`d_b`), writes every
+//! certificate once from those templates, and copies certificate bits
+//! into each [`TransitLbl`] position. The types are what the verifier and
+//! the typed prover decode those bytes into.
 
 use crate::bits::{BitReader, BitWriter, Enc};
 use crate::inline::InlineVec;
@@ -188,14 +195,22 @@ impl Enc for BasicInfoLbl {
     }
 }
 
-impl Enc for TFrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
+impl TFrameLbl {
+    /// Writes every field but the trailing pointer distances `d_a`, `d_b`:
+    /// the part shared by all edges below one member.
+    fn enc_template(&self, w: &mut BitWriter) {
         self.t_node.enc(w);
         self.member.enc(w);
         self.subtree.enc(w);
         self.children.enc(w);
         self.is_root_member.enc(w);
         self.root_vertex.enc(w);
+    }
+}
+
+impl Enc for TFrameLbl {
+    fn enc(&self, w: &mut BitWriter) {
+        self.enc_template(w);
         self.d_a.enc(w);
         self.d_b.enc(w);
     }
@@ -274,12 +289,16 @@ impl Enc for PFrameLbl {
     }
 }
 
-impl Enc for FrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
+impl FrameLbl {
+    /// Writes the frame's tag and fields, stopping before a `T` frame's
+    /// `d_a`/`d_b` (the whole frame for the other kinds). The prover
+    /// encodes each frame template once this way and completes `T`
+    /// frames per certificate.
+    pub(super) fn enc_template(&self, w: &mut BitWriter) {
         match self {
             FrameLbl::T(f) => {
                 w.put_bits(0, 2);
-                f.enc(w);
+                f.enc_template(w);
             }
             FrameLbl::B(f) => {
                 w.put_bits(1, 2);
@@ -293,6 +312,16 @@ impl Enc for FrameLbl {
                 w.put_bits(3, 2);
                 f.enc(w);
             }
+        }
+    }
+}
+
+impl Enc for FrameLbl {
+    fn enc(&self, w: &mut BitWriter) {
+        self.enc_template(w);
+        if let FrameLbl::T(f) = self {
+            f.d_a.enc(w);
+            f.d_b.enc(w);
         }
     }
     fn dec(r: &mut BitReader<'_>) -> Option<Self> {

@@ -9,6 +9,13 @@
 //! ([`labels`]). The verifier (the private `verifier` submodule, reached
 //! through [`Scheme::verify_at`]) checks everything locally.
 //!
+//! The prover writes wire labels directly
+//! ([`Scheme::prove_encoded`]): each frame template and each certificate
+//! is encoded once, and a virtual edge's certificate bits are copied into
+//! every transit on its embedding path. The typed [`Scheme::prove`] and
+//! [`PathwidthScheme::prove_with_rep`] decode those bytes, so there is one
+//! construction path and the two outputs are bit-identical.
+//!
 //! An accepted labeling certifies `ϕ` on the real edge set **and**
 //! `pathwidth ≤ w − 1` where `w` is the number of lanes: with the greedy
 //! partition `w = width(I) ≤ k + 1`, so the certified bound is exactly
@@ -34,7 +41,7 @@ use lanecert_pathwidth::IntervalRep;
 pub use labels::EdgeLabel;
 
 use crate::scheme::{Labeling, ProverHint, Scheme, Verdict, VertexView};
-use crate::{CertError, Configuration};
+use crate::{CertError, Configuration, EncodedLabeling};
 
 /// Scheme parameters.
 #[derive(Copy, Clone, Debug)]
@@ -141,19 +148,19 @@ impl PathwidthScheme {
         rep: &IntervalRep,
     ) -> Result<Labeling<EdgeLabel>, CertError> {
         crate::scheme::check_rep_fits(rep, cfg)?;
-        self.prove_validated(cfg, rep)
+        decode_labels(&self.prove_validated(cfg, rep)?)
     }
 
-    /// Prover over a representation known to fit the graph (see
+    /// Wire prover over a representation known to fit the graph (see
     /// [`ProverHint::resolve`]).
     fn prove_validated(
         &self,
         cfg: &Configuration,
         rep: &IntervalRep,
-    ) -> Result<Labeling<EdgeLabel>, CertError> {
+    ) -> Result<EncodedLabeling, CertError> {
         let g = cfg.graph();
         if g.vertex_count() == 0 {
-            return Ok(Labeling::new(Vec::new()));
+            return Ok(EncodedLabeling::default());
         }
         if !lanecert_graph::components::is_connected(g) {
             return Err(CertError::Disconnected);
@@ -162,7 +169,7 @@ impl PathwidthScheme {
             // K1: no edges, no labels; the verifier special-cases it.
             let s = self.frozen.add_vertex(self.frozen.empty(), 0);
             return if self.frozen.accept(&s) {
-                Ok(Labeling::new(Vec::new()))
+                Ok(EncodedLabeling::default())
             } else {
                 Err(CertError::PropertyViolated)
             };
@@ -182,8 +189,21 @@ impl PathwidthScheme {
                 bound: self.opts.max_lanes,
             });
         }
-        prover::build_labels(&self.frozen, cfg, &layout).map(|o| Labeling::new(o.labels))
+        prover::build_labels(&self.frozen, cfg, &layout)
     }
+}
+
+/// The typed labels behind the wire prover's bytes.
+fn decode_labels(labels: &EncodedLabeling) -> Result<Labeling<EdgeLabel>, CertError> {
+    labels
+        .iter()
+        .map(|l| {
+            l.decode_canonical().ok_or_else(|| {
+                CertError::Internal("theorem1 prover wrote an undecodable label".into())
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map(Labeling::new)
 }
 
 impl Scheme for PathwidthScheme {
@@ -224,7 +244,18 @@ impl Scheme for PathwidthScheme {
     ) -> Result<Labeling<EdgeLabel>, CertError> {
         // `resolve` has already validated a supplied representation.
         let rep = hint.resolve(cfg)?;
-        self.prove_validated(cfg, &rep)
+        decode_labels(&self.prove_validated(cfg, &rep)?)
+    }
+
+    fn prove_encoded(
+        &self,
+        cfg: &Configuration,
+        hint: &ProverHint,
+    ) -> Result<EncodedLabeling, CertError> {
+        let rep = hint.resolve(cfg)?;
+        Ok(self
+            .prove_validated(cfg, &rep)?
+            .with_fingerprint(Scheme::fingerprint(self)))
     }
 
     fn verify_at(&self, view: &VertexView<EdgeLabel>) -> Verdict {

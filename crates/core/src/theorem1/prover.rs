@@ -1,4 +1,13 @@
 //! The certificate assignment (the centralized prover of Theorem 1).
+//!
+//! Labels are written straight to the wire. [`Frames::walk`] encodes each
+//! frame template once per hierarchy slot into one bit arena, linked to
+//! its parent slot. Each completion-edge certificate is then written
+//! once, by copying its slot chain root-first and completing every `T`
+//! frame with the edge's pointer distances, and each virtual edge's
+//! certificate bits are copied into every transit along its embedding
+//! path (Section 6.2). The byte layout is the [`Enc`] encoding of
+//! [`EdgeLabel`] in [`super::labels`].
 
 use lanecert_algebra::FrozenAlgebra;
 use lanecert_graph::{traversal, EdgeId, Graph, VertexId};
@@ -6,13 +15,26 @@ use lanecert_lanes::{Hierarchy, Layout, NodeId, NodeKind};
 
 use super::labels::*;
 use super::summary::{self, Summary};
-use crate::{CertError, Configuration};
+use crate::bits::{BitWriter, Enc};
+use crate::{CertError, Configuration, EncodedLabeling};
 
-/// Per-edge frame templates plus the global summaries — everything needed
-/// to materialize [`EdgeLabel`]s.
-pub(super) struct ProverOutput {
-    /// One label per edge of the *network* graph.
-    pub labels: Vec<EdgeLabel>,
+/// A prover invariant that failed: a bug, reported instead of a panic.
+fn internal(what: &str) -> CertError {
+    CertError::Internal(format!("theorem1 prover: {what}"))
+}
+
+/// One encoded frame template: a frame shared by every certificate
+/// below one hierarchy position (a `T` member, a `B` side, an `E` edge or
+/// a `P` edge).
+struct Slot {
+    /// The enclosing slot, `None` at the root.
+    parent: Option<u32>,
+    /// Byte offset of the template in [`Frames::arena`].
+    start: usize,
+    /// Template length in bits.
+    bits: usize,
+    /// For a `T` slot, the `T`-node whose pointer distances complete it.
+    t_node: Option<NodeId>,
 }
 
 struct Frames<'a> {
@@ -24,7 +46,10 @@ struct Frames<'a> {
     summaries: Vec<Summary>,           // per hierarchy node
     member_subtree: Vec<Vec<Summary>>, // per T-node, per member index
     t_pointers: Vec<Option<Pointers>>, // per T-node
-    edge_frames: Vec<Vec<FrameLbl>>,   // per built-graph edge (d_* = 0 placeholders)
+    slots: Vec<Slot>,                  // in walk order
+    arena: Vec<u8>,                    // slot templates, each byte-aligned
+    edge_slot: Vec<Option<u32>>,       // per built-graph edge: innermost slot
+    w: BitWriter,                      // template scratch
 }
 
 /// A T-node's pointer root and the BFS distances from it inside the
@@ -74,11 +99,25 @@ fn kid_lists(h: &Hierarchy) -> Vec<Vec<Vec<usize>>> {
         .collect()
 }
 
+/// A virtual edge's certificate crossing one network edge.
+struct Transit {
+    /// The network edge carrying it.
+    edge: usize,
+    /// Byte offset of the certificate in the certificate arena.
+    start: usize,
+    /// Certificate length in bits.
+    bits: usize,
+    rank_fwd: u32,
+    rank_bwd: u32,
+}
+
+/// Writes the wire labels of every network edge: its own certificate,
+/// then the transits of the virtual edges embedded across it.
 pub(super) fn build_labels(
     alg: &FrozenAlgebra,
     cfg: &Configuration,
     layout: &Layout,
-) -> Result<ProverOutput, CertError> {
+) -> Result<EncodedLabeling, CertError> {
     let bg = &layout.construction.graph;
     // Mark flags: an edge of the built (completion) graph is marked iff it
     // is an original edge of the network graph.
@@ -96,69 +135,88 @@ pub(super) fn build_labels(
         summaries: Vec::new(),
         member_subtree: Vec::new(),
         t_pointers: Vec::new(),
-        edge_frames: vec![Vec::new(); bg.edge_count()],
+        slots: Vec::new(),
+        arena: Vec::new(),
+        edge_slot: vec![None; bg.edge_count()],
+        w: BitWriter::new(),
     };
     fr.summarize().map_err(CertError::Internal)?;
     if !alg.accept(&fr.summaries[layout.hierarchy.root].class) {
         return Err(CertError::PropertyViolated);
     }
-    fr.pointers();
+    fr.pointers()?;
+    fr.walk(layout.hierarchy.root, None)?;
+    // Only the templates, pointers and marks are read from here on.
+    fr.summaries = Vec::new();
+    fr.member_subtree = Vec::new();
+
+    // Each virtual edge's certificate, written once, and its transits in
+    // (virtual edge, hop) order.
+    let network = cfg.graph();
+    let mut w = BitWriter::new();
     let mut chain = Vec::new();
-    fr.walk(layout.hierarchy.root, &mut chain)
-        .map_err(CertError::Internal)?;
-    debug_assert!(fr.edge_frames.iter().all(|f| !f.is_empty()));
-
-    // Materialize completion-edge certificates.
-    let certs: Vec<EdgeCertLbl> = bg
-        .edges()
-        .map(|(eid, e)| fr.materialize(eid, e.u, e.v))
-        .collect();
-
-    // Per network edge: own certificate + transits of virtual edges.
-    let mut labels: Vec<EdgeLabel> = cfg
-        .graph()
-        .edges()
-        .map(|(_, e)| {
-            let built = bg
-                .edge_between(e.u, e.v)
-                .expect("every network edge is a completion edge");
-            EdgeLabel {
-                own: certs[built.index()].clone(),
-                transits: Vec::new(),
-            }
-        })
-        .collect();
+    let mut certs = Vec::new();
+    let mut transits = Vec::new();
     let completion = &layout.completion;
     for ve in completion.virtual_edges() {
         let (u, v) = completion.graph.endpoints(ve);
         let built = bg
             .edge_between(u, v)
-            .expect("virtual edge exists in built graph");
-        let cert = certs[built.index()].clone();
+            .ok_or_else(|| internal("a virtual edge is missing from the built graph"))?;
+        let start = certs.len();
+        fr.write_cert(&mut w, built, &mut chain)?;
+        let bits = w.flush_into(&mut certs);
         let path = layout
             .embedding
             .path(ve)
-            .expect("embedding covers all virtual edges");
-        // Orient the path from the smaller-id endpoint (cert.a).
-        let path: Vec<VertexId> = if cfg.id_of(path[0]) == cert.a {
-            path.to_vec()
-        } else {
-            path.iter().rev().copied().collect()
+            .ok_or_else(|| internal("a virtual edge has no embedding path"))?;
+        let Some(&first) = path.first() else {
+            return Err(internal("an embedding path is empty"));
         };
         let hops = path.len() - 1;
-        for (idx, w) in path.windows(2).enumerate() {
-            let real = cfg
-                .graph()
-                .edge_between(w[0], w[1])
-                .expect("embedding paths follow network edges");
-            labels[real.index()].transits.push(TransitLbl {
+        // Orient the path from the smaller-id endpoint (the cert's `a`).
+        let forward = fr.id(first) == fr.id(u).min(fr.id(v));
+        let at = |i: usize| if forward { path[i] } else { path[hops - i] };
+        for idx in 0..hops {
+            let real = network
+                .edge_between(at(idx), at(idx + 1))
+                .ok_or_else(|| internal("an embedding path leaves the network"))?;
+            transits.push(Transit {
+                edge: real.index(),
+                start,
+                bits,
                 rank_fwd: (idx + 1) as u32,
                 rank_bwd: (hops - idx) as u32,
-                cert: cert.clone(),
             });
         }
     }
-    Ok(ProverOutput { labels })
+    // Stable: each edge keeps its transits in (virtual edge, hop) order.
+    transits.sort_by_key(|t| t.edge);
+
+    // Per network edge: own certificate, transit count, transits.
+    let mut labels = EncodedLabeling::default();
+    let mut from = 0;
+    for (eid, e) in network.edges() {
+        let built = bg
+            .edge_between(e.u, e.v)
+            .ok_or_else(|| internal("a network edge is missing from the built graph"))?;
+        fr.write_cert(&mut w, built, &mut chain)?;
+        let to = from
+            + transits[from..]
+                .iter()
+                .take_while(|t| t.edge == eid.index())
+                .count();
+        let mine = &transits[from..to];
+        from = to;
+        mine.len().enc(&mut w);
+        for t in mine {
+            t.rank_fwd.enc(&mut w);
+            t.rank_bwd.enc(&mut w);
+            w.append_bits(&certs[t.start..], t.bits);
+        }
+        labels.push_flushed(&mut w)?;
+    }
+    Ok(labels)
 }
 
 impl<'a> Frames<'a> {
@@ -169,15 +227,15 @@ impl<'a> Frames<'a> {
     /// Canonical wire id of a summary's class. Total tables resolve by
     /// content; a miss means the class space outran the freeze budget —
     /// surfaced as an internal error, never a bogus label. Sealed tables
-    /// intern on demand and cannot miss.
-    fn wire_class(&self, s: &Summary) -> Result<u32, String> {
+    /// intern on demand, in call order, and cannot miss.
+    fn wire_class(&self, s: &Summary) -> Result<u32, CertError> {
         self.alg.intern(&s.class).map(|id| id.0).ok_or_else(|| {
-            format!(
+            CertError::Internal(format!(
                 "class of arity {} missing from the total canonical table ({} states, cap {})",
                 s.class.arity(),
                 self.alg.canonical_state_count(),
                 self.alg.max_arity(),
-            )
+            ))
         })
     }
 
@@ -236,7 +294,7 @@ impl<'a> Frames<'a> {
                                 summary::parent(self.alg, &subtrees[c], &subtrees[m_idx])?;
                         }
                     }
-                    subtrees[0].clone()
+                    subtrees.first().cloned().ok_or("a T-node has no members")?
                 }
             };
             self.summaries.push(out);
@@ -249,7 +307,7 @@ impl<'a> Frames<'a> {
     /// T-node's realized subgraph. Each search runs over the T-node's own
     /// realized edges, so the total cost is the summed size of the
     /// realized subgraphs, not `O(n)` per T-node.
-    fn pointers(&mut self) {
+    fn pointers(&mut self) -> Result<(), CertError> {
         let h = &self.layout.hierarchy;
         let realized = h.realized();
         let bg = &self.layout.construction.graph;
@@ -258,36 +316,70 @@ impl<'a> Frames<'a> {
             let NodeKind::T { members, .. } = &node.kind else {
                 continue;
             };
-            let (rv, _) = &realized[members[0]];
-            let root = *rv.iter().next().expect("root member has a vertex");
+            let root = members
+                .first()
+                .and_then(|&m| realized[m].0.iter().next().copied())
+                .ok_or_else(|| internal("a T-node's root member realizes no vertex"))?;
             let (vertices, edges) = &realized[id];
             let vertices: Vec<VertexId> = vertices.iter().copied().collect();
-            let at = |v: VertexId| vertices.binary_search(&v).expect("endpoint is realized");
-            let local = Graph::from_edges(
-                vertices.len(),
-                edges.iter().map(|&e| {
+            let at = |v: VertexId| {
+                vertices
+                    .binary_search(&v)
+                    .map_err(|_| internal("a realized edge has an unrealized endpoint"))
+            };
+            let local_edges = edges
+                .iter()
+                .map(|&e| {
                     let (a, b) = bg.endpoints(e);
-                    (at(a), at(b))
-                }),
-            )
-            .expect("realized edges form a simple graph");
-            let dist = traversal::bfs(&local, VertexId::new(at(root))).dist;
+                    Ok((at(a)?, at(b)?))
+                })
+                .collect::<Result<Vec<_>, CertError>>()?;
+            let local = Graph::from_edges(vertices.len(), local_edges)
+                .map_err(|e| internal(&format!("realized edges do not form a graph: {e}")))?;
+            let dist = traversal::bfs(&local, VertexId::new(at(root)?)).dist;
             self.t_pointers[id] = Some(Pointers {
                 root,
                 vertices,
                 dist,
             });
         }
+        Ok(())
     }
 
     /// The pointers of T-node `t`.
-    fn pointers_of(&self, t: NodeId) -> &Pointers {
-        self.t_pointers[t].as_ref().expect("T-node pointers")
+    fn pointers_of(&self, t: NodeId) -> Result<&Pointers, CertError> {
+        self.t_pointers[t]
+            .as_ref()
+            .ok_or_else(|| internal("a T frame names a node without pointers"))
     }
 
-    /// DFS assigning frame templates to owned edges. Recursive, but only
-    /// as deep as the hierarchy, which Observation 5.5 bounds by `2k`.
-    fn walk(&mut self, node: NodeId, chain: &mut Vec<FrameLbl>) -> Result<(), String> {
+    /// Encodes `frame`'s template (see [`FrameLbl::enc_template`]) as a
+    /// new slot below `parent`.
+    fn push_slot(&mut self, parent: Option<u32>, frame: &FrameLbl) -> u32 {
+        let start = self.arena.len();
+        frame.enc_template(&mut self.w);
+        let bits = self.w.flush_into(&mut self.arena);
+        let t_node = match frame {
+            FrameLbl::T(t) => Some(t.t_node as NodeId),
+            _ => None,
+        };
+        self.slots.push(Slot {
+            parent,
+            start,
+            bits,
+            t_node,
+        });
+        (self.slots.len() - 1) as u32
+    }
+
+    /// DFS encoding the frame templates into slots and recording each
+    /// owned edge's innermost slot. Recursive, but only as deep as the
+    /// hierarchy, which Observation 5.5 bounds by `2k`. Sealed tables
+    /// intern classes in call order, so [`Frames::wire_class`] runs in a
+    /// fixed order: depth-first from the root; at a `B` node the left
+    /// side, then the right; at a `T` member its children, then its
+    /// subtree.
+    fn walk(&mut self, node: NodeId, parent: Option<u32>) -> Result<(), CertError> {
         let h: &'a Hierarchy = &self.layout.hierarchy;
         match h.nodes[node].kind {
             NodeKind::V { .. } => {}
@@ -297,14 +389,13 @@ impl<'a> Frames<'a> {
                 tout,
                 edge,
             } => {
-                let mut frames = chain.clone();
-                frames.push(FrameLbl::E(EFrameLbl {
+                let frame = FrameLbl::E(EFrameLbl {
                     node: node as u32,
                     lane: lane as u8,
                     tin: self.id(tin),
                     tout: self.id(tout),
-                }));
-                self.edge_frames[edge.index()] = frames;
+                });
+                self.edge_slot[edge.index()] = Some(self.push_slot(parent, &frame));
             }
             NodeKind::P {
                 ref vertices,
@@ -313,14 +404,13 @@ impl<'a> Frames<'a> {
                 let ids: Vec<u64> = vertices.iter().map(|&v| self.id(v)).collect();
                 let marks: Vec<bool> = edges.iter().map(|e| self.marked[e.index()]).collect();
                 for (pos, e) in edges.iter().enumerate() {
-                    let mut frames = chain.clone();
-                    frames.push(FrameLbl::P(PFrameLbl {
+                    let frame = FrameLbl::P(PFrameLbl {
                         node: node as u32,
                         ids: ids.as_slice().into(),
                         marks: marks.as_slice().into(),
                         pos: pos as u16,
-                    }));
-                    self.edge_frames[e.index()] = frames;
+                    });
+                    self.edge_slot[e.index()] = Some(self.push_slot(parent, &frame));
                 }
             }
             NodeKind::B {
@@ -330,7 +420,7 @@ impl<'a> Frames<'a> {
                 right,
                 bridge,
             } => {
-                let info = |fr: &Self, side: NodeId| -> Result<BasicInfoLbl, String> {
+                let info = |fr: &Self, side: NodeId| -> Result<BasicInfoLbl, CertError> {
                     let s = &fr.summaries[side];
                     Ok(BasicInfoLbl {
                         node: side as u32,
@@ -338,36 +428,30 @@ impl<'a> Frames<'a> {
                         iface: s.iface.to_lbl(),
                     })
                 };
-                let left_info = info(self, left)?;
-                let right_info = info(self, right)?;
-                let bridge_marked = self.marked[bridge.index()];
-                let template = |side: u8| {
-                    FrameLbl::B(BFrameLbl {
-                        node: node as u32,
-                        i: i as u8,
-                        j: j as u8,
-                        left_is_v: matches!(h.nodes[left].kind, NodeKind::V { .. }),
-                        right_is_v: matches!(h.nodes[right].kind, NodeKind::V { .. }),
-                        left: left_info.clone(),
-                        right: right_info.clone(),
-                        bridge_marked,
-                        side,
-                    })
+                let mut frame = BFrameLbl {
+                    node: node as u32,
+                    i: i as u8,
+                    j: j as u8,
+                    left_is_v: matches!(h.nodes[left].kind, NodeKind::V { .. }),
+                    right_is_v: matches!(h.nodes[right].kind, NodeKind::V { .. }),
+                    left: info(self, left)?,
+                    right: info(self, right)?,
+                    bridge_marked: self.marked[bridge.index()],
+                    side: 0,
                 };
-                let mut frames = chain.clone();
-                frames.push(template(0));
-                self.edge_frames[bridge.index()] = frames;
-                for (side_no, child) in [(1u8, left), (2u8, right)] {
+                let slot = self.push_slot(parent, &FrameLbl::B(frame.clone()));
+                self.edge_slot[bridge.index()] = Some(slot);
+                for (side, child) in [(1u8, left), (2u8, right)] {
                     if matches!(h.nodes[child].kind, NodeKind::V { .. }) {
                         continue;
                     }
-                    chain.push(template(side_no));
-                    self.walk(child, chain)?;
-                    chain.pop();
+                    frame.side = side;
+                    let slot = self.push_slot(parent, &FrameLbl::B(frame.clone()));
+                    self.walk(child, Some(slot))?;
                 }
             }
             NodeKind::T { ref members, .. } => {
-                let root_vertex = self.id(self.pointers_of(node).root);
+                let root_vertex = self.id(self.pointers_of(node)?.root);
                 let kids: &'a [Vec<usize>] = &self.kids[node];
                 for (idx, &m) in members.iter().enumerate() {
                     let subtrees = &self.member_subtree[node];
@@ -381,7 +465,7 @@ impl<'a> Frames<'a> {
                             iface: s.iface.to_lbl(),
                         });
                     }
-                    chain.push(FrameLbl::T(TFrameLbl {
+                    let frame = FrameLbl::T(TFrameLbl {
                         t_node: node as u32,
                         member: m as u32,
                         subtree: BasicInfoLbl {
@@ -392,37 +476,54 @@ impl<'a> Frames<'a> {
                         children,
                         is_root_member: idx == 0,
                         root_vertex,
+                        // Not encoded: `enc_template` stops before them.
                         d_a: 0,
                         d_b: 0,
-                    }));
-                    self.walk(m, chain)?;
-                    chain.pop();
+                    });
+                    let slot = self.push_slot(parent, &frame);
+                    self.walk(m, Some(slot))?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Fills per-edge fields (endpoint ids ordered, pointer distances),
-    /// moving the edge's frame templates out.
-    fn materialize(&mut self, edge: EdgeId, u: VertexId, v: VertexId) -> EdgeCertLbl {
-        let (mut a, mut b) = (u, v);
+    /// Writes the certificate of built-graph edge `edge` into `w`: the
+    /// endpoint ids ordered, the mark, the frame count, then the slot
+    /// templates root-first, each `T` template followed by the pointer
+    /// distances of both endpoints. `chain` is scratch.
+    fn write_cert(
+        &self,
+        w: &mut BitWriter,
+        edge: EdgeId,
+        chain: &mut Vec<u32>,
+    ) -> Result<(), CertError> {
+        let (mut a, mut b) = self.layout.construction.graph.endpoints(edge);
         if self.id(a) > self.id(b) {
             std::mem::swap(&mut a, &mut b);
         }
-        let mut frames = std::mem::take(&mut self.edge_frames[edge.index()]);
-        for f in frames.iter_mut() {
-            if let FrameLbl::T(t) = f {
-                let pointers = self.pointers_of(t.t_node as usize);
-                t.d_a = pointers.dist(a);
-                t.d_b = pointers.dist(b);
+        chain.clear();
+        let mut at = self.edge_slot[edge.index()];
+        while let Some(s) = at {
+            chain.push(s);
+            at = self.slots[s as usize].parent;
+        }
+        if chain.is_empty() {
+            return Err(internal("a built edge has no frames"));
+        }
+        self.id(a).enc(w);
+        self.id(b).enc(w);
+        self.marked[edge.index()].enc(w);
+        chain.len().enc(w);
+        for &s in chain.iter().rev() {
+            let slot = &self.slots[s as usize];
+            w.append_bits(&self.arena[slot.start..], slot.bits);
+            if let Some(t) = slot.t_node {
+                let pointers = self.pointers_of(t)?;
+                pointers.dist(a).enc(w);
+                pointers.dist(b).enc(w);
             }
         }
-        EdgeCertLbl {
-            a: self.id(a),
-            b: self.id(b),
-            marked: self.marked[edge.index()],
-            frames,
-        }
+        Ok(())
     }
 }

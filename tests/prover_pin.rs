@@ -1,11 +1,11 @@
 //! Label-bytes pin for the Theorem 1 prover.
 //!
-//! Certifies `connected` and `bipartite` at pathwidth 2 from each
-//! family's known representation, with fixed graph and identifier seeds,
-//! and compares an FNV-1a digest of every labeling's `(bytes, bits)`
-//! against a hard-coded value. The parity suites compare two paths through the same prover;
-//! this suite is what catches a prover rewrite that changes a single
-//! label bit. FNV-1a rather than `DefaultHasher`, whose output may change
+//! Certifies `connected`, `bipartite` and the sealed `hamiltonian-cycle`
+//! at pathwidth 2 from each family's known representation, with fixed
+//! graph and identifier seeds, and compares an FNV-1a digest of every
+//! labeling's `(bytes, bits)` against a hard-coded value. The parity
+//! suites compare two paths through the same prover; this suite is what
+//! catches a prover rewrite that changes a single label bit. FNV-1a rather than `DefaultHasher`, whose output may change
 //! between Rust releases.
 
 use lanecert_suite::algebra::{props, Algebra, SharedAlgebra};
@@ -57,6 +57,18 @@ fn bipartite_pins() -> Vec<(CorpusFamily, usize, u64)> {
     ]
 }
 
+/// The pinned `hamiltonian-cycle` instances (Hamiltonian families). The
+/// table is sealed: ids past the enumerated prefix are interned in the
+/// order the prover asks for them, so these digests also pin that order.
+fn sealed_pins() -> Vec<(CorpusFamily, usize, u64)> {
+    vec![
+        (CorpusFamily::Ladder, 512, 0x403b_3816_6efa_83b5),
+        (CorpusFamily::Ladder, 2048, 0x55b3_0281_80dd_ed14),
+        (CorpusFamily::Cycle, 512, 0xe8a2_73f7_37f1_3641),
+        (CorpusFamily::Cycle, 2048, 0xf85b_d3eb_b88b_fae4),
+    ]
+}
+
 fn certifier(algebra: SharedAlgebra) -> Certifier {
     Certifier::builder()
         .property(algebra)
@@ -101,6 +113,19 @@ fn theorem1_bipartite_label_bytes_are_pinned() {
     assert!(certifier.scheme().canonical_labels());
     assert_eq!(certifier.scheme().algebra_state_count(), Some(3_720));
     let moved = mismatches(&certifier, bipartite_pins());
+    assert!(
+        moved.is_empty(),
+        "label digests moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn theorem1_sealed_label_bytes_are_pinned() {
+    // A fresh sealed table per certifier, proven in a fixed instance order.
+    let certifier = certifier(Algebra::shared(props::HamiltonianCycle));
+    assert!(!certifier.scheme().canonical_labels());
+    let moved = mismatches(&certifier, sealed_pins());
     assert!(
         moved.is_empty(),
         "label digests moved:\n{}",
