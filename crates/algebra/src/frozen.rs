@@ -89,9 +89,6 @@ pub struct FreezeOptions {
     /// Abort enumeration (and seal) past this many operation
     /// applications.
     pub op_budget: usize,
-    /// Vertex labels the enumeration introduces (the certification
-    /// pipeline only ever uses label `0`).
-    pub vertex_labels: Vec<u32>,
 }
 
 impl Default for FreezeOptions {
@@ -100,7 +97,6 @@ impl Default for FreezeOptions {
             max_arity: MAX_FREEZE_ARITY,
             state_budget: DEFAULT_STATE_BUDGET,
             op_budget: DEFAULT_OP_BUDGET,
-            vertex_labels: vec![0],
         }
     }
 }
@@ -183,13 +179,6 @@ impl FrozenAlgebra {
             drop(cache);
             Self::sealed_with_prefix(algebra, classes, opts.max_arity)
         }
-    }
-
-    /// A sealed table with an empty canonical prefix: every class interns
-    /// dynamically, in arrival order (the pre-freeze behaviour, kept for
-    /// algebras that cannot be enumerated at all).
-    pub fn sealed(algebra: SharedAlgebra) -> SharedFrozenAlgebra {
-        Self::sealed_with_prefix(algebra, Vec::new(), MAX_FREEZE_ARITY)
     }
 
     fn total_with(
@@ -457,12 +446,10 @@ fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
             ops <= opts.op_budget && push(c, order, seen)
         };
 
-        if a < opts.max_arity {
-            for &label in &opts.vertex_labels {
-                if !apply(alg.add_vertex(s.clone(), label), &mut order, &mut seen) {
-                    return (order, false);
-                }
-            }
+        // Vertices enter with label 0, the only label the certification
+        // pipeline uses.
+        if a < opts.max_arity && !apply(alg.add_vertex(s.clone(), 0), &mut order, &mut seen) {
+            return (order, false);
         }
         for x in 0..a {
             for y in 0..a {

@@ -66,13 +66,6 @@ impl Certifier {
         &self.hint
     }
 
-    /// Overrides the default hint's automatic-decomposition ceiling (see
-    /// [`CertifierBuilder::heuristic_limit`]); used by the engine builder
-    /// to push its own knob down onto an already-built certifier.
-    pub fn set_heuristic_limit(&mut self, limit: usize) {
-        self.hint = std::mem::take(&mut self.hint).heuristic_limit(limit);
-    }
-
     /// Honest certificate assignment, wire-encoded, using the default
     /// hint.
     ///
@@ -147,7 +140,6 @@ pub struct CertifierBuilder {
     scheme: Option<String>,
     registry: Option<SchemeRegistry>,
     rep: Option<IntervalRep>,
-    heuristic_limit: Option<usize>,
 }
 
 impl CertifierBuilder {
@@ -202,18 +194,6 @@ impl CertifierBuilder {
         self
     }
 
-    /// Vertex-count ceiling up to which hintless prove calls derive a
-    /// decomposition themselves (exact solver, then the budgeted
-    /// branch-and-bound solver); beyond it they fail with
-    /// [`CertError::NeedRepresentation`]. Defaults to
-    /// [`crate::AUTO_HEURISTIC_LIMIT`]. Applies to the certifier's
-    /// default hint; per-job hints carry their own ceiling
-    /// ([`ProverHint::heuristic_limit`]).
-    pub fn heuristic_limit(mut self, limit: usize) -> Self {
-        self.heuristic_limit = Some(limit);
-        self
-    }
-
     /// Resolve schemes against a custom registry instead of
     /// [`SchemeRegistry::standard`].
     pub fn registry(mut self, registry: SchemeRegistry) -> Self {
@@ -231,13 +211,10 @@ impl CertifierBuilder {
         let registry = self.registry.unwrap_or_else(SchemeRegistry::standard);
         let name = self.scheme.as_deref().unwrap_or(THEOREM1);
         let scheme = registry.build(name, &self.spec)?;
-        let mut hint = match self.rep {
+        let hint = match self.rep {
             Some(rep) => ProverHint::with_representation(rep),
             None => ProverHint::auto(),
         };
-        if let Some(limit) = self.heuristic_limit {
-            hint = hint.heuristic_limit(limit);
-        }
         Ok(Certifier { scheme, hint })
     }
 }
@@ -302,43 +279,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CertError::UnknownScheme { .. }));
-    }
-
-    #[test]
-    fn heuristic_limit_knob_gates_the_fallback() {
-        // C40 is past the exact solver; the default ceiling lets the
-        // branch-and-bound solver cover it, a lowered ceiling refuses.
-        let build = |limit: Option<usize>| {
-            let mut b = Certifier::builder()
-                .property(Algebra::shared(Connected))
-                .pathwidth(2);
-            if let Some(l) = limit {
-                b = b.heuristic_limit(l);
-            }
-            b.build().unwrap()
-        };
-        let cfg = Configuration::with_random_ids(generators::cycle_graph(40), 8);
-        assert!(build(None).run(&cfg).unwrap().accepted());
-        assert!(build(Some(400)).run(&cfg).unwrap().accepted());
-        assert_eq!(
-            build(Some(10)).run(&cfg).unwrap_err(),
-            CertError::NeedRepresentation
-        );
-        // Raising the ceiling extends hintless coverage past a lowered
-        // one (the default now sits at tens of thousands of vertices, so
-        // the knob is exercised with explicit bounds around a mid-size
-        // instance — small enough that the prover's chain-deep hierarchy
-        // walk fits a test thread's stack).
-        let big = Configuration::with_random_ids(generators::cycle_graph(64), 9);
-        assert_eq!(
-            build(Some(50)).run(&big).unwrap_err(),
-            CertError::NeedRepresentation
-        );
-        assert!(build(Some(100)).run(&big).unwrap().accepted());
-        // The mutating form used by the engine builder agrees.
-        let mut c = build(None);
-        c.set_heuristic_limit(10);
-        assert_eq!(c.run(&cfg).unwrap_err(), CertError::NeedRepresentation);
     }
 
     #[test]

@@ -93,7 +93,6 @@ impl StandardFormula {
             max_arity: 2 * DEFAULT_MAX_LANES,
             state_budget: self.state_budget,
             op_budget: self.op_budget,
-            vertex_labels: vec![0],
         }
     }
 
@@ -240,7 +239,6 @@ mod tests {
             max_arity: 4,
             state_budget: 1,
             op_budget: 100,
-            vertex_labels: vec![0],
         };
         let err = compile_scheme(
             &lanecert_mso::props::triangle_free(),

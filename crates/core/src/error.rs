@@ -35,7 +35,7 @@ pub enum CertError {
     /// No interval representation was supplied (via
     /// [`ProverHint`](crate::ProverHint)) and the graph is too large for
     /// automatic derivation — past both the exact pathwidth solver and
-    /// the beam-search heuristic fallback
+    /// the branch-and-bound fallback
     /// ([`AUTO_HEURISTIC_LIMIT`](crate::scheme::AUTO_HEURISTIC_LIMIT)).
     NeedRepresentation,
     /// A labeling with the wrong number of labels was presented to the

@@ -187,7 +187,6 @@ impl<L> DerefMut for Labeling<L> {
 #[derive(Clone, Debug, Default)]
 pub struct ProverHint {
     rep: Option<IntervalRep>,
-    heuristic_limit: Option<usize>,
 }
 
 impl ProverHint {
@@ -198,33 +197,12 @@ impl ProverHint {
 
     /// Supplies a known interval representation.
     pub fn with_representation(rep: IntervalRep) -> Self {
-        Self {
-            rep: Some(rep),
-            heuristic_limit: None,
-        }
+        Self { rep: Some(rep) }
     }
 
     /// The supplied representation, if any.
     pub fn representation(&self) -> Option<&IntervalRep> {
         self.rep.as_ref()
-    }
-
-    /// Overrides the vertex-count ceiling for the branch-and-bound
-    /// solver fallback of [`ProverHint::resolve`] (default
-    /// [`AUTO_HEURISTIC_LIMIT`]). Raising it trades prover latency on
-    /// hintless jobs for coverage; lowering it makes
-    /// [`CertError::NeedRepresentation`] fire earlier. Also settable
-    /// fleet-wide through `CertifierBuilder::heuristic_limit` and
-    /// `EngineBuilder::heuristic_limit`.
-    pub fn heuristic_limit(mut self, limit: usize) -> Self {
-        self.heuristic_limit = Some(limit);
-        self
-    }
-
-    /// The effective heuristic ceiling ([`AUTO_HEURISTIC_LIMIT`] unless
-    /// overridden).
-    pub fn effective_heuristic_limit(&self) -> usize {
-        self.heuristic_limit.unwrap_or(AUTO_HEURISTIC_LIMIT)
     }
 
     /// Resolves an interval representation for `cfg`: the supplied one if
@@ -259,7 +237,7 @@ impl ProverHint {
         }
         let pd = match solver::pathwidth_exact(cfg.graph()) {
             Ok((_, pd)) => pd,
-            Err(_) if cfg.n() <= self.effective_heuristic_limit() => {
+            Err(_) if cfg.n() <= AUTO_HEURISTIC_LIMIT => {
                 bnb::pathwidth_bnb(cfg.graph(), &bnb::BnbOptions::for_auto(cfg.n())).decomposition
             }
             Err(_) => return Err(CertError::NeedRepresentation),
@@ -268,16 +246,15 @@ impl ProverHint {
     }
 }
 
-/// Default ceiling on the vertex count for which [`ProverHint::resolve`]
+/// Ceiling on the vertex count for which [`ProverHint::resolve`]
 /// derives a decomposition itself (exact solver below its own limit, the
 /// budgeted branch-and-bound solver beyond). The solver's work budget is
 /// deterministic and shrinks with instance size
 /// ([`lanecert_pathwidth::bnb::BnbOptions::for_auto`]), so a missing hint
 /// costs a bounded, size-aware amount of prover time instead of a stall —
 /// which is what lets this ceiling sit at tens of thousands of vertices
-/// where the pre-B&B cubic heuristic capped it at 256. Override per hint
-/// with [`ProverHint::heuristic_limit`], per pipeline with
-/// `CertifierBuilder::heuristic_limit` / `EngineBuilder::heuristic_limit`.
+/// where the pre-B&B cubic heuristic capped it at 256. Larger networks
+/// need a supplied representation ([`ProverHint::with_representation`]).
 pub const AUTO_HEURISTIC_LIMIT: usize = 32_768;
 
 /// Deterministic (within one build) digest of a scheme name — the

@@ -47,6 +47,10 @@ use lanecert_obs::{names, Clock, ObsReport, TraceConfig, TraceLog, TraceSession}
 
 use crate::pool::{Spawner, WorkStealingPool};
 
+/// In-flight jobs per worker that [`Engine::run`]'s streaming window
+/// admits.
+const WINDOW_PER_WORKER: usize = 4;
+
 /// Throughput accounting for one engine run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Throughput {
@@ -151,7 +155,6 @@ pub struct Engine {
     pool: WorkStealingPool,
     certifier: Arc<Certifier>,
     shard_threshold: usize,
-    window_per_worker: usize,
     /// Derived from `DynScheme::canonical_labels` at build time: `false`
     /// only for sealed algebras, which prove on the driver.
     prove_on_pool: bool,
@@ -184,9 +187,9 @@ impl Engine {
     /// jobs — at any worker count, proving and verifying both on the
     /// pool (see the module docs) — alongside [`Throughput`] accounting.
     ///
-    /// The source is pulled lazily: at most `window_per_worker × workers`
-    /// jobs are in flight at once, so arbitrarily long corpora stream in
-    /// bounded memory.
+    /// The source is pulled lazily: at most four jobs per worker are in
+    /// flight at once, so arbitrarily long corpora stream in bounded
+    /// memory.
     ///
     /// When the engine was built with [`EngineBuilder::trace`], the run
     /// installs a run-scoped [`TraceSession`]: stage spans and
@@ -202,7 +205,7 @@ impl Engine {
         let pool_base = self.pool.stats();
         let run_span = lanecert_obs::span!("run");
         let start_ns = self.clock.now_ns();
-        let window = (self.window_per_worker * self.workers()).max(1);
+        let window = WINDOW_PER_WORKER * self.workers();
         let state = Arc::new(RunState::with_slots(0));
 
         for (index, job) in jobs.into_iter().enumerate() {
@@ -589,8 +592,6 @@ pub struct EngineBuilder {
     certifier: Option<Certifier>,
     workers: Option<usize>,
     shard_threshold: usize,
-    window_per_worker: usize,
-    heuristic_limit: Option<usize>,
     trace: Option<TraceConfig>,
 }
 
@@ -600,8 +601,6 @@ impl Default for EngineBuilder {
             certifier: None,
             workers: None,
             shard_threshold: 1024,
-            window_per_worker: 4,
-            heuristic_limit: None,
             trace: None,
         }
     }
@@ -629,21 +628,6 @@ impl EngineBuilder {
         self
     }
 
-    /// In-flight jobs per worker the streaming window admits (default 4).
-    pub fn window_per_worker(mut self, jobs: usize) -> Self {
-        self.window_per_worker = jobs.max(1);
-        self
-    }
-
-    /// Vertex-count ceiling for automatic decomposition derivation on
-    /// hintless jobs, pushed down onto the certifier's default hint
-    /// (see [`lanecert::CertifierBuilder::heuristic_limit`]; default
-    /// [`lanecert::AUTO_HEURISTIC_LIMIT`]).
-    pub fn heuristic_limit(mut self, limit: usize) -> Self {
-        self.heuristic_limit = Some(limit);
-        self
-    }
-
     /// Enables run-scoped tracing: every [`Engine::run`] installs a
     /// [`TraceSession`] on `config`'s clock, records stage spans
     /// (`run`, `prove`, `verify`, `verify_shard`) and histograms, and
@@ -665,12 +649,9 @@ impl EngineBuilder {
     ///
     /// [`CertError::InvalidSpec`] when no certifier was supplied.
     pub fn build(self) -> Result<Engine, CertError> {
-        let mut certifier = self.certifier.ok_or_else(|| {
+        let certifier = self.certifier.ok_or_else(|| {
             CertError::InvalidSpec("the engine needs a certifier (.certifier(...))".into())
         })?;
-        if let Some(limit) = self.heuristic_limit {
-            certifier.set_heuristic_limit(limit);
-        }
         let prove_on_pool = certifier.scheme().canonical_labels();
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -686,7 +667,6 @@ impl EngineBuilder {
             pool: WorkStealingPool::new(workers),
             certifier: Arc::new(certifier),
             shard_threshold: self.shard_threshold,
-            window_per_worker: self.window_per_worker,
             prove_on_pool,
             trace: self.trace,
             clock,

@@ -58,16 +58,15 @@ pub mod loom_model;
 pub mod corpus;
 pub use corpus::{CorpusFamily, CorpusSpec, FormulaCorpus};
 
-pub mod solver;
-pub use solver::par_pathwidth_bnb;
-
 pub mod engine;
 pub use engine::{Engine, EngineBuilder, EngineReport, Throughput};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lanecert::{BatchJob, BatchRunner, CertError, Certifier, Configuration};
+    use lanecert::{
+        BatchJob, BatchRunner, CertError, Certifier, Configuration, AUTO_HEURISTIC_LIMIT,
+    };
     use lanecert_algebra::{props::Bipartite, props::Connected, Algebra};
     use lanecert_graph::generators;
 
@@ -261,9 +260,38 @@ mod tests {
     }
 
     #[test]
+    fn hintless_jobs_past_the_ceiling_refuse_in_their_slot() {
+        // A hintless cycle one vertex past the auto-decomposition ceiling
+        // must refuse with NeedRepresentation, in its own slot, exactly
+        // as the sequential BatchRunner reports it.
+        let jobs = || {
+            [12, AUTO_HEURISTIC_LIMIT + 1, 16].into_iter().map(|n| {
+                BatchJob::new(Configuration::with_random_ids(
+                    generators::cycle_graph(n),
+                    n as u64,
+                ))
+            })
+        };
+        let sequential = BatchRunner::new(connected_certifier()).run(jobs());
+        let report = Engine::builder()
+            .certifier(connected_certifier())
+            .workers(2)
+            .build()
+            .unwrap()
+            .run(jobs());
+        assert_eq!(report.batch, sequential);
+        assert!(matches!(
+            report.batch.outcomes[1].result,
+            Err(CertError::NeedRepresentation)
+        ));
+        assert_eq!(report.batch.failed(), 1);
+    }
+
+    #[test]
     fn streaming_window_bounds_do_not_drop_or_reorder_jobs() {
-        // Many more jobs than the window admits; names must come back in
-        // submission order with nothing lost.
+        // Many more jobs than the window admits (40 through 4 per worker
+        // × 3 workers); names must come back in submission order with
+        // nothing lost.
         let engine = Engine::builder()
             .certifier(
                 Certifier::builder()
@@ -273,7 +301,6 @@ mod tests {
                     .unwrap(),
             )
             .workers(3)
-            .window_per_worker(1)
             .build()
             .unwrap();
         let total = 40usize;

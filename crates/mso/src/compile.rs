@@ -376,18 +376,6 @@ enum Op {
 pub struct CompiledProperty {
     plan: Node,
     name: String,
-    enumerable: bool,
-}
-
-impl CompiledProperty {
-    /// Opts the property out of the freeze pass's exhaustive enumeration
-    /// (it will run sealed). Useful for differential tests of formulas
-    /// whose reachable state space overruns the freeze budgets.
-    #[must_use]
-    pub fn sealed(mut self) -> Self {
-        self.enumerable = false;
-        self
-    }
 }
 
 /// Compiles a closed, well-sorted formula.
@@ -403,7 +391,6 @@ pub fn compile(formula: &Formula) -> Result<CompiledProperty, CompileError> {
     Ok(CompiledProperty {
         plan,
         name: format!("compiled{}", crate::sexpr::canonical(formula)),
-        enumerable: true,
     })
 }
 
@@ -1392,10 +1379,6 @@ impl Property for CompiledProperty {
 
     fn accept(&self, s: &CompiledState) -> bool {
         Self::accept_state(&self.plan, &s.root)
-    }
-
-    fn enumerable(&self) -> bool {
-        self.enumerable
     }
 }
 

@@ -26,7 +26,8 @@
 //! * **Memoized prefixes** — a table from prefix vertex-*set* to the
 //!   smallest separation it has been reached with; arriving again no
 //!   better is a dominated re-visit and prunes immediately. The table
-//!   is budgeted (`max_prefix_length` / `max_seen_entries`, after the
+//!   is budgeted (prefixes of at most [`DEFAULT_MAX_PREFIX_LENGTH`]
+//!   vertices, at most `max_seen_entries` entries, after the
 //!   bounded-memoization tables of the thinness solvers) so memory
 //!   stays bounded on large instances.
 //!
@@ -35,15 +36,13 @@
 //! evaluation in the inner loop is allocation-free (`// lint:
 //! zero-alloc` checked). Budgets are counted in *work units* (one per
 //! adjacency-half touched) rather than wall-clock time, keeping every
-//! result a pure function of the graph and options — the purity
-//! invariant the engine's determinism suite pins.
+//! result a pure function of the graph and options, on any thread —
+//! the purity the engine's bit-parity suites rely on for hintless jobs
+//! (pinned by `tests/bnb_parity.rs`).
 //!
-//! [`bnb_root_tasks`] exposes the root branches as independent
-//! subproblems for the engine's work-stealing parallel driver
-//! (`lanecert_engine::par_pathwidth_bnb`); [`merge_outcomes`] folds the
-//! per-task results back together deterministically (best width, ties
-//! to the lowest task index), so the parallel decomposition is the same
-//! at any worker count.
+//! The search is sequential. Hintless proving reaches it through
+//! `ProverHint::resolve` with [`BnbOptions::for_auto`]; batch-level
+//! parallelism comes from running whole jobs on separate workers.
 
 use std::collections::HashMap;
 
@@ -53,9 +52,9 @@ use lanecert_obs::{counter_add, names};
 use crate::solver::{pathwidth_heuristic, HeuristicBound};
 use crate::PathDecomposition;
 
-/// Default cap on the length of memoized prefixes: longer prefixes are
-/// searched but not tabled (deep levels have the most sets and the
-/// fewest re-visits).
+/// Cap on the length of memoized prefixes: longer prefixes are searched
+/// but not tabled (deep levels have the most sets and the fewest
+/// re-visits).
 pub const DEFAULT_MAX_PREFIX_LENGTH: usize = 64;
 
 /// Default cap on the number of memo-table entries.
@@ -71,7 +70,7 @@ pub const DEFAULT_MAX_SEEN_ENTRIES: usize = 1 << 20;
 /// proof matters more than latency.
 pub const DEFAULT_MAX_WORK: u64 = 64_000_000;
 
-/// Default beam width for the seeding heuristic.
+/// Beam width handed to the seeding [`pathwidth_heuristic`].
 pub const DEFAULT_BEAM: usize = 8;
 
 /// Tuning knobs for [`pathwidth_bnb`]. The defaults are sized for
@@ -80,9 +79,6 @@ pub const DEFAULT_BEAM: usize = 8;
 /// path, where a missing hint must never stall a batch.
 #[derive(Clone, Debug)]
 pub struct BnbOptions {
-    /// Memoize only prefixes of at most this many vertices
-    /// ([`DEFAULT_MAX_PREFIX_LENGTH`]).
-    pub max_prefix_length: usize,
     /// Stop inserting memo entries past this table size
     /// ([`DEFAULT_MAX_SEEN_ENTRIES`]); lookups continue.
     pub max_seen_entries: usize,
@@ -91,18 +87,13 @@ pub struct BnbOptions {
     /// runs out the best incumbent so far (at worst the heuristic seed)
     /// is returned with `optimal: false`.
     pub max_work: u64,
-    /// Beam width handed to the seeding [`pathwidth_heuristic`]
-    /// ([`DEFAULT_BEAM`]).
-    pub beam: usize,
 }
 
 impl Default for BnbOptions {
     fn default() -> Self {
         Self {
-            max_prefix_length: DEFAULT_MAX_PREFIX_LENGTH,
             max_seen_entries: DEFAULT_MAX_SEEN_ENTRIES,
             max_work: DEFAULT_MAX_WORK,
-            beam: DEFAULT_BEAM,
         }
     }
 }
@@ -121,9 +112,9 @@ impl BnbOptions {
     }
 }
 
-/// Search counters reported by [`pathwidth_bnb`] (and summed across
-/// tasks by [`merge_outcomes`]); also exported as observability
-/// counters (`bnb_nodes` / `bnb_prunes` / `bnb_memo_hits`).
+/// Search counters reported by [`pathwidth_bnb`]; also exported as
+/// observability counters (`bnb_nodes` / `bnb_prunes` /
+/// `bnb_memo_hits`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BnbStats {
     /// Branch nodes expanded.
@@ -141,16 +132,6 @@ pub struct BnbStats {
     /// Whether the seed already matched the lower bound (search
     /// skipped).
     pub seed_known_optimal: bool,
-}
-
-impl BnbStats {
-    fn absorb(&mut self, other: &BnbStats) {
-        self.nodes += other.nodes;
-        self.prunes += other.prunes;
-        self.memo_hits += other.memo_hits;
-        self.memo_entries += other.memo_entries;
-        self.work += other.work;
-    }
 }
 
 /// The result of a branch-and-bound search.
@@ -347,7 +328,7 @@ impl<'a> Search<'a> {
                 }
                 break 'done;
             }
-            if self.order.len() <= self.opts.max_prefix_length {
+            if self.order.len() <= DEFAULT_MAX_PREFIX_LENGTH {
                 if let Some(m) = self.memo.get_mut(&self.inside[..]) {
                     if *m <= vs {
                         self.memo_hits += 1;
@@ -403,15 +384,6 @@ fn record_counters(stats: &BnbStats) {
     counter_add(names::BNB_MEMO_HITS, stats.memo_hits);
 }
 
-fn seed_result(seed: HeuristicBound, stats: BnbStats) -> BnbResult {
-    BnbResult {
-        width: seed.width,
-        decomposition: seed.decomposition,
-        optimal: seed.known_optimal,
-        stats,
-    }
-}
-
 /// Computes the pathwidth by branch-and-bound over vertex orderings,
 /// seeded (and bounded) by the beam heuristic.
 ///
@@ -423,7 +395,7 @@ fn seed_result(seed: HeuristicBound, stats: BnbStats) -> BnbResult {
 /// function of the graph and options.
 pub fn pathwidth_bnb(g: &Graph, opts: &BnbOptions) -> BnbResult {
     let _span = lanecert_obs::span!("pathwidth_bnb");
-    let seed = pathwidth_heuristic(g, opts.beam);
+    let seed = pathwidth_heuristic(g, DEFAULT_BEAM);
     let mut stats = BnbStats {
         seed_width: seed.width,
         seed_known_optimal: seed.known_optimal,
@@ -431,7 +403,12 @@ pub fn pathwidth_bnb(g: &Graph, opts: &BnbOptions) -> BnbResult {
     };
     if seed.known_optimal {
         record_counters(&stats);
-        return seed_result(seed, stats);
+        return BnbResult {
+            width: seed.width,
+            decomposition: seed.decomposition,
+            optimal: true,
+            stats,
+        };
     }
     let csr = CsrGraph::from_graph(g);
     let mut s = Search::new(&csr, seed.lower_bound, seed.width, opts);
@@ -451,164 +428,6 @@ pub fn pathwidth_bnb(g: &Graph, opts: &BnbOptions) -> BnbResult {
         decomposition,
         optimal,
         stats,
-    }
-}
-
-/// One independent root branch of the search, explorable in isolation:
-/// the greedy-extended empty prefix plus one branch vertex.
-#[derive(Clone, Debug)]
-pub struct BnbTask {
-    root: Vec<VertexId>,
-    vs: u32,
-}
-
-/// The outcome of [`BnbTask::run`].
-#[derive(Clone, Debug)]
-pub struct BnbTaskOutcome {
-    /// Best strictly-better-than-seed `(width, ordering)` found in the
-    /// subtree, if any.
-    pub best: Option<(usize, Vec<VertexId>)>,
-    /// Whether the subtree was searched exhaustively within budget.
-    pub complete: bool,
-    /// Subtree search counters.
-    pub stats: BnbStats,
-}
-
-impl BnbTask {
-    /// Runs the subtree search sequentially against its own workspace
-    /// and memo table, with the seed width as a fixed upper bound —
-    /// tasks share nothing, so a batch of them returns the same
-    /// outcomes on any schedule.
-    pub fn run(&self, csr: &CsrGraph, lb: usize, ub: usize, opts: &BnbOptions) -> BnbTaskOutcome {
-        let mut s = Search::new(csr, lb, ub, opts);
-        let mut vs = 0u32;
-        for &v in &self.root {
-            s.charge(v.index());
-            s.push_vertex(v.index());
-            vs = vs.max(s.boundary);
-        }
-        debug_assert_eq!(vs, self.vs);
-        s.branch(vs);
-        BnbTaskOutcome {
-            best: s
-                .improved
-                .then(|| (s.best_width as usize, std::mem::take(&mut s.best_order))),
-            complete: !s.exhausted,
-            stats: BnbStats {
-                nodes: s.nodes,
-                prunes: s.prunes,
-                memo_hits: s.memo_hits,
-                memo_entries: s.memo.len() as u64,
-                work: s.work,
-                seed_width: ub,
-                seed_known_optimal: false,
-            },
-        }
-    }
-}
-
-/// How a search would begin: either already solved without branching,
-/// or the heuristic seed plus the independent root branches.
-pub enum RootSplit {
-    /// Solved outright (empty graph, seed matched the lower bound, or
-    /// the greedy extension completed the ordering).
-    Done(Box<BnbResult>),
-    /// Branch: the seed incumbent and one task per surviving root
-    /// child, in deterministic (separation, vertex) order.
-    Branches {
-        /// The heuristic seed (incumbent and upper bound for the
-        /// tasks).
-        seed: HeuristicBound,
-        /// Independent subtrees, one per root child.
-        tasks: Vec<BnbTask>,
-    },
-}
-
-/// Splits the search at the root for a parallel driver: the greedy
-/// prefix is shared, and each surviving root child becomes one
-/// [`BnbTask`]. Semantically equivalent to [`pathwidth_bnb`] modulo
-/// bound sharing (tasks do not see each other's improvements, so a
-/// parallel run may expand more nodes — never a different width).
-pub fn bnb_root_tasks(g: &Graph, opts: &BnbOptions) -> RootSplit {
-    let seed = pathwidth_heuristic(g, opts.beam);
-    let stats = BnbStats {
-        seed_width: seed.width,
-        seed_known_optimal: seed.known_optimal,
-        ..BnbStats::default()
-    };
-    if seed.known_optimal {
-        return RootSplit::Done(Box::new(seed_result(seed, stats)));
-    }
-    let csr = CsrGraph::from_graph(g);
-    let mut s = Search::new(&csr, seed.lower_bound, seed.width, opts);
-    s.greedy_extend();
-    if s.order.len() == s.n {
-        // Only edgeless graphs complete greedily from the empty prefix
-        // (boundary stays 0), and those have known-optimal seeds; keep
-        // the defensive path anyway.
-        let pd = PathDecomposition::from_order(g, &s.order);
-        let width = pd.width();
-        return RootSplit::Done(Box::new(BnbResult {
-            width,
-            decomposition: pd,
-            optimal: true,
-            stats,
-        }));
-    }
-    s.collect_children(0, 0);
-    let tasks = s
-        .children
-        .iter()
-        .map(|&(nb, v)| {
-            let mut root = s.order.clone();
-            root.push(VertexId::new(v as usize));
-            BnbTask { root, vs: nb }
-        })
-        .collect();
-    RootSplit::Branches { seed, tasks }
-}
-
-/// Folds per-task outcomes back into one [`BnbResult`]: the best width
-/// wins, ties resolved toward the lowest task index, so the result is
-/// a pure function of the graph no matter how the tasks were
-/// scheduled. `outcomes` must be in [`RootSplit::Branches`] task
-/// order.
-pub fn merge_outcomes(g: &Graph, seed: HeuristicBound, outcomes: &[BnbTaskOutcome]) -> BnbResult {
-    let mut stats = BnbStats {
-        seed_width: seed.width,
-        seed_known_optimal: seed.known_optimal,
-        ..BnbStats::default()
-    };
-    let mut best: Option<(usize, &[VertexId])> = None;
-    let mut complete = true;
-    for o in outcomes {
-        stats.absorb(&o.stats);
-        complete &= o.complete;
-        if let Some((w, order)) = &o.best {
-            if best.map_or(*w < seed.width, |(bw, _)| *w < bw) {
-                best = Some((*w, order));
-            }
-        }
-    }
-    record_counters(&stats);
-    match best {
-        Some((width, order)) => {
-            let pd = PathDecomposition::from_order(g, order);
-            debug_assert_eq!(pd.width(), width);
-            BnbResult {
-                width,
-                decomposition: pd,
-                optimal: complete || width == seed.lower_bound,
-                stats,
-            }
-        }
-        None => BnbResult {
-            optimal: (complete || seed.width == seed.lower_bound) && {
-                stats.seed_known_optimal |= complete;
-                true
-            },
-            ..seed_result(seed, stats)
-        },
     }
 }
 
@@ -702,30 +521,6 @@ mod tests {
         assert!(!r.optimal);
         assert_eq!(r.width, r.stats.seed_width, "over budget → seed result");
         r.decomposition.validate(&g).unwrap();
-    }
-
-    #[test]
-    fn split_run_merge_matches_sequential_width() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        for _ in 0..10 {
-            let g = generators::gnp(14, 0.3, &mut rng);
-            let opts = BnbOptions::default();
-            let seq = pathwidth_bnb(&g, &opts);
-            let merged = match bnb_root_tasks(&g, &opts) {
-                RootSplit::Done(r) => *r,
-                RootSplit::Branches { seed, tasks } => {
-                    let csr = CsrGraph::from_graph(&g);
-                    let outcomes: Vec<BnbTaskOutcome> = tasks
-                        .iter()
-                        .map(|t| t.run(&csr, seed.lower_bound, seed.width, &opts))
-                        .collect();
-                    merge_outcomes(&g, seed, &outcomes)
-                }
-            };
-            assert_eq!(merged.width, seq.width);
-            assert!(merged.optimal && seq.optimal);
-            merged.decomposition.validate(&g).unwrap();
-        }
     }
 
     #[test]

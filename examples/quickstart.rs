@@ -15,13 +15,10 @@ fn main() {
 
     // The scheme certifies ϕ ∧ (pathwidth ≤ k) with ϕ = bipartiteness.
     // "theorem1" is the default registry scheme; spell it out anyway.
-    // `heuristic_limit` raises the ceiling up to which hintless prove
-    // calls derive a decomposition themselves (default 256 vertices).
     let certifier = Certifier::builder()
         .property(Algebra::shared(Bipartite))
         .pathwidth(2)
         .scheme("theorem1")
-        .heuristic_limit(512)
         .build()
         .expect("complete spec");
 
@@ -64,7 +61,6 @@ fn main() {
         Certifier::builder()
             .property(Algebra::shared(Bipartite))
             .pathwidth(2)
-            .heuristic_limit(512)
             .build()
             .unwrap()
     };
@@ -72,7 +68,6 @@ fn main() {
     let engine = Engine::builder()
         .certifier(build())
         .workers(4)
-        .heuristic_limit(512)
         .build()
         .unwrap();
     let parallel = engine.run(rings(8));

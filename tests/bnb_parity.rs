@@ -10,17 +10,16 @@
 //!   (width ≥ exact, never worse than the heuristic seed, equality
 //!   whenever optimality is claimed) up to `EXACT_LIMIT`, where dense
 //!   instances can exhaust the budget.
-//! * **Parallel determinism** — [`par_pathwidth_bnb`] must return the
-//!   identical result (width, optimality, bags, node counts) at 1, 2,
-//!   and 8 workers, and the same width as the sequential solver: the
-//!   decomposition is a pure function of the graph and options.
+//! * **Purity** — [`pathwidth_bnb`] must return the identical result
+//!   (width, optimality, bags, node and prune counts) on any thread,
+//!   budget exhaustion included: the work budget counts adjacency
+//!   halves, not wall-clock time. The engine's bit-parity with
+//!   `BatchRunner` on hintless jobs rests on this.
 //! * **Hintless ceiling** — a 10,000-vertex bounded-pathwidth family
 //!   (caterpillars; random interval graphs) certifies with
 //!   [`ProverHint::auto`], where the pre-B&B 256-vertex ceiling refused.
 
 use lanecert_suite::algebra::{props::Connected, Algebra};
-use lanecert_suite::engine::pool::WorkStealingPool;
-use lanecert_suite::engine::solver::par_pathwidth_bnb;
 use lanecert_suite::graph::{generators, Graph};
 use lanecert_suite::pathwidth::bnb::{pathwidth_bnb, BnbOptions, BnbResult};
 use lanecert_suite::pathwidth::solver::{pathwidth_exact, EXACT_LIMIT};
@@ -75,9 +74,9 @@ proptest! {
 }
 
 #[test]
-fn parallel_bnb_is_deterministic_at_1_2_8_workers() {
-    // A small work budget keeps the test fast; exhaustion is itself
-    // deterministic, so the contract is exercised either way.
+fn bnb_is_a_pure_function_of_graph_and_options() {
+    // A small work budget keeps the test fast and exhausts on some
+    // inputs; exhaustion must be just as reproducible as completion.
     let opts = BnbOptions {
         max_work: 150_000,
         ..BnbOptions::default()
@@ -85,30 +84,24 @@ fn parallel_bnb_is_deterministic_at_1_2_8_workers() {
     let mut rng = generators::seeded_rng(2026);
     for trial in 0..4u32 {
         let g = generators::gnp(66 + trial as usize, 0.06, &mut rng);
-        let sequential = pathwidth_bnb(&g, &opts);
-        let runs: Vec<BnbResult> = [1, 2, 8]
-            .into_iter()
-            .map(|w| par_pathwidth_bnb(&WorkStealingPool::new(w), &g, &opts))
-            .collect();
-        for r in &runs {
+        let here = pathwidth_bnb(&g, &opts);
+        let there: BnbResult = std::thread::scope(|s| {
+            s.spawn(|| pathwidth_bnb(&g, &opts))
+                .join()
+                .expect("solver thread panicked")
+        });
+        for r in [&here, &there] {
             r.decomposition.validate(&g).unwrap();
-            assert_eq!(r.width, runs[0].width, "width varies with worker count");
-            assert_eq!(r.optimal, runs[0].optimal);
-            assert_eq!(
-                r.decomposition.bags(),
-                runs[0].decomposition.bags(),
-                "parallel decomposition must be a pure function of the graph"
-            );
-            assert_eq!(r.stats.nodes, runs[0].stats.nodes);
-            assert_eq!(r.stats.prunes, runs[0].stats.prunes);
         }
-        // Both solvers start from the same seed and only ever improve on
-        // it, so even under budget exhaustion the widths agree; when both
-        // prove optimality they are exact.
-        assert_eq!(runs[0].width, sequential.width);
-        if runs[0].optimal && sequential.optimal {
-            assert_eq!(runs[0].width, sequential.width);
-        }
+        assert_eq!(there.width, here.width, "trial {trial}");
+        assert_eq!(there.optimal, here.optimal, "trial {trial}");
+        assert_eq!(
+            there.decomposition.bags(),
+            here.decomposition.bags(),
+            "decomposition must be a pure function of the graph and options"
+        );
+        assert_eq!(there.stats.nodes, here.stats.nodes, "trial {trial}");
+        assert_eq!(there.stats.prunes, here.stats.prunes, "trial {trial}");
     }
 }
 
