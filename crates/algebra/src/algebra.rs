@@ -104,7 +104,7 @@ trait ErasedProp: Send + Sync {
     fn name(&self) -> String;
     fn enumerable(&self) -> bool;
     fn empty(&self) -> Class;
-    fn add_vertex(&self, s: Class, label: u32) -> Class;
+    fn add_vertex(&self, s: Class) -> Class;
     fn add_edge(&self, s: Class, a: Slot, b: Slot, marked: bool) -> Class;
     fn glue(&self, s: Class, a: Slot, b: Slot) -> Class;
     fn forget(&self, s: Class, a: Slot) -> Class;
@@ -141,8 +141,8 @@ impl<P: Property> ErasedProp for TypedProp<P> {
     fn empty(&self) -> Class {
         self.wrap(self.0.empty(), 0)
     }
-    fn add_vertex(&self, s: Class, label: u32) -> Class {
-        let out = self.0.add_vertex(self.state(&s), label);
+    fn add_vertex(&self, s: Class) -> Class {
+        let out = self.0.add_vertex(self.state(&s));
         self.wrap(out, s.arity + 1)
     }
     fn add_edge(&self, s: Class, a: Slot, b: Slot, marked: bool) -> Class {
@@ -218,9 +218,9 @@ impl Algebra {
         self.inner.empty()
     }
 
-    /// Introduce a labelled vertex as a new trailing slot.
-    pub fn add_vertex(&self, s: Class, label: u32) -> Class {
-        self.inner.add_vertex(s, label)
+    /// Introduce a vertex as a new trailing slot.
+    pub fn add_vertex(&self, s: Class) -> Class {
+        self.inner.add_vertex(s)
     }
 
     /// Introduce an edge between two slots.
@@ -243,7 +243,7 @@ impl Algebra {
         self.inner.union(s1, s2)
     }
 
-    /// Exchanges two slots (pure relabelling).
+    /// Exchanges two slots (a pure renaming).
     pub fn swap(&self, s: Class, a: Slot, b: Slot) -> Class {
         self.inner.swap(s, a, b)
     }
@@ -270,11 +270,11 @@ mod tests {
     #[test]
     fn class_values_compare_structurally() {
         let alg = Algebra::new(Connected);
-        let a = alg.add_vertex(alg.empty(), 0);
-        let b = alg.add_vertex(alg.empty(), 0);
+        let a = alg.add_vertex(alg.empty());
+        let b = alg.add_vertex(alg.empty());
         assert_eq!(a, b);
         assert_eq!(a.arity(), 1);
-        let c = alg.add_vertex(a.clone(), 0);
+        let c = alg.add_vertex(a.clone());
         assert_ne!(a, c);
         use std::collections::HashSet;
         let set: HashSet<Class> = [a, b, c].into_iter().collect();
@@ -286,8 +286,8 @@ mod tests {
         let conn = Algebra::new(Connected);
         let bip = Algebra::new(Bipartite);
         // Both are "one fresh vertex", but the state types differ.
-        let a = conn.add_vertex(conn.empty(), 0);
-        let b = bip.add_vertex(bip.empty(), 0);
+        let a = conn.add_vertex(conn.empty());
+        let b = bip.add_vertex(bip.empty());
         assert_ne!(a, b);
     }
 
@@ -297,19 +297,19 @@ mod tests {
         let conn = Algebra::new(Connected);
         let bip = Algebra::new(Bipartite);
         let s = conn.empty();
-        let _ = bip.add_vertex(s, 0);
+        let _ = bip.add_vertex(s);
     }
 
     #[test]
     fn operations_are_pure_and_shareable() {
         let alg = Algebra::shared(Connected);
-        let base = alg.add_vertex(alg.empty(), 0);
+        let base = alg.add_vertex(alg.empty());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let alg = Arc::clone(&alg);
                 let base = base.clone();
                 std::thread::spawn(move || {
-                    let s = alg.add_vertex(base, 0);
+                    let s = alg.add_vertex(base);
                     let s = alg.add_edge(s, 0, 1, true);
                     alg.accept(&s)
                 })

@@ -446,9 +446,7 @@ fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
             ops <= opts.op_budget && push(c, order, seen)
         };
 
-        // Vertices enter with label 0, the only label the certification
-        // pipeline uses.
-        if a < opts.max_arity && !apply(alg.add_vertex(s.clone(), 0), &mut order, &mut seen) {
+        if a < opts.max_arity && !apply(alg.add_vertex(s.clone()), &mut order, &mut seen) {
             return (order, false);
         }
         for x in 0..a {
@@ -520,7 +518,7 @@ mod tests {
         assert_eq!(frozen.state_count(), 12);
         let empty = frozen.empty();
         assert_eq!(frozen.id_of(&empty), Some(StateId(0)));
-        let v = frozen.add_vertex(empty.clone(), 0);
+        let v = frozen.add_vertex(empty.clone());
         assert_eq!(frozen.id_of(&v), Some(StateId(3)));
         let vv = frozen.union(v.clone(), v.clone());
         assert_eq!(frozen.id_of(&vv), Some(StateId(9)));
@@ -545,8 +543,8 @@ mod tests {
         let f1 = freeze_connected(4);
         let f2 = freeze_connected(4);
         assert!(f1.is_total());
-        let a = f1.add_vertex(f1.empty(), 0);
-        let b = f1.add_vertex(a.clone(), 0);
+        let a = f1.add_vertex(f1.empty());
+        let b = f1.add_vertex(a.clone());
         assert_eq!(f1.id_of(&b), f2.id_of(&b));
         assert_eq!(f1.id_of(&a), f2.id_of(&a));
         assert_eq!(f1.fingerprint(), f2.fingerprint());
@@ -585,7 +583,7 @@ mod tests {
         assert!(!frozen.is_total());
         assert_eq!(frozen.canonical_state_count(), 0);
         // Sealed tables intern on demand, in arrival order.
-        let s = frozen.add_vertex(frozen.empty(), 0);
+        let s = frozen.add_vertex(frozen.empty());
         let id = frozen.intern(&s).unwrap();
         assert_eq!(frozen.intern(&s), Some(id));
         assert_eq!(frozen.class_of(id), Some(s));
@@ -608,7 +606,7 @@ mod tests {
         assert!(!a.is_total());
         assert!(a.canonical_state_count() > 0, "prefix was discarded");
         assert_eq!(a.canonical_state_count(), b.canonical_state_count());
-        let v = a.add_vertex(a.empty(), 0);
+        let v = a.add_vertex(a.empty());
         assert_eq!(a.id_of(&a.empty()), b.id_of(&b.empty()));
         assert_eq!(a.id_of(&v), b.id_of(&v));
         assert_ne!(a.fingerprint(), b.fingerprint());
@@ -631,14 +629,14 @@ mod tests {
         let frozen = freeze_connected(4);
         let mut s = frozen.empty();
         for _ in 0..3 {
-            s = frozen.add_vertex(s, 0);
+            s = frozen.add_vertex(s);
             assert!(frozen.id_of(&s).is_some());
         }
         s = frozen.add_edge(s, 0, 2, true);
         assert!(frozen.id_of(&s).is_some());
         s = frozen.swap(s, 0, 1);
         assert!(frozen.id_of(&s).is_some());
-        let t = frozen.add_vertex(frozen.empty(), 0);
+        let t = frozen.add_vertex(frozen.empty());
         let u = frozen.union(s, t);
         assert!(frozen.id_of(&u).is_some());
         let g = frozen.glue(u, 1, 3);

@@ -11,8 +11,8 @@ use crate::{Algebra, Class, Slot};
 /// One primitive operation over the current slot list.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TraceStep {
-    /// Introduce a vertex with a label.
-    Vertex(u32),
+    /// Introduce a vertex.
+    Vertex,
     /// Introduce an edge between two slots (`marked` flag).
     Edge(Slot, Slot, bool),
     /// Identify two slots.
@@ -100,7 +100,7 @@ impl Mirror {
     /// Applies one step.
     pub fn apply(&mut self, step: TraceStep) {
         match step {
-            TraceStep::Vertex(_) => {
+            TraceStep::Vertex => {
                 let id = self.parent.len();
                 self.parent.push(id);
                 self.slots.push(id);
@@ -181,7 +181,7 @@ pub fn run_program(alg: &Algebra, prog: &Program) -> Class {
 
 fn apply_alg(alg: &Algebra, s: Class, step: TraceStep) -> Class {
     match step {
-        TraceStep::Vertex(l) => alg.add_vertex(s, l),
+        TraceStep::Vertex => alg.add_vertex(s),
         TraceStep::Edge(a, b, m) => alg.add_edge(s, a, b, m),
         TraceStep::Glue(a, b) => alg.glue(s, a, b),
         TraceStep::Forget(a) => alg.forget(s, a),
@@ -236,7 +236,7 @@ fn gen_steps(
 ) {
     // Seed with a couple of vertices so edge ops have targets.
     for _ in 0..2 {
-        let step = TraceStep::Vertex(0);
+        let step = TraceStep::Vertex;
         m.apply(step);
         out.push(step);
     }
@@ -245,7 +245,7 @@ fn gen_steps(
         let step = match rng.random_range(0..10u32) {
             0..=2 if *budget > 0 => {
                 *budget -= 1;
-                TraceStep::Vertex(0)
+                TraceStep::Vertex
             }
             _ if k < 2 => continue,
             3..=6 if k >= 2 => {
@@ -474,10 +474,10 @@ mod tests {
     fn mirror_builds_expected_graph() {
         let prog = Program {
             segments: vec![vec![
-                TraceStep::Vertex(0),
-                TraceStep::Vertex(0),
+                TraceStep::Vertex,
+                TraceStep::Vertex,
                 TraceStep::Edge(0, 1, true),
-                TraceStep::Vertex(0),
+                TraceStep::Vertex,
                 TraceStep::Edge(1, 2, false), // unmarked: invisible
             ]],
             tail: vec![TraceStep::Forget(0)],
@@ -493,13 +493,13 @@ mod tests {
         let prog = Program {
             segments: vec![
                 vec![
-                    TraceStep::Vertex(0),
-                    TraceStep::Vertex(0),
+                    TraceStep::Vertex,
+                    TraceStep::Vertex,
                     TraceStep::Edge(0, 1, true),
                 ],
                 vec![
-                    TraceStep::Vertex(0),
-                    TraceStep::Vertex(0),
+                    TraceStep::Vertex,
+                    TraceStep::Vertex,
                     TraceStep::Edge(0, 1, true),
                 ],
             ],

@@ -24,8 +24,9 @@ pub trait Property: Send + Sync + 'static {
     fn empty(&self) -> Self::State;
 
     /// Introduce a fresh vertex as a new terminal slot (appended at the
-    /// end). `label` is the vertex's finite input label (0 when unused).
-    fn add_vertex(&self, s: &Self::State, label: u32) -> Self::State;
+    /// end). Vertices carry no input label: the certified graph is the
+    /// network itself.
+    fn add_vertex(&self, s: &Self::State) -> Self::State;
 
     /// Introduce an edge between slots `a` and `b`. `marked` edges belong
     /// to the certified subgraph; unmarked edges are structural only and
@@ -44,7 +45,7 @@ pub trait Property: Send + Sync + 'static {
     /// Disjoint union: the slots of `s2` are appended after those of `s1`.
     fn union(&self, s1: &Self::State, s2: &Self::State) -> Self::State;
 
-    /// Exchanges two slots (a pure relabelling; the graph is unchanged).
+    /// Exchanges two slots (a pure renaming; the graph is unchanged).
     /// Used to keep slot order canonical so that prover and verifier derive
     /// identical interned classes from the same interface data.
     fn swap(&self, s: &Self::State, a: Slot, b: Slot) -> Self::State;

@@ -62,7 +62,7 @@ impl Property for Colorable {
         }
     }
 
-    fn add_vertex(&self, s: &ColorState, _label: u32) -> ColorState {
+    fn add_vertex(&self, s: &ColorState) -> ColorState {
         assert!(s.slots < 15, "Colorable supports at most 15 slots");
         let slot = s.slots as usize;
         let cols = s
@@ -183,7 +183,7 @@ mod tests {
         for (alg, want) in [(&alg2, false), (&alg3, true)] {
             let mut s = alg.empty();
             for _ in 0..3 {
-                s = alg.add_vertex(s, 0);
+                s = alg.add_vertex(s);
             }
             for (a, b) in [(0, 1), (1, 2), (0, 2)] {
                 s = alg.add_edge(s, a, b, true);

@@ -24,11 +24,8 @@ macro_rules! product_ops {
         fn empty(&self) -> Self::State {
             (self.0.empty(), self.1.empty())
         }
-        fn add_vertex(&self, s: &Self::State, label: u32) -> Self::State {
-            (
-                self.0.add_vertex(&s.0, label),
-                self.1.add_vertex(&s.1, label),
-            )
+        fn add_vertex(&self, s: &Self::State) -> Self::State {
+            (self.0.add_vertex(&s.0), self.1.add_vertex(&s.1))
         }
         fn add_edge(&self, s: &Self::State, a: Slot, b: Slot, marked: bool) -> Self::State {
             (
@@ -97,8 +94,8 @@ impl<P: Property> Property for Not<P> {
     fn empty(&self) -> Self::State {
         self.0.empty()
     }
-    fn add_vertex(&self, s: &Self::State, label: u32) -> Self::State {
-        self.0.add_vertex(s, label)
+    fn add_vertex(&self, s: &Self::State) -> Self::State {
+        self.0.add_vertex(s)
     }
     fn add_edge(&self, s: &Self::State, a: Slot, b: Slot, marked: bool) -> Self::State {
         self.0.add_edge(s, a, b, marked)

@@ -48,7 +48,7 @@ impl Property for MaxDegreeAtMost {
         }
     }
 
-    fn add_vertex(&self, s: &DegState, _label: u32) -> DegState {
+    fn add_vertex(&self, s: &DegState) -> DegState {
         let mut s = s.clone();
         s.degs.push(0);
         s
@@ -131,7 +131,7 @@ impl Property for EvenDegrees {
         }
     }
 
-    fn add_vertex(&self, s: &ParityState, _label: u32) -> ParityState {
+    fn add_vertex(&self, s: &ParityState) -> ParityState {
         let mut s = s.clone();
         s.par.push(false);
         s
@@ -216,7 +216,7 @@ impl Property for EdgeCountMod {
         0
     }
 
-    fn add_vertex(&self, s: &u32, _label: u32) -> u32 {
+    fn add_vertex(&self, s: &u32) -> u32 {
         *s
     }
 
@@ -282,7 +282,7 @@ impl Property for VertexCountMod {
         0
     }
 
-    fn add_vertex(&self, s: &u32, _label: u32) -> u32 {
+    fn add_vertex(&self, s: &u32) -> u32 {
         (*s + 1) % self.m
     }
 

@@ -176,7 +176,7 @@ impl Property for HamiltonianCycle {
         }
     }
 
-    fn add_vertex(&self, s: &HamState, _label: u32) -> HamState {
+    fn add_vertex(&self, s: &HamState) -> HamState {
         let profiles = s
             .profiles
             .iter()
@@ -326,7 +326,7 @@ mod tests {
         let build = |close: bool| {
             let mut s = alg.empty();
             for _ in 0..5 {
-                s = alg.add_vertex(s, 0);
+                s = alg.add_vertex(s);
             }
             for i in 0..4 {
                 s = alg.add_edge(s, i, i + 1, true);
@@ -345,7 +345,7 @@ mod tests {
         let alg = Algebra::new(HamiltonianCycle);
         let mut s = alg.empty();
         for _ in 0..6 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for (a, b) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
             s = alg.add_edge(s, a, b, true);
@@ -361,7 +361,7 @@ mod tests {
         let alg = Algebra::new(HamiltonianCycle);
         let mut s = alg.empty();
         for _ in 0..4 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for i in 0..3 {
             s = alg.add_edge(s, i, i + 1, true);

@@ -193,7 +193,7 @@ impl Property for HamiltonianPath {
         }
     }
 
-    fn add_vertex(&self, s: &HamPathState, _label: u32) -> HamPathState {
+    fn add_vertex(&self, s: &HamPathState) -> HamPathState {
         let profiles = s
             .profiles
             .iter()
@@ -404,7 +404,7 @@ mod tests {
         // P5 has a Hamiltonian path; K_{1,3} does not.
         let mut s = alg.empty();
         for _ in 0..5 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for i in 0..4 {
             s = alg.add_edge(s, i, i + 1, true);
@@ -412,7 +412,7 @@ mod tests {
         assert!(alg.accept(&s));
         let mut t = alg.empty();
         for _ in 0..4 {
-            t = alg.add_vertex(t, 0);
+            t = alg.add_vertex(t);
         }
         for leaf in 1..4 {
             t = alg.add_edge(t, 0, leaf, true);
@@ -426,7 +426,7 @@ mod tests {
         // Build P4, retire both real endpoints, keep the middle slots.
         let mut s = alg.empty();
         for _ in 0..4 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for i in 0..3 {
             s = alg.add_edge(s, i, i + 1, true);
@@ -441,7 +441,7 @@ mod tests {
         let alg = Algebra::new(HamiltonianPath);
         let mut s = alg.empty();
         for _ in 0..4 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for (a, b) in [(0, 1), (1, 2), (2, 3)] {
             s = alg.add_edge(s, a, b, true);

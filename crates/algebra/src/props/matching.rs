@@ -41,7 +41,7 @@ impl Property for PerfectMatching {
         }
     }
 
-    fn add_vertex(&self, s: &MatchState, _label: u32) -> MatchState {
+    fn add_vertex(&self, s: &MatchState) -> MatchState {
         assert!(s.slots < 31, "slot budget");
         MatchState {
             slots: s.slots + 1,
@@ -169,7 +169,7 @@ mod tests {
         for (n, want) in [(4usize, true), (3, false)] {
             let mut s = alg.empty();
             for _ in 0..n {
-                s = alg.add_vertex(s, 0);
+                s = alg.add_vertex(s);
             }
             for i in 0..n - 1 {
                 s = alg.add_edge(s, i, i + 1, true);

@@ -3,7 +3,7 @@
 use crate::property::glue_order;
 use crate::{Property, Slot};
 
-/// Relabels block ids by first occurrence (canonical form).
+/// Renumbers block ids by first occurrence (canonical form).
 fn canon(blocks: &mut [u8]) {
     let mut map = [u8::MAX; 256];
     let mut next = 0u8;
@@ -54,7 +54,7 @@ impl Property for Forest {
         }
     }
 
-    fn add_vertex(&self, s: &ForestState, _label: u32) -> ForestState {
+    fn add_vertex(&self, s: &ForestState) -> ForestState {
         let mut s = s.clone();
         let fresh = s.part.iter().copied().max().map_or(0, |m| m + 1);
         s.part.push(fresh);
@@ -146,7 +146,7 @@ impl Property for Connected {
         }
     }
 
-    fn add_vertex(&self, s: &ConnectedState, _label: u32) -> ConnectedState {
+    fn add_vertex(&self, s: &ConnectedState) -> ConnectedState {
         let mut s = s.clone();
         let fresh = s.part.iter().copied().max().map_or(0, |m| m + 1);
         s.part.push(fresh);
@@ -280,7 +280,7 @@ impl Property for Bipartite {
         }
     }
 
-    fn add_vertex(&self, s: &BipartiteState, _label: u32) -> BipartiteState {
+    fn add_vertex(&self, s: &BipartiteState) -> BipartiteState {
         let mut s = s.clone();
         let fresh = s.part.iter().copied().max().map_or(0, |m| m + 1);
         s.part.push(fresh);
@@ -370,7 +370,7 @@ mod tests {
         let alg = Algebra::new(Forest);
         let mut s = alg.empty();
         for _ in 0..3 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         s = alg.add_edge(s, 0, 1, true);
         s = alg.add_edge(s, 1, 2, true);
@@ -383,8 +383,8 @@ mod tests {
     fn unmarked_edges_are_invisible() {
         let alg = Algebra::new(Connected);
         let mut s = alg.empty();
-        s = alg.add_vertex(s, 0);
-        s = alg.add_vertex(s, 0);
+        s = alg.add_vertex(s);
+        s = alg.add_vertex(s);
         s = alg.add_edge(s, 0, 1, false);
         assert!(!alg.accept(&s), "unmarked edge must not connect");
         s = alg.add_edge(s, 0, 1, true);
@@ -399,7 +399,7 @@ mod tests {
         let alg = Algebra::new(Bipartite);
         let mut s = alg.empty();
         for _ in 0..4 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for (a, b) in [(0, 1), (1, 2), (2, 3)] {
             s = alg.add_edge(s, a, b, true);

@@ -103,7 +103,7 @@ impl Property for TriangleFree {
         }
     }
 
-    fn add_vertex(&self, s: &TriState, _label: u32) -> TriState {
+    fn add_vertex(&self, s: &TriState) -> TriState {
         let mut s = s.clone();
         s.adj.push();
         s.common1.push();
@@ -257,7 +257,7 @@ mod tests {
         let alg = Algebra::new(TriangleFree);
         let mut s = alg.empty();
         for _ in 0..3 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         s = alg.add_edge(s, 0, 1, true);
         s = alg.add_edge(s, 1, 2, true);
@@ -271,7 +271,7 @@ mod tests {
         let alg = Algebra::new(TriangleFree);
         let mut s = alg.empty();
         for _ in 0..3 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         s = alg.add_edge(s, 0, 1, true);
         s = alg.add_edge(s, 0, 2, true);
@@ -287,7 +287,7 @@ mod tests {
         let alg = Algebra::new(TriangleFree);
         let mut s = alg.empty();
         for _ in 0..4 {
-            s = alg.add_vertex(s, 0); // slots: a=0, p=1, q=2, b=3
+            s = alg.add_vertex(s); // slots: a=0, p=1, q=2, b=3
         }
         s = alg.add_edge(s, 0, 1, true);
         s = alg.add_edge(s, 1, 2, true);
@@ -303,7 +303,7 @@ mod tests {
         let alg = Algebra::new(TriangleFree);
         let mut s = alg.empty();
         for _ in 0..4 {
-            s = alg.add_vertex(s, 0);
+            s = alg.add_vertex(s);
         }
         for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
             s = alg.add_edge(s, a, b, true);

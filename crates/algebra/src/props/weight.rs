@@ -78,7 +78,7 @@ impl Property for VertexCoverAtMost {
         }
     }
 
-    fn add_vertex(&self, s: &CoverState, _label: u32) -> CoverState {
+    fn add_vertex(&self, s: &CoverState) -> CoverState {
         let slot = s.slots as usize;
         self.rebuild(
             s.slots + 1,
@@ -215,7 +215,7 @@ impl Property for IndependentSetAtLeast {
         }
     }
 
-    fn add_vertex(&self, s: &IndepState, _label: u32) -> IndepState {
+    fn add_vertex(&self, s: &IndepState) -> IndepState {
         let slot = s.slots as usize;
         self.rebuild(
             s.slots + 1,
@@ -358,7 +358,7 @@ impl Property for DominatingSetAtMost {
         }
     }
 
-    fn add_vertex(&self, s: &DomState, _label: u32) -> DomState {
+    fn add_vertex(&self, s: &DomState) -> DomState {
         self.rebuild(s.table.iter().flat_map(|(k, c)| {
             let mut a = k.clone();
             a.push(UNDOM);
@@ -495,7 +495,7 @@ mod tests {
         for alg in [&vc, &ds, &is] {
             let mut s = alg.empty();
             for _ in 0..5 {
-                s = alg.add_vertex(s, 0);
+                s = alg.add_vertex(s);
             }
             for leaf in 1..5 {
                 s = alg.add_edge(s, 0, leaf, true);

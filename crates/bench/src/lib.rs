@@ -513,7 +513,7 @@ pub fn table_t7(_ctx: &RunCtx) -> String {
             // Evaluate the algebra by a linear build of the whole graph.
             let mut s = alg.empty();
             for _ in g.vertices() {
-                s = alg.add_vertex(s, 0);
+                s = alg.add_vertex(s);
             }
             for (_, e) in g.edges() {
                 s = alg.add_edge(s, e.u.index(), e.v.index(), true);

@@ -87,12 +87,14 @@ impl StandardFormula {
         (self.build)()
     }
 
-    /// Freeze budgets for this formula at the default lane bound.
+    /// Freeze budgets for this formula. The arity cap keeps its default:
+    /// scheme construction forces it to `2 × max_lanes`
+    /// ([`PathwidthScheme::with_freeze_options`]).
     pub fn freeze_options(&self) -> FreezeOptions {
         FreezeOptions {
-            max_arity: 2 * DEFAULT_MAX_LANES,
             state_budget: self.state_budget,
             op_budget: self.op_budget,
+            ..FreezeOptions::default()
         }
     }
 
@@ -177,9 +179,12 @@ pub fn standard_formula(name: &str) -> Option<&'static StandardFormula> {
     standard_formulas().iter().find(|f| f.name == name)
 }
 
-/// Freeze budgets for `formula`: the tuned budgets when it is
-/// α-equivalent to a standard formula (keyed by canonical s-expression),
-/// the defaults otherwise.
+/// Freeze options for `formula` at `max_lanes`: the tuned budgets when
+/// it is α-equivalent to a standard formula (keyed by canonical
+/// s-expression), the defaults otherwise. The arity cap is
+/// `2 × max_lanes`, so the options also serve a direct
+/// [`lanecert_algebra::FrozenAlgebra::freeze`] that warms the cache for
+/// the scheme built next.
 pub fn freeze_options_for(formula: &Formula, max_lanes: usize) -> FreezeOptions {
     let canonical = sexpr::canonical(formula);
     for entry in standard_formulas() {

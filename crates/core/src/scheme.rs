@@ -18,7 +18,6 @@
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 
-use lanecert_graph::EdgeId;
 use lanecert_pathwidth::{bnb, solver, Interval, IntervalRep};
 
 use crate::bits::{self, Enc};
@@ -451,14 +450,6 @@ where
         total_label_bits: total_bits,
         edges: g.edge_count(),
     })
-}
-
-/// Replaces the label of one edge (adversary helper used by
-/// [`crate::attacks`]).
-pub fn with_replaced_label<L: Clone>(labels: &[L], edge: EdgeId, new: L) -> Vec<L> {
-    let mut out = labels.to_vec();
-    out[edge.index()] = new;
-    out
 }
 
 #[cfg(test)]

@@ -230,7 +230,7 @@ impl WholeGraphScheme {
             }
             let mut s = alg.empty();
             for _ in &label.ids {
-                s = alg.add_vertex(s, 0);
+                s = alg.add_vertex(s);
             }
             for &(a, b) in &label.edges {
                 let (Some(&u), Some(&v)) = (pos.get(&a), pos.get(&b)) else {

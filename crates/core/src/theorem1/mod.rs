@@ -167,7 +167,7 @@ impl PathwidthScheme {
         }
         if g.vertex_count() == 1 {
             // K1: no edges, no labels; the verifier special-cases it.
-            let s = self.frozen.add_vertex(self.frozen.empty(), 0);
+            let s = self.frozen.add_vertex(self.frozen.empty());
             return if self.frozen.accept(&s) {
                 Ok(EncodedLabeling::default())
             } else {

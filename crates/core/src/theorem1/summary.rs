@@ -230,7 +230,7 @@ fn sort_slots(alg: &Algebra, mut state: Class, slots: &mut [u64]) -> Class {
 
 /// Builds the summary of a `V`-node: one vertex, one lane.
 pub fn base_v(alg: &Algebra, lane: Lane, id: u64) -> Summary {
-    let state = alg.add_vertex(alg.empty(), 0);
+    let state = alg.add_vertex(alg.empty());
     Summary {
         class: state,
         iface: Iface {
@@ -252,7 +252,7 @@ pub fn base_e(
     if tin == tout {
         return Err("E-node terminals must differ".into());
     }
-    let mut state = alg.add_vertex(alg.add_vertex(alg.empty(), 0), 0);
+    let mut state = alg.add_vertex(alg.add_vertex(alg.empty()));
     state = alg.add_edge(state, 0, 1, marked);
     let mut slots = [tin, tout];
     state = sort_slots(alg, state, &mut slots);
@@ -281,7 +281,7 @@ pub fn base_p(alg: &Algebra, ids: &[u64], marks: &[bool]) -> Result<Summary, Str
     }
     let mut state = alg.empty();
     for _ in ids {
-        state = alg.add_vertex(state, 0);
+        state = alg.add_vertex(state);
     }
     for (pos, &m) in marks.iter().enumerate() {
         state = alg.add_edge(state, pos, pos + 1, m);

@@ -187,7 +187,7 @@ fn verify_inner(ctx: &Ctx<'_>, view: &VertexView<EdgeLabel>) -> VResult<()> {
     if view.incident.is_empty() {
         // A connected network with an isolated vertex is K1: evaluate the
         // property on the single-vertex graph directly.
-        let s = ctx.alg.add_vertex(ctx.alg.empty(), 0);
+        let s = ctx.alg.add_vertex(ctx.alg.empty());
         return if ctx.alg.accept(&s) {
             Ok(())
         } else {
@@ -294,10 +294,6 @@ fn check_cert_shape(ctx: &Ctx<'_>, cert: &EdgeCertLbl) -> VResult<()> {
 /// slipped past the fingerprint check) are a rejection, never a panic —
 /// [`FrozenAlgebra::class_of`] is total.
 fn parse_info(ctx: &Ctx<'_>, info: &BasicInfoLbl) -> VResult<Summary> {
-    parse_info_inner(ctx, info)
-}
-
-fn parse_info_inner(ctx: &Ctx<'_>, info: &BasicInfoLbl) -> VResult<Summary> {
     let iface = Iface::from_lbl(&info.iface)?;
     if !iface.lanes.is_subset_of(LaneSet::full(ctx.max_lanes)) {
         return Err(format!("lane set exceeds the {}-lane bound", ctx.max_lanes));
@@ -313,10 +309,6 @@ fn parse_info_inner(ctx: &Ctx<'_>, info: &BasicInfoLbl) -> VResult<Summary> {
         return Err("class arity does not match the claimed interface".into());
     }
     Ok(Summary { class, iface })
-}
-
-fn same_info(a: &BasicInfoLbl, b: &BasicInfoLbl) -> bool {
-    a == b
 }
 
 /// Compares a recomputed summary against a wire claim without building a
@@ -652,7 +644,7 @@ fn check_tnode(
                 p.frame
                     .children
                     .iter()
-                    .any(|e| e.node == member && same_info(e, &mc.frame.subtree))
+                    .any(|e| e.node == member && *e == mc.frame.subtree)
             });
             if !listed {
                 return Err("dangling member: no parent lists it here".into());
@@ -669,7 +661,7 @@ fn check_tnode(
                 let present = checked
                     .iter()
                     .find(|(m, _)| *m == entry.node)
-                    .map(|(_, c)| same_info(&c.frame.subtree, entry))
+                    .map(|(_, c)| c.frame.subtree == *entry)
                     .unwrap_or(false);
                 if !present {
                     return Err("listed child member is absent at its junction".into());

@@ -1,6 +1,7 @@
 //! Sections 4 and 5 of the paper: lane partitions, completions,
-//! low-congestion embeddings, lanewidth constructions, k-lane graphs, and
-//! hierarchical decompositions of bounded depth.
+//! low-congestion embeddings, lanewidth constructions, and hierarchical
+//! decompositions of bounded depth (whose nodes carry the k-lane
+//! interfaces of Definition 5.3).
 //!
 //! The pipeline implemented here turns a connected graph `G` with an interval
 //! representation `I` into the structures the certification algorithm
@@ -34,8 +35,6 @@ pub mod recursive;
 
 pub mod lanewidth;
 pub use lanewidth::{BuiltConstruction, Construction, ConstructionError, Op};
-
-pub mod klane;
 
 pub mod hierarchy;
 pub use hierarchy::{build_hierarchy, Hierarchy, HierarchyNode, NodeId, NodeKind};

@@ -20,9 +20,9 @@ pub enum Sort {
     EdgeSet,
 }
 
-/// An MSO₂ formula over graphs (optionally with finite vertex/edge input
-/// labels, which is how Theorem 1 evaluates `ϕ` on the *marked subgraph* of
-/// the completion).
+/// An MSO₂ formula over unlabeled graphs: atoms talk about incidence,
+/// adjacency, membership and equality only, since a network carries no
+/// vertex or edge input labels.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Formula {
     /// Constant truth.
@@ -41,10 +41,6 @@ pub enum Formula {
     EqV(Var, Var),
     /// Edge equality.
     EqE(Var, Var),
-    /// Vertex input label equals a constant (finite label alphabet).
-    VLabelIs(Var, u32),
-    /// Edge input label equals a constant (e.g. "marked").
-    ELabelIs(Var, u32),
     /// Negation.
     Not(Box<Formula>),
     /// Conjunction.
@@ -112,8 +108,7 @@ impl Formula {
     pub fn size(&self) -> usize {
         use Formula::*;
         match self {
-            True | False | InVSet(..) | InESet(..) | Inc(..) | Adj(..) | EqV(..) | EqE(..)
-            | VLabelIs(..) | ELabelIs(..) => 1,
+            True | False | InVSet(..) | InESet(..) | Inc(..) | Adj(..) | EqV(..) | EqE(..) => 1,
             Not(a) => 1 + a.size(),
             And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) => 1 + a.size() + b.size(),
             Exists(_, _, a) | Forall(_, _, a) => 1 + a.size(),
@@ -133,8 +128,6 @@ impl fmt::Display for Formula {
             Adj(u, v) => write!(f, "adj(x{u}, x{v})"),
             EqV(u, v) => write!(f, "x{u} = x{v}"),
             EqE(a, b) => write!(f, "y{a} = y{b}"),
-            VLabelIs(v, c) => write!(f, "label(x{v}) = {c}"),
-            ELabelIs(e, c) => write!(f, "label(y{e}) = {c}"),
             Not(a) => write!(f, "¬({a})"),
             And(a, b) => write!(f, "({a} ∧ {b})"),
             Or(a, b) => write!(f, "({a} ∨ {b})"),

@@ -25,12 +25,10 @@
 //! The compiled property evaluates the formula on the **marked
 //! subgraph** (the workspace-wide algebra convention: unmarked edges are
 //! completion-only structure). Edge quantifiers range over marked edges,
-//! `adj`/`inc` see marked edges only, and vertex labels are read from
-//! `add_vertex` (the certification pipeline always passes label `0`,
-//! matching the unlabeled [`crate::eval::check`] oracle; edge labels are
-//! uniformly `0` for the same reason). On the pipeline's op sequences —
-//! where every real edge is marked — this coincides with evaluating the
-//! formula on the real graph, which is exactly what the differential
+//! and `adj`/`inc` see marked edges only. On the pipeline's op
+//! sequences — where every real edge is marked — this coincides with
+//! evaluating the formula on the real graph with the naive
+//! [`crate::eval::check`] oracle, which is exactly what the differential
 //! tests pin.
 //!
 //! States are congruences: two equal states accept identically under any
@@ -125,14 +123,6 @@ enum Node {
         a: u8,
         b: u8,
     },
-    VLabelIs {
-        v: u8,
-        label: u32,
-    },
-    ELabelIs {
-        e: u8,
-        label: u32,
-    },
     Not(Box<Node>),
     Bin(BinOp, Box<Node>, Box<Node>),
     Quant {
@@ -218,7 +208,7 @@ fn set_swap(set: SlotSet, a: usize, b: usize) -> SlotSet {
 }
 
 /// Three-valued leaf state for predicates whose verdict is fixed the
-/// moment their variable is placed (`∈`-membership, label tests).
+/// moment their variable is placed (`∈`-membership).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 enum Tri {
     Undecided,
@@ -345,7 +335,6 @@ pub struct CompiledState {
 #[derive(Copy, Clone, Debug)]
 enum Op {
     AddVertex {
-        label: u32,
         slot: usize,
     },
     AddEdge {
@@ -443,14 +432,6 @@ fn lower(
             a: resolve(scopes, *a, Sort::Edge)?,
             b: resolve(scopes, *b, Sort::Edge)?,
         },
-        F::VLabelIs(v, c) => Node::VLabelIs {
-            v: resolve(scopes, *v, Sort::Vertex)?,
-            label: *c,
-        },
-        F::ELabelIs(e, c) => Node::ELabelIs {
-            e: resolve(scopes, *e, Sort::Edge)?,
-            label: *c,
-        },
         F::Not(a) => Node::Not(Box::new(lower(a, scopes, next_bit)?)),
         F::And(a, b) => bin(BinOp::And, a, b, scopes, next_bit)?,
         F::Or(a, b) => bin(BinOp::Or, a, b, scopes, next_bit)?,
@@ -513,10 +494,7 @@ impl CompiledProperty {
     fn init_raw(node: &Node) -> CState {
         match node {
             Node::Const(b) => CState::Done(*b),
-            Node::InVSet { .. }
-            | Node::InESet { .. }
-            | Node::VLabelIs { .. }
-            | Node::ELabelIs { .. } => CState::Tri(Tri::Undecided),
+            Node::InVSet { .. } | Node::InESet { .. } => CState::Tri(Tri::Undecided),
             Node::EqV { .. } => CState::EqV(EqVState::Pending {
                 u: Place::Unplaced,
                 v: Place::Unplaced,
@@ -566,21 +544,6 @@ impl CompiledProperty {
                 }
                 _ => *t,
             }),
-            (Node::VLabelIs { v, label }, CState::Tri(t)) => CState::Tri(match op {
-                Op::AddVertex { label: l, .. } if *t == Tri::Undecided && deco_has(deco, *v) => {
-                    Tri::of(l == *label)
-                }
-                _ => *t,
-            }),
-            // Pipeline edges are uniformly unlabeled (label 0), so the
-            // verdict is fixed by the target label the moment the edge
-            // variable lands on a marked edge.
-            (Node::ELabelIs { e, label }, CState::Tri(t)) => CState::Tri(match op {
-                Op::AddEdge { .. } if *t == Tri::Undecided && deco_has(deco, *e) => {
-                    Tri::of(*label == 0)
-                }
-                _ => *t,
-            }),
             (Node::EqV { u, v }, CState::EqV(st)) => CState::EqV(step_eqv(*st, op, deco, *u, *v)),
             (Node::EqE { a, b }, CState::EqE(st)) => CState::EqE(step_eqe(*st, op, deco, *a, *b)),
             (Node::Adj { u, v }, CState::Adj(st)) => CState::Adj(step_adj(*st, op, deco, *u, *v)),
@@ -618,14 +581,9 @@ impl CompiledProperty {
 
     fn union_raw(node: &Node, s1: &CState, s2: &CState, shift: usize) -> CState {
         match (node, s1, s2) {
-            (
-                Node::InVSet { .. }
-                | Node::InESet { .. }
-                | Node::VLabelIs { .. }
-                | Node::ELabelIs { .. },
-                CState::Tri(a),
-                CState::Tri(b),
-            ) => CState::Tri(a.union(*b)),
+            (Node::InVSet { .. } | Node::InESet { .. }, CState::Tri(a), CState::Tri(b)) => {
+                CState::Tri(a.union(*b))
+            }
             (Node::EqV { .. }, CState::EqV(a), CState::EqV(b)) => {
                 CState::EqV(union_eqv(*a, *b, shift))
             }
@@ -663,13 +621,7 @@ impl CompiledProperty {
     /// Acceptance of the summarized (decorated) graph at one node.
     fn accept_state(node: &Node, s: &CState) -> bool {
         match (node, s) {
-            (
-                Node::InVSet { .. }
-                | Node::InESet { .. }
-                | Node::VLabelIs { .. }
-                | Node::ELabelIs { .. },
-                CState::Tri(t),
-            ) => *t == Tri::Yes,
+            (Node::InVSet { .. } | Node::InESet { .. }, CState::Tri(t)) => *t == Tri::Yes,
             (Node::EqV { .. }, CState::EqV(st)) => *st == EqVState::True,
             (Node::EqE { .. }, CState::EqE(st)) => *st == EqEState::True,
             (Node::Adj { .. }, CState::Adj(st)) => *st == AdjState::True,
@@ -867,7 +819,7 @@ fn step_runs(runs: &[Run], sort: Sort, qbit: u8, body: &Node, op: Op, deco: u64)
                     });
                 }
             }
-            (RunData::VSet { bits }, Op::AddVertex { slot, .. }, Sort::VertexSet) => {
+            (RunData::VSet { bits }, Op::AddVertex { slot }, Sort::VertexSet) => {
                 out.push(Run {
                     data: RunData::VSet { bits: *bits },
                     body: CompiledProperty::step(body, &run.body, op, deco),
@@ -934,7 +886,7 @@ fn step_eqv(st: EqVState, op: Op, deco: u64, ub: u8, vb: u8) -> EqVState {
         return st;
     };
     match op {
-        Op::AddVertex { slot, .. } => {
+        Op::AddVertex { slot } => {
             let pu = deco_has(deco, ub) && u == Place::Unplaced;
             let pv = deco_has(deco, vb) && v == Place::Unplaced;
             if pu && pv {
@@ -1055,7 +1007,7 @@ fn step_adj(st: AdjState, op: Op, deco: u64, ub: u8, vb: u8) -> AdjState {
     };
     let at = |p: Place, s: usize| p == Place::At(s as u8);
     match op {
-        Op::AddVertex { slot, .. } => {
+        Op::AddVertex { slot } => {
             let pu = deco_has(deco, ub) && u == Place::Unplaced;
             let pv = deco_has(deco, vb) && v == Place::Unplaced;
             if pu && pv {
@@ -1183,7 +1135,7 @@ fn step_inc(st: IncState, op: Op, deco: u64, eb: u8, vb: u8) -> IncState {
     };
     let at = |p: Place, s: usize| p == Place::At(s as u8);
     match op {
-        Op::AddVertex { slot, .. } => {
+        Op::AddVertex { slot } => {
             if deco_has(deco, vb) && v == Place::Unplaced {
                 // A fresh vertex is not an endpoint of an existing edge.
                 IncState::Pending {
@@ -1287,9 +1239,8 @@ impl Property for CompiledProperty {
         }
     }
 
-    fn add_vertex(&self, s: &CompiledState, label: u32) -> CompiledState {
+    fn add_vertex(&self, s: &CompiledState) -> CompiledState {
         let op = Op::AddVertex {
-            label,
             slot: usize::from(s.arity),
         };
         let mut adj = s.adj.clone();
@@ -1434,7 +1385,7 @@ mod tests {
                         continue;
                     }
                     budget.vmax -= 1;
-                    TraceStep::Vertex(0)
+                    TraceStep::Vertex
                 }
                 4..=8 => {
                     if k < 2 {
@@ -1534,7 +1485,7 @@ mod tests {
             Some(CompileError::UnboundVariable(0))
         );
         // x bound as a vertex but used as an edge.
-        let f = Formula::Exists(Sort::Vertex, 0, Box::new(Formula::ELabelIs(0, 0)));
+        let f = Formula::Exists(Sort::Vertex, 0, Box::new(Formula::EqE(0, 0)));
         assert_eq!(
             compile(&f).err(),
             Some(CompileError::SortMismatch {
@@ -1572,8 +1523,8 @@ mod tests {
         let a = alg(&f);
         let mut s = a.empty();
         assert!(!a.accept(&s));
-        s = a.add_vertex(s, 0);
-        s = a.add_vertex(s, 0);
+        s = a.add_vertex(s);
+        s = a.add_vertex(s);
         assert!(!a.accept(&s));
         let with_unmarked = a.add_edge(s.clone(), 0, 1, false);
         assert!(!a.accept(&with_unmarked), "unmarked edges are invisible");
@@ -1595,8 +1546,8 @@ mod tests {
         let a = alg(&f);
         let prog = Program {
             segments: vec![vec![
-                TraceStep::Vertex(0),
-                TraceStep::Vertex(0),
+                TraceStep::Vertex,
+                TraceStep::Vertex,
                 TraceStep::Edge(0, 1, true),
                 TraceStep::Forget(0),
                 TraceStep::Forget(0),
@@ -1614,8 +1565,8 @@ mod tests {
         let conn = props::connected();
         let a = alg(&conn);
         let seg = vec![
-            TraceStep::Vertex(0),
-            TraceStep::Vertex(0),
+            TraceStep::Vertex,
+            TraceStep::Vertex,
             TraceStep::Edge(0, 1, true),
         ];
         let split = Program {
@@ -1628,23 +1579,6 @@ mod tests {
             tail: vec![TraceStep::Glue(1, 2)],
         };
         assert!(a.accept(&mirror::run_program(&a, &joined)));
-    }
-
-    #[test]
-    fn labels_reach_the_vertex_label_leaf() {
-        // ∀v label(v) = 0 holds on unlabeled traces; = 7 fails once any
-        // vertex exists.
-        let all0 = Formula::Forall(Sort::Vertex, 0, Box::new(Formula::VLabelIs(0, 0)));
-        let all7 = Formula::Forall(Sort::Vertex, 0, Box::new(Formula::VLabelIs(0, 7)));
-        let (a0, a7) = (alg(&all0), alg(&all7));
-        let mut s0 = a0.empty();
-        let mut s7 = a7.empty();
-        assert!(a0.accept(&s0), "vacuously true on the empty graph");
-        assert!(a7.accept(&s7), "vacuously true on the empty graph");
-        s0 = a0.add_vertex(s0, 0);
-        s7 = a7.add_vertex(s7, 0);
-        assert!(a0.accept(&s0));
-        assert!(!a7.accept(&s7));
     }
 
     #[test]

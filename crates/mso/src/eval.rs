@@ -15,43 +15,6 @@ use crate::{Formula, Sort, Var};
 /// Evaluation size guard: set quantifiers enumerate `2^n` / `2^m` masks.
 pub const EVAL_LIMIT: usize = 24;
 
-/// A graph with finite vertex/edge input labels.
-#[derive(Clone, Debug)]
-pub struct LabeledGraph<'a> {
-    /// The structure.
-    pub graph: &'a Graph,
-    /// Per-vertex label (defaults to all-zero).
-    pub vlabels: Vec<u32>,
-    /// Per-edge label (defaults to all-zero).
-    pub elabels: Vec<u32>,
-}
-
-impl<'a> LabeledGraph<'a> {
-    /// Wraps a graph with all-zero labels.
-    pub fn unlabeled(graph: &'a Graph) -> Self {
-        Self {
-            graph,
-            vlabels: vec![0; graph.vertex_count()],
-            elabels: vec![0; graph.edge_count()],
-        }
-    }
-
-    /// Wraps a graph with explicit labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label vectors have the wrong length.
-    pub fn new(graph: &'a Graph, vlabels: Vec<u32>, elabels: Vec<u32>) -> Self {
-        assert_eq!(vlabels.len(), graph.vertex_count());
-        assert_eq!(elabels.len(), graph.edge_count());
-        Self {
-            graph,
-            vlabels,
-            elabels,
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Value {
     Vertex(VertexId),
@@ -60,32 +23,22 @@ enum Value {
     ESet(u32),
 }
 
-/// Checks a closed formula on an unlabeled graph.
+/// Checks a closed formula on a graph.
 ///
 /// # Panics
 ///
 /// Panics if the graph exceeds [`EVAL_LIMIT`] or the formula is not closed /
 /// not well-sorted.
 pub fn check(graph: &Graph, formula: &Formula) -> bool {
-    check_labeled(&LabeledGraph::unlabeled(graph), formula)
-}
-
-/// Checks a closed formula on a labeled graph.
-///
-/// # Panics
-///
-/// Panics if the graph exceeds [`EVAL_LIMIT`] or the formula is not closed /
-/// not well-sorted.
-pub fn check_labeled(lg: &LabeledGraph<'_>, formula: &Formula) -> bool {
     assert!(
-        lg.graph.vertex_count() <= EVAL_LIMIT && lg.graph.edge_count() <= EVAL_LIMIT,
+        graph.vertex_count() <= EVAL_LIMIT && graph.edge_count() <= EVAL_LIMIT,
         "naive evaluator limited to {EVAL_LIMIT} vertices/edges"
     );
     let mut env = HashMap::new();
-    eval(lg, formula, &mut env)
+    eval(graph, formula, &mut env)
 }
 
-fn eval(lg: &LabeledGraph<'_>, f: &Formula, env: &mut HashMap<Var, Value>) -> bool {
+fn eval(g: &Graph, f: &Formula, env: &mut HashMap<Var, Value>) -> bool {
     use Formula::*;
     match f {
         True => true,
@@ -106,13 +59,13 @@ fn eval(lg: &LabeledGraph<'_>, f: &Formula, env: &mut HashMap<Var, Value>) -> bo
             let (Value::Edge(e), Value::Vertex(v)) = (get(env, *e), get(env, *v)) else {
                 panic!("sort error in inc");
             };
-            lg.graph.edge(e).is_incident(v)
+            g.edge(e).is_incident(v)
         }
         Adj(u, v) => {
             let (Value::Vertex(u), Value::Vertex(v)) = (get(env, *u), get(env, *v)) else {
                 panic!("sort error in adj");
             };
-            lg.graph.has_edge(u, v)
+            g.has_edge(u, v)
         }
         EqV(u, v) => {
             let (Value::Vertex(u), Value::Vertex(v)) = (get(env, *u), get(env, *v)) else {
@@ -126,25 +79,13 @@ fn eval(lg: &LabeledGraph<'_>, f: &Formula, env: &mut HashMap<Var, Value>) -> bo
             };
             a == b
         }
-        VLabelIs(v, c) => {
-            let Value::Vertex(v) = get(env, *v) else {
-                panic!("sort error in vertex label");
-            };
-            lg.vlabels[v.index()] == *c
-        }
-        ELabelIs(e, c) => {
-            let Value::Edge(e) = get(env, *e) else {
-                panic!("sort error in edge label");
-            };
-            lg.elabels[e.index()] == *c
-        }
-        Not(a) => !eval(lg, a, env),
-        And(a, b) => eval(lg, a, env) && eval(lg, b, env),
-        Or(a, b) => eval(lg, a, env) || eval(lg, b, env),
-        Implies(a, b) => !eval(lg, a, env) || eval(lg, b, env),
-        Iff(a, b) => eval(lg, a, env) == eval(lg, b, env),
-        Exists(sort, var, a) => quantify(lg, *sort, *var, a, env, false),
-        Forall(sort, var, a) => quantify(lg, *sort, *var, a, env, true),
+        Not(a) => !eval(g, a, env),
+        And(a, b) => eval(g, a, env) && eval(g, b, env),
+        Or(a, b) => eval(g, a, env) || eval(g, b, env),
+        Implies(a, b) => !eval(g, a, env) || eval(g, b, env),
+        Iff(a, b) => eval(g, a, env) == eval(g, b, env),
+        Exists(sort, var, a) => quantify(g, *sort, *var, a, env, false),
+        Forall(sort, var, a) => quantify(g, *sort, *var, a, env, true),
     }
 }
 
@@ -154,7 +95,7 @@ fn get(env: &HashMap<Var, Value>, v: Var) -> Value {
 }
 
 fn quantify(
-    lg: &LabeledGraph<'_>,
+    g: &Graph,
     sort: Sort,
     var: Var,
     body: &Formula,
@@ -164,14 +105,14 @@ fn quantify(
     let saved = env.get(&var).copied();
     let mut result = forall;
     let candidates: Box<dyn Iterator<Item = Value>> = match sort {
-        Sort::Vertex => Box::new(lg.graph.vertices().map(Value::Vertex)),
-        Sort::Edge => Box::new(lg.graph.edges().map(|(id, _)| Value::Edge(id))),
-        Sort::VertexSet => Box::new((0u32..(1 << lg.graph.vertex_count())).map(Value::VSet)),
-        Sort::EdgeSet => Box::new((0u32..(1 << lg.graph.edge_count())).map(Value::ESet)),
+        Sort::Vertex => Box::new(g.vertices().map(Value::Vertex)),
+        Sort::Edge => Box::new(g.edges().map(|(id, _)| Value::Edge(id))),
+        Sort::VertexSet => Box::new((0u32..(1 << g.vertex_count())).map(Value::VSet)),
+        Sort::EdgeSet => Box::new((0u32..(1 << g.edge_count())).map(Value::ESet)),
     };
     for value in candidates {
         env.insert(var, value);
-        let holds = eval(lg, body, env);
+        let holds = eval(g, body, env);
         if forall && !holds {
             result = false;
             break;
@@ -230,18 +171,6 @@ mod tests {
             Box::new(Exists(S::Vertex, 1, Box::new(body))),
         );
         assert!(check(&g, &f));
-    }
-
-    #[test]
-    fn labels_are_visible() {
-        let g = generators::path_graph(2);
-        let lg = LabeledGraph::new(&g, vec![7, 0], vec![1]);
-        // ∃v label(v) = 7
-        let f = Exists(S::Vertex, 0, Box::new(VLabelIs(0, 7)));
-        assert!(check_labeled(&lg, &f));
-        // ∀e label(e) = 1
-        let f = Forall(S::Edge, 0, Box::new(ELabelIs(0, 1)));
-        assert!(check_labeled(&lg, &f));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!     | (inc e v)           -- edge e is incident to vertex v
 //!     | (adj u v)           -- vertices u, v joined by an edge
 //!     | (= a b)             -- same vertex / same edge (sorts must agree)
-//!     | (vlabel v c) | (elabel e c)
 //! ```
 //!
 //! `and`/`or` are n-ary (folded right-associatively). Identifiers are
@@ -138,12 +137,6 @@ impl<'a> Parser<'a> {
         Ok(var)
     }
 
-    fn label(&mut self) -> Result<u32, ParseError> {
-        let raw = self.atom()?;
-        raw.parse()
-            .map_err(|_| ParseError::new(format!("expected a label constant, found '{raw}'")))
-    }
-
     fn binder(&mut self, sort: Sort, forall: bool) -> Result<Formula, ParseError> {
         let name = self.atom()?.to_string();
         let var = self.next_var;
@@ -257,18 +250,6 @@ impl<'a> Parser<'a> {
                         self.close()?;
                         Ok(f)
                     }
-                    "vlabel" => {
-                        let v = self.var_of(Sort::Vertex)?;
-                        let c = self.label()?;
-                        self.close()?;
-                        Ok(Formula::VLabelIs(v, c))
-                    }
-                    "elabel" => {
-                        let e = self.var_of(Sort::Edge)?;
-                        let c = self.label()?;
-                        self.close()?;
-                        Ok(Formula::ELabelIs(e, c))
-                    }
                     other => Err(ParseError::new(format!("unknown form '{other}'"))),
                 }
             }
@@ -343,12 +324,6 @@ fn render(f: &Formula, out: &mut String, scope: &mut Vec<(Var, Sort, u32)>, coun
         }
         F::EqV(a, b) | F::EqE(a, b) => {
             let _ = write!(out, "(= {} {})", var_name(scope, *a), var_name(scope, *b));
-        }
-        F::VLabelIs(v, c) => {
-            let _ = write!(out, "(vlabel {} {c})", var_name(scope, *v));
-        }
-        F::ELabelIs(e, c) => {
-            let _ = write!(out, "(elabel {} {c})", var_name(scope, *e));
         }
         F::Not(a) => {
             out.push_str("(not ");
@@ -428,7 +403,7 @@ mod tests {
     #[test]
     fn nary_and_shadowing() {
         // n-ary and + an inner binder shadowing the outer 'x'.
-        let f = parse("(exists-vertex x (and true (exists-vertex x (= x x)) (not (vlabel x 7))))")
+        let f = parse("(exists-vertex x (and true (exists-vertex x (= x x)) (not (adj x x))))")
             .unwrap();
         assert!(eval::check(&generators::path_graph(2), &f));
     }
@@ -440,13 +415,28 @@ mod tests {
             "(",
             ")",
             "(and)",
-            "(adj u v)",                         // unbound
-            "(exists-vertex x (in x x))",        // sort error
-            "(exists-vertex x (vlabel x nope))", // bad label
+            "(adj u v)",                  // unbound
+            "(exists-vertex x (in x x))", // sort error
             "(frobnicate)",
             "true true", // trailing input
         ] {
             assert!(parse(bad).is_err(), "expected error: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn label_forms_are_unknown() {
+        // Networks carry no input labels, so the grammar has no label
+        // atoms: naming one is a parse error, not a constant atom.
+        for (src, form) in [
+            ("(exists-vertex x (vlabel x 0))", "vlabel"),
+            ("(exists-edge e (elabel e 0))", "elabel"),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("unknown form '{form}'")),
+                "{src}: {err}"
+            );
         }
     }
 }

@@ -285,7 +285,7 @@ fn canonical_state_ids_are_pinned() {
     assert_eq!(frozen.canonical_state_count(), 12);
 
     let empty = frozen.empty();
-    let v = frozen.add_vertex(empty.clone(), 0);
+    let v = frozen.add_vertex(empty.clone());
     let vv = frozen.union(v.clone(), v.clone());
     let edge = frozen.add_edge(vv.clone(), 0, 1, true);
     let retired = frozen.forget(v.clone(), 0);

@@ -39,7 +39,7 @@ fn every_reexport_resolves() {
     // algebra: pure value ops plus the canonical frozen table
     let alg = Algebra::shared(alg_props::Connected);
     let empty = alg.empty();
-    assert!(alg.accept(&alg.add_vertex(empty, 0)));
+    assert!(alg.accept(&alg.add_vertex(empty)));
     let frozen = lanecert_suite::algebra::FrozenAlgebra::freeze(
         Algebra::shared(alg_props::Connected),
         &lanecert_suite::algebra::FreezeOptions::for_interface_arity(2),
