@@ -2,7 +2,7 @@
 //! (tables T1–T9 of DESIGN.md / EXPERIMENTS.md).
 //!
 //! Every table that certifies or verifies goes through the unified
-//! certification API — [`Certifier`] builders resolved against the
+//! certification API — [`Certifier`] builders selecting schemes by the
 //! [`lanecert::registry`] names (`theorem1`, `fmr-baseline`,
 //! `bipartite-1bit`, `whole-graph`), with the parallel [`Engine`]
 //! executing multi-configuration sweeps (bit-identical to the sequential

@@ -21,7 +21,7 @@ use lanecert_graph::VertexId;
 use lanecert_pathwidth::IntervalRep;
 
 use crate::bits::{BitReader, BitWriter, Enc};
-use crate::scheme::{Labeling, ProverHint, Scheme, Verdict, VertexView};
+use crate::scheme::{ProverHint, Scheme, Verdict, VertexView};
 use crate::{CertError, Configuration};
 
 /// One recursion frame: a canonical bag range and its separator bag.
@@ -130,41 +130,39 @@ impl BaselineScheme {
     pub fn prove_with_rep(
         cfg: &Configuration,
         rep: &IntervalRep,
-    ) -> Result<Labeling<BaselineLabel>, CertError> {
+    ) -> Result<Vec<BaselineLabel>, CertError> {
         crate::scheme::check_rep_fits(rep, cfg)?;
         Ok(Self::build_labels(cfg, rep))
     }
 
     /// Label construction over a representation known to fit the graph.
-    fn build_labels(cfg: &Configuration, rep: &IntervalRep) -> Labeling<BaselineLabel> {
+    fn build_labels(cfg: &Configuration, rep: &IntervalRep) -> Vec<BaselineLabel> {
         let g = cfg.graph();
         let pd = rep.to_decomposition();
         let bags = pd.bags();
         let s = bags.len() as u32;
-        Labeling::new(
-            g.edges()
-                .map(|(_, e)| {
-                    let (mut x, mut y) = (e.u, e.v);
-                    if cfg.id_of(x) > cfg.id_of(y) {
-                        std::mem::swap(&mut x, &mut y);
-                    }
-                    let (ia, ib) = (rep.interval(x), rep.interval(y));
-                    let mut frames = Vec::new();
-                    // Endpoints of both intervals: O(log s) canonical
-                    // ranges each.
-                    let points = vec![ia.lo, ia.hi, ib.lo, ib.hi];
-                    frames_for(cfg, bags, 0, s.max(1), &points, &mut frames);
-                    frames.dedup();
-                    BaselineLabel {
-                        iv_a: (ia.lo, ia.hi),
-                        iv_b: (ib.lo, ib.hi),
-                        a: cfg.id_of(x),
-                        b: cfg.id_of(y),
-                        frames,
-                    }
-                })
-                .collect(),
-        )
+        g.edges()
+            .map(|(_, e)| {
+                let (mut x, mut y) = (e.u, e.v);
+                if cfg.id_of(x) > cfg.id_of(y) {
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let (ia, ib) = (rep.interval(x), rep.interval(y));
+                let mut frames = Vec::new();
+                // Endpoints of both intervals: O(log s) canonical
+                // ranges each.
+                let points = vec![ia.lo, ia.hi, ib.lo, ib.hi];
+                frames_for(cfg, bags, 0, s.max(1), &points, &mut frames);
+                frames.dedup();
+                BaselineLabel {
+                    iv_a: (ia.lo, ia.hi),
+                    iv_b: (ib.lo, ib.hi),
+                    a: cfg.id_of(x),
+                    b: cfg.id_of(y),
+                    frames,
+                }
+            })
+            .collect()
     }
 }
 
@@ -179,7 +177,7 @@ impl Scheme for BaselineScheme {
         &self,
         cfg: &Configuration,
         hint: &ProverHint,
-    ) -> Result<Labeling<BaselineLabel>, CertError> {
+    ) -> Result<Vec<BaselineLabel>, CertError> {
         // `resolve` has already validated a supplied representation.
         let rep = hint.resolve(cfg)?;
         Ok(Self::build_labels(cfg, &rep))
@@ -245,7 +243,8 @@ mod tests {
             let rep = rep_of(&g);
             let cfg = Configuration::with_random_ids(g, 4);
             let hint = ProverHint::with_representation(rep);
-            let report = BaselineScheme.certify_and_run(&cfg, &hint).unwrap();
+            let labels = BaselineScheme.prove(&cfg, &hint).unwrap();
+            let report = BaselineScheme.run(&cfg, &labels).unwrap();
             assert!(report.accepted(), "{:?}", report.first_rejection());
         }
     }

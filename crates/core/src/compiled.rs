@@ -266,12 +266,10 @@ mod tests {
         let scheme = standard_formula("max-degree-1").unwrap().scheme().unwrap();
         assert!(scheme.canonical_labels());
         let edge = Configuration::with_sequential_ids(generators::path_graph(2));
-        let report = scheme.certify_and_run(&edge, &ProverHint::auto()).unwrap();
-        assert!(report.accepted());
+        let labels = scheme.prove(&edge, &ProverHint::auto()).unwrap();
+        assert!(scheme.run(&edge, &labels).unwrap().accepted());
         let p3 = Configuration::with_sequential_ids(generators::path_graph(3));
-        let err = scheme
-            .certify_and_run(&p3, &ProverHint::auto())
-            .unwrap_err();
+        let err = scheme.prove(&p3, &ProverHint::auto()).unwrap_err();
         assert!(matches!(err, CertError::PropertyViolated));
     }
 

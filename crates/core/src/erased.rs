@@ -2,15 +2,14 @@
 //! encoded byte labels.
 //!
 //! A typed [`Scheme`] fixes its label format at compile time, which is
-//! what the per-scheme provers and verifiers want — but registries,
-//! builders, and batch runners need to hold *many* schemes behind one
+//! what the per-scheme provers and verifiers want — but the builder,
+//! engine, and batch runners need to hold *many* schemes behind one
 //! type. [`DynScheme`] erases the label type by moving the wire encoding
 //! to the boundary: provers emit [`EncodedLabeling`]s (raw bytes + exact
 //! bit counts), verifiers decode per edge and reject undecodable labels,
 //! exactly as the typed harness does. A blanket impl makes every
 //! `Scheme` a `DynScheme`, and [`BoxedScheme`] is the unit of currency of
-//! the [`SchemeRegistry`](crate::SchemeRegistry) and
-//! [`Certifier`](crate::Certifier).
+//! the [`Certifier`](crate::Certifier).
 //!
 //! # Memory layout
 //!
@@ -565,14 +564,13 @@ impl<S: Scheme + Send + Sync> DynScheme for S {
     }
 }
 
-/// A heap-allocated erased scheme — the registry's and builder's unit of
+/// A heap-allocated erased scheme — the builder's unit of
 /// currency. `Send + Sync` come from the [`DynScheme`] supertraits.
 pub type BoxedScheme = Box<dyn DynScheme>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Labeling;
     use lanecert_graph::generators;
 
     /// A toy scheme for harness tests: each edge carries `7u64`, every
@@ -584,12 +582,8 @@ mod tests {
         fn name(&self) -> String {
             "sevens".into()
         }
-        fn prove(
-            &self,
-            cfg: &Configuration,
-            _hint: &ProverHint,
-        ) -> Result<Labeling<u64>, CertError> {
-            Ok(vec![7u64; cfg.graph().edge_count()].into())
+        fn prove(&self, cfg: &Configuration, _hint: &ProverHint) -> Result<Vec<u64>, CertError> {
+            Ok(vec![7u64; cfg.graph().edge_count()])
         }
         fn verify_at(&self, view: &VertexView<'_, u64>) -> Verdict {
             if view.incident.iter().all(|l| *l == Some(&7)) {
@@ -603,7 +597,8 @@ mod tests {
     #[test]
     fn erased_roundtrip_matches_typed() {
         let cfg = Configuration::with_sequential_ids(generators::cycle_graph(5));
-        let typed = Sevens.certify_and_run(&cfg, &ProverHint::auto()).unwrap();
+        let labels = Sevens.prove(&cfg, &ProverHint::auto()).unwrap();
+        let typed = Sevens.run(&cfg, &labels).unwrap();
         let boxed: BoxedScheme = Box::new(Sevens);
         let enc = boxed.prove_encoded(&cfg, &ProverHint::auto()).unwrap();
         let erased = boxed.verify_encoded(&cfg, &enc).unwrap();

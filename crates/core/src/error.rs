@@ -48,8 +48,8 @@ pub enum CertError {
         /// Labels actually supplied.
         got: usize,
     },
-    /// The requested scheme name is not in the
-    /// [`SchemeRegistry`](crate::SchemeRegistry).
+    /// The requested scheme name is none of the names in
+    /// [`registry`](crate::registry).
     UnknownScheme {
         /// The name that failed to resolve.
         name: String,

@@ -16,9 +16,9 @@
 //! # The unified API
 //!
 //! Every scheme implements the [`Scheme`] trait ([`scheme`]); the
-//! [`erased`] layer makes them object-safe over encoded byte labels; the
-//! [`registry`] maps stable names to scheme factories; [`Certifier`]
-//! ([`certifier`]) is the fluent entry point; and [`BatchRunner`]
+//! [`erased`] layer makes them object-safe over encoded byte labels;
+//! [`Certifier`] ([`certifier`]) is the fluent entry point, which builds
+//! one of the five schemes named in [`registry`]; and [`BatchRunner`]
 //! ([`batch`]) certifies many configurations in one call. Failures travel
 //! through the single [`CertError`] type ([`error`]). Start here:
 //!
@@ -53,7 +53,7 @@
 //!   the trivial whole-graph scheme.
 //! * [`compiled`] — the Courcelle-style front-end: compile any MSO₂
 //!   [`Formula`](lanecert_mso::Formula) into a Theorem 1 certifier
-//!   (registry name `"compiled"`).
+//!   (scheme name `"compiled"`).
 //! * [`baseline`] — an FMR+24-style `O(log² n)` baseline for label-size
 //!   comparison.
 //! * [`attacks`] — soundness fuzzing (typed and wire-level) and the classic
@@ -68,15 +68,12 @@ pub mod error;
 pub use error::CertError;
 
 pub mod scheme;
-pub use scheme::{
-    Labeling, ProverHint, RunReport, Scheme, Verdict, VertexView, AUTO_HEURISTIC_LIMIT,
-};
+pub use scheme::{ProverHint, RunReport, Scheme, Verdict, VertexView, AUTO_HEURISTIC_LIMIT};
 
 pub mod erased;
 pub use erased::{BoxedScheme, DynScheme, EncodedLabel, EncodedLabelRef, EncodedLabeling};
 
 pub mod registry;
-pub use registry::{SchemeRegistry, SchemeSpec};
 
 pub mod certifier;
 pub use certifier::{Certifier, CertifierBuilder};

@@ -1,9 +1,8 @@
-//! A name-keyed registry of scheme factories.
+//! Stable scheme names.
 //!
-//! Each entry maps a stable name (used by the bench tables, CLI flags and
-//! the [`Certifier`](crate::Certifier) builder) to a factory that builds a
-//! [`BoxedScheme`] from a [`SchemeSpec`]. [`SchemeRegistry::standard`]
-//! registers all three scheme families of the workspace:
+//! Each name selects one scheme in
+//! [`CertifierBuilder::scheme`](crate::CertifierBuilder::scheme), and the
+//! bench tables and CLI flags use the same strings:
 //!
 //! | name | scheme | labels |
 //! |------|--------|--------|
@@ -13,422 +12,17 @@
 //! | [`WHOLE_GRAPH`] | trivial whole-graph yardstick | `Θ((n+m) log n)` bits |
 //! | [`COMPILED`] | Courcelle front-end over an MSO₂ formula | `O(log n)` bits |
 //!
-//! Future backends (e.g. a treewidth meta-theorem scheme in the style of
-//! Cook–Kim–Masařík) drop in by registering another factory — nothing
-//! downstream of the registry changes.
+//! The set is closed: [`CertifierBuilder::build`](crate::CertifierBuilder::build)
+//! matches on these names, so a new backend is one more constant here and
+//! one more match arm there.
 
-use std::collections::BTreeMap;
-
-use lanecert_algebra::SharedAlgebra;
-use lanecert_lanes::LaneStrategy;
-
-use crate::baseline::BaselineScheme;
-use crate::erased::BoxedScheme;
-use crate::simple::{BipartiteScheme, WholeGraphScheme};
-use crate::theorem1::{PathwidthScheme, SchemeOptions};
-use crate::CertError;
-
-/// Registry name of the Theorem 1 scheme.
+/// Name of the Theorem 1 scheme.
 pub const THEOREM1: &str = "theorem1";
-/// Registry name of the FMR+24-style `O(log² n)` baseline.
+/// Name of the FMR+24-style `O(log² n)` baseline.
 pub const FMR_BASELINE: &str = "fmr-baseline";
-/// Registry name of the classic 1-bit bipartiteness scheme.
+/// Name of the classic 1-bit bipartiteness scheme.
 pub const BIPARTITE_1BIT: &str = "bipartite-1bit";
-/// Registry name of the trivial whole-graph yardstick scheme.
+/// Name of the trivial whole-graph yardstick scheme.
 pub const WHOLE_GRAPH: &str = "whole-graph";
-/// Registry name of the compiled-formula (Courcelle front-end) scheme.
+/// Name of the compiled-formula (Courcelle front-end) scheme.
 pub const COMPILED: &str = "compiled";
-
-/// What a scheme factory may consume: the property, the pathwidth bound,
-/// and tuning knobs. Factories ignore fields they don't need and reject
-/// specs missing fields they do ([`CertError::InvalidSpec`]).
-#[derive(Clone, Default)]
-pub struct SchemeSpec {
-    /// The property `ϕ` as a homomorphism algebra. Required by
-    /// [`THEOREM1`] and [`WHOLE_GRAPH`]; ignored by the structural
-    /// schemes.
-    pub algebra: Option<SharedAlgebra>,
-    /// Certify `pathwidth ≤ k`. Required by [`THEOREM1`] unless
-    /// `max_lanes` is given.
-    pub pathwidth: Option<usize>,
-    /// Lane-partition strategy for [`THEOREM1`] (`None` = greedy).
-    pub strategy: Option<LaneStrategy>,
-    /// Explicit verifier lane bound, overriding `pathwidth + 1`.
-    pub max_lanes: Option<usize>,
-    /// An MSO₂ formula for the [`COMPILED`] scheme (which certifies the
-    /// formula via the Courcelle-style compiler). Rejected by every
-    /// other factory.
-    pub formula: Option<lanecert_mso::Formula>,
-}
-
-impl std::fmt::Debug for SchemeSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchemeSpec")
-            .field("algebra", &self.algebra.as_ref().map(|a| a.name()))
-            .field("pathwidth", &self.pathwidth)
-            .field("strategy", &self.strategy)
-            .field("max_lanes", &self.max_lanes)
-            .field(
-                "formula",
-                &self.formula.as_ref().map(lanecert_mso::sexpr::canonical),
-            )
-            .finish()
-    }
-}
-
-impl SchemeSpec {
-    fn require_algebra(&self, scheme: &str) -> Result<SharedAlgebra, CertError> {
-        self.algebra.clone().ok_or_else(|| {
-            CertError::InvalidSpec(format!(
-                "{scheme} needs a property algebra (.property(...))"
-            ))
-        })
-    }
-
-    /// Rejects width/strategy knobs a scheme does not enforce — a spec
-    /// that appears to certify a pathwidth bound must fail loudly rather
-    /// than build a certifier that silently ignores it.
-    fn reject_width_knobs(&self, scheme: &str) -> Result<(), CertError> {
-        if self.pathwidth.is_some() || self.max_lanes.is_some() || self.strategy.is_some() {
-            return Err(CertError::InvalidSpec(format!(
-                "{scheme} certifies no pathwidth bound and has no lane strategy; \
-                 drop .pathwidth(...) / .max_lanes(...) / .strategy(...)"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Rejects a spec carrying a formula when the scheme is not the
-    /// compiled front-end — a formula the built certifier would not
-    /// certify must fail loudly.
-    fn reject_formula(&self, scheme: &str) -> Result<(), CertError> {
-        if let Some(f) = &self.formula {
-            return Err(CertError::InvalidSpec(format!(
-                "{scheme} does not certify MSO formulas (got {}); use the \
-                 {COMPILED:?} scheme or drop .compiled(...)",
-                lanecert_mso::sexpr::canonical(f)
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// A factory building an erased scheme from a spec.
-pub type SchemeFactory = Box<dyn Fn(&SchemeSpec) -> Result<BoxedScheme, CertError> + Send + Sync>;
-
-/// Name → factory map. The order of [`SchemeRegistry::names`] is the
-/// lexicographic key order (deterministic for table output).
-#[derive(Default)]
-pub struct SchemeRegistry {
-    factories: BTreeMap<String, SchemeFactory>,
-}
-
-impl SchemeRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The registry with all built-in schemes registered.
-    pub fn standard() -> Self {
-        let mut reg = Self::new();
-        reg.register(THEOREM1, |spec: &SchemeSpec| {
-            spec.reject_formula(THEOREM1)?;
-            let algebra = spec.require_algebra(THEOREM1)?;
-            let max_lanes = match (spec.max_lanes, spec.pathwidth) {
-                (Some(w), _) => w,
-                (None, Some(k)) => k + 1,
-                (None, None) => {
-                    return Err(CertError::InvalidSpec(
-                        "theorem1 needs .pathwidth(k) or .max_lanes(w)".into(),
-                    ))
-                }
-            };
-            let opts = SchemeOptions {
-                strategy: spec.strategy.unwrap_or(LaneStrategy::Greedy),
-                max_lanes,
-            };
-            Ok(Box::new(PathwidthScheme::new(algebra, opts)) as BoxedScheme)
-        });
-        reg.register(FMR_BASELINE, |spec: &SchemeSpec| {
-            // This baseline only certifies decomposition *structure*; a
-            // spec carrying a property algebra must fail loudly rather
-            // than appear to certify the property.
-            if let Some(alg) = &spec.algebra {
-                return Err(CertError::InvalidSpec(format!(
-                    "fmr-baseline is structural and does not certify {:?}; drop .property(...)",
-                    alg.name()
-                )));
-            }
-            spec.reject_width_knobs(FMR_BASELINE)?;
-            spec.reject_formula(FMR_BASELINE)?;
-            Ok(Box::new(BaselineScheme) as BoxedScheme)
-        });
-        reg.register(BIPARTITE_1BIT, |spec: &SchemeSpec| {
-            // The 1-bit scheme certifies exactly bipartiteness; reject
-            // specs asking it to certify anything else.
-            if let Some(alg) = &spec.algebra {
-                if alg.name() != "bipartite" {
-                    return Err(CertError::InvalidSpec(format!(
-                        "bipartite-1bit certifies bipartiteness, not {:?}",
-                        alg.name()
-                    )));
-                }
-            }
-            spec.reject_width_knobs(BIPARTITE_1BIT)?;
-            spec.reject_formula(BIPARTITE_1BIT)?;
-            Ok(Box::new(BipartiteScheme) as BoxedScheme)
-        });
-        reg.register(WHOLE_GRAPH, |spec: &SchemeSpec| {
-            let algebra = spec.require_algebra(WHOLE_GRAPH)?;
-            spec.reject_width_knobs(WHOLE_GRAPH)?;
-            spec.reject_formula(WHOLE_GRAPH)?;
-            Ok(Box::new(WholeGraphScheme::for_algebra(algebra)) as BoxedScheme)
-        });
-        reg.register(COMPILED, |spec: &SchemeSpec| {
-            let Some(formula) = &spec.formula else {
-                return Err(CertError::InvalidSpec(
-                    "compiled needs an MSO formula (.compiled(...))".into(),
-                ));
-            };
-            // A hand-written algebra alongside a formula is ambiguous:
-            // the scheme would certify the formula and silently drop the
-            // algebra.
-            if let Some(alg) = &spec.algebra {
-                return Err(CertError::InvalidSpec(format!(
-                    "compiled certifies its formula, not the algebra {:?}; drop .property(...)",
-                    alg.name()
-                )));
-            }
-            let max_lanes = match (spec.max_lanes, spec.pathwidth) {
-                (Some(w), _) => w,
-                (None, Some(k)) => k + 1,
-                (None, None) => crate::compiled::DEFAULT_MAX_LANES,
-            };
-            let opts = SchemeOptions {
-                strategy: spec.strategy.unwrap_or(LaneStrategy::Greedy),
-                max_lanes,
-            };
-            let freeze = crate::compiled::freeze_options_for(formula, max_lanes);
-            let scheme = crate::compiled::compile_scheme(formula, opts, &freeze)?;
-            Ok(Box::new(scheme) as BoxedScheme)
-        });
-        reg
-    }
-
-    /// Registers (or replaces) a factory under `name`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(&SchemeSpec) -> Result<BoxedScheme, CertError> + Send + Sync + 'static,
-    ) {
-        self.factories.insert(name.into(), Box::new(factory));
-    }
-
-    /// Builds the scheme registered under `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`CertError::UnknownScheme`] for unregistered names; factory errors
-    /// (typically [`CertError::InvalidSpec`]) otherwise.
-    pub fn build(&self, name: &str, spec: &SchemeSpec) -> Result<BoxedScheme, CertError> {
-        let factory = self
-            .factories
-            .get(name)
-            .ok_or_else(|| CertError::UnknownScheme { name: name.into() })?;
-        factory(spec)
-    }
-
-    /// Registered names, in lexicographic order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.factories.keys().map(String::as_str)
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scheme::ProverHint;
-    use crate::Configuration;
-    use lanecert_algebra::{props::Connected, Algebra};
-    use lanecert_graph::generators;
-
-    fn spec() -> SchemeSpec {
-        SchemeSpec {
-            algebra: Some(Algebra::shared(Connected)),
-            pathwidth: Some(2),
-            ..SchemeSpec::default()
-        }
-    }
-
-    #[test]
-    fn standard_names_present() {
-        let reg = SchemeRegistry::standard();
-        let names: Vec<&str> = reg.names().collect();
-        assert_eq!(
-            names,
-            vec![
-                BIPARTITE_1BIT,
-                COMPILED,
-                FMR_BASELINE,
-                THEOREM1,
-                WHOLE_GRAPH
-            ]
-        );
-        assert!(reg.contains(THEOREM1));
-        assert!(reg.contains(COMPILED));
-    }
-
-    #[test]
-    fn all_standard_schemes_build_and_run() {
-        let reg = SchemeRegistry::standard();
-        let cfg = Configuration::with_sequential_ids(generators::cycle_graph(6));
-        let cases = [
-            (THEOREM1, spec()),
-            (FMR_BASELINE, SchemeSpec::default()),
-            (
-                BIPARTITE_1BIT,
-                SchemeSpec {
-                    algebra: Some(Algebra::shared(lanecert_algebra::props::Bipartite)),
-                    ..SchemeSpec::default()
-                },
-            ),
-            (
-                WHOLE_GRAPH,
-                SchemeSpec {
-                    algebra: Some(Algebra::shared(Connected)),
-                    ..SchemeSpec::default()
-                },
-            ),
-        ];
-        for (name, spec) in cases {
-            let scheme = reg.build(name, &spec).unwrap();
-            let enc = scheme.prove_encoded(&cfg, &ProverHint::auto()).unwrap();
-            let report = scheme.verify_encoded(&cfg, &enc).unwrap();
-            assert!(report.accepted(), "{name}: {:?}", report.first_rejection());
-        }
-        // The compiled scheme defaults to max_lanes = 2 (pathwidth ≤ 1),
-        // so it gets a path rather than the cycle above; the formula is
-        // one of the catalog's cheapest freezes (the middle vertex of P3
-        // is a vertex cover of size 1).
-        let compiled_spec = SchemeSpec {
-            formula: Some(lanecert_mso::props::vertex_cover_at_most(1)),
-            ..SchemeSpec::default()
-        };
-        let path = Configuration::with_sequential_ids(generators::path_graph(3));
-        let scheme = reg.build(COMPILED, &compiled_spec).unwrap();
-        let enc = scheme.prove_encoded(&path, &ProverHint::auto()).unwrap();
-        let report = scheme.verify_encoded(&path, &enc).unwrap();
-        assert!(
-            report.accepted(),
-            "compiled: {:?}",
-            report.first_rejection()
-        );
-    }
-
-    #[test]
-    fn structural_schemes_reject_unenforced_properties() {
-        let reg = SchemeRegistry::standard();
-        // fmr-baseline certifies structure only.
-        assert!(matches!(
-            reg.build(FMR_BASELINE, &spec()).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        // bipartite-1bit certifies bipartiteness, nothing else.
-        assert!(matches!(
-            reg.build(BIPARTITE_1BIT, &spec()).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        // Width/strategy knobs are equally unenforced by the structural
-        // and whole-graph schemes.
-        let width_only = SchemeSpec {
-            pathwidth: Some(2),
-            ..SchemeSpec::default()
-        };
-        assert!(matches!(
-            reg.build(FMR_BASELINE, &width_only).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        assert!(matches!(
-            reg.build(BIPARTITE_1BIT, &width_only).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        assert!(matches!(
-            reg.build(WHOLE_GRAPH, &spec()).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-    }
-
-    #[test]
-    fn formula_and_algebra_do_not_cross_schemes() {
-        let reg = SchemeRegistry::standard();
-        // A formula on a non-compiled scheme must fail loudly.
-        let with_formula = SchemeSpec {
-            algebra: Some(Algebra::shared(Connected)),
-            pathwidth: Some(2),
-            formula: Some(lanecert_mso::props::triangle_free()),
-            ..SchemeSpec::default()
-        };
-        assert!(matches!(
-            reg.build(THEOREM1, &with_formula).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        // The compiled scheme without a formula, or with a stray
-        // hand-written algebra, is equally invalid.
-        assert!(matches!(
-            reg.build(COMPILED, &SchemeSpec::default()).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        let ambiguous = SchemeSpec {
-            algebra: Some(Algebra::shared(Connected)),
-            formula: Some(lanecert_mso::props::max_degree_at_most(2)),
-            ..SchemeSpec::default()
-        };
-        assert!(matches!(
-            reg.build(COMPILED, &ambiguous).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-    }
-
-    #[test]
-    fn unknown_name_errors() {
-        let reg = SchemeRegistry::standard();
-        assert_eq!(
-            reg.build("treewidth-ckm", &spec()).err().unwrap(),
-            CertError::UnknownScheme {
-                name: "treewidth-ckm".into()
-            }
-        );
-    }
-
-    #[test]
-    fn missing_spec_fields_error() {
-        let reg = SchemeRegistry::standard();
-        assert!(matches!(
-            reg.build(THEOREM1, &SchemeSpec::default()).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-        let no_bound = SchemeSpec {
-            algebra: Some(Algebra::shared(Connected)),
-            ..SchemeSpec::default()
-        };
-        assert!(matches!(
-            reg.build(THEOREM1, &no_bound).err().unwrap(),
-            CertError::InvalidSpec(_)
-        ));
-    }
-
-    #[test]
-    fn custom_registration() {
-        let mut reg = SchemeRegistry::new();
-        reg.register("bip", |_| {
-            Ok(Box::new(crate::simple::BipartiteScheme) as BoxedScheme)
-        });
-        assert!(reg.build("bip", &SchemeSpec::default()).is_ok());
-    }
-}

@@ -3,7 +3,7 @@
 //!
 //! Labels live on edges (the paper's working model, Section 2.1). A
 //! scheme's prover maps a [`Configuration`] (plus an optional
-//! [`ProverHint`]) to a [`Labeling`]; its verifier runs per vertex over a
+//! [`ProverHint`]) to one label per edge; its verifier runs per vertex over a
 //! [`VertexView`] — the vertex's identifier and the **decoded** labels of
 //! its incident edges (each label is round-tripped through the bit
 //! encoding, so malformed labels surface as decode failures). The harness
@@ -11,12 +11,10 @@
 //!
 //! Every concrete scheme (Theorem 1, the FMR+24-style baseline, the 1-bit
 //! bipartiteness scheme, the whole-graph yardstick) implements [`Scheme`];
-//! the erased layer ([`crate::erased`]), registry ([`crate::registry`]),
-//! builder ([`crate::certifier`]) and batch runner ([`crate::batch`]) are
-//! built on top of this trait.
+//! the erased layer ([`crate::erased`]), builder ([`crate::certifier`])
+//! and batch runner ([`crate::batch`]) are built on top of this trait.
 
 use std::borrow::Cow;
-use std::ops::{Deref, DerefMut};
 
 use lanecert_pathwidth::{bnb, solver, Interval, IntervalRep};
 
@@ -118,55 +116,6 @@ impl RunReport {
         } else {
             self.total_label_bits as f64 / self.edges as f64
         }
-    }
-}
-
-/// An assignment of one label per edge of a configuration — the prover's
-/// output. Derefs to a slice for read access; [`Labeling::as_mut_slice`]
-/// and index-mutation support adversarial tampering in tests.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Labeling<L> {
-    labels: Vec<L>,
-}
-
-impl<L> Labeling<L> {
-    /// Wraps per-edge labels (`labels[e]` belongs to edge `e`).
-    pub fn new(labels: Vec<L>) -> Self {
-        Self { labels }
-    }
-
-    /// The labels as a slice.
-    pub fn as_slice(&self) -> &[L] {
-        &self.labels
-    }
-
-    /// Mutable access for adversarial tampering.
-    pub fn as_mut_slice(&mut self) -> &mut [L] {
-        &mut self.labels
-    }
-
-    /// Consumes the labeling, returning the raw vector.
-    pub fn into_vec(self) -> Vec<L> {
-        self.labels
-    }
-}
-
-impl<L> From<Vec<L>> for Labeling<L> {
-    fn from(labels: Vec<L>) -> Self {
-        Self::new(labels)
-    }
-}
-
-impl<L> Deref for Labeling<L> {
-    type Target = [L];
-    fn deref(&self) -> &[L] {
-        &self.labels
-    }
-}
-
-impl<L> DerefMut for Labeling<L> {
-    fn deref_mut(&mut self) -> &mut [L] {
-        &mut self.labels
     }
 }
 
@@ -290,19 +239,15 @@ pub trait Scheme {
     /// threads ([`DynScheme::verify_encoded_range`](crate::DynScheme)).
     type Label: Enc + Clone + Send + Sync;
 
-    /// Registry/display name of the scheme instance.
+    /// Display name of the scheme instance.
     fn name(&self) -> String;
 
-    /// Honest certificate assignment.
+    /// Honest certificate assignment: `labels[e]` belongs to edge `e`.
     ///
     /// # Errors
     ///
     /// Prover refusals and hint failures; see [`CertError`].
-    fn prove(
-        &self,
-        cfg: &Configuration,
-        hint: &ProverHint,
-    ) -> Result<Labeling<Self::Label>, CertError>;
+    fn prove(&self, cfg: &Configuration, hint: &ProverHint) -> Result<Vec<Self::Label>, CertError>;
 
     /// Honest certificate assignment, already wire-encoded and stamped
     /// with [`Scheme::fingerprint`]: what the erased layer's
@@ -370,20 +315,6 @@ pub trait Scheme {
     /// length for `cfg`.
     fn run(&self, cfg: &Configuration, labels: &[Self::Label]) -> Result<RunReport, CertError> {
         run_edge_scheme(cfg, labels, |view| self.verify_at(view))
-    }
-
-    /// Convenience: prove then verify everywhere.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prover refusals and harness errors.
-    fn certify_and_run(
-        &self,
-        cfg: &Configuration,
-        hint: &ProverHint,
-    ) -> Result<RunReport, CertError> {
-        let labels = self.prove(cfg, hint)?;
-        self.run(cfg, &labels)
     }
 }
 
@@ -532,14 +463,5 @@ mod tests {
         rep.validate(cfg.graph()).unwrap();
         let supplied = ProverHint::with_representation(rep.clone().into_owned());
         assert_eq!(supplied.resolve(&cfg).unwrap().intervals(), rep.intervals());
-    }
-
-    #[test]
-    fn labeling_wrapper_roundtrips() {
-        let mut l: Labeling<u64> = vec![1, 2, 3].into();
-        assert_eq!(l.len(), 3);
-        l.as_mut_slice()[0] = 9;
-        assert_eq!(l.as_slice(), &[9, 2, 3]);
-        assert_eq!(l.into_vec(), vec![9, 2, 3]);
     }
 }

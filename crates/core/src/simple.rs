@@ -10,7 +10,7 @@ use std::sync::Arc;
 use lanecert_algebra::SharedAlgebra;
 
 use crate::bits::{BitReader, BitWriter, Enc};
-use crate::scheme::{Labeling, ProverHint, Scheme, Verdict, VertexView};
+use crate::scheme::{ProverHint, Scheme, Verdict, VertexView};
 use crate::{CertError, Configuration};
 
 /// The 1-bit bipartiteness label: the colour of the edge's smaller-id
@@ -58,7 +58,7 @@ impl Scheme for BipartiteScheme {
         &self,
         cfg: &Configuration,
         _hint: &ProverHint,
-    ) -> Result<Labeling<BipartiteLabel>, CertError> {
+    ) -> Result<Vec<BipartiteLabel>, CertError> {
         let g = cfg.graph();
         let mut color = vec![None::<bool>; g.vertex_count()];
         for s in g.vertices() {
@@ -81,14 +81,12 @@ impl Scheme for BipartiteScheme {
                 }
             }
         }
-        Ok(Labeling::new(
-            g.edges()
-                .map(|(_, e)| BipartiteLabel {
-                    cu: color[e.u.index()].unwrap(),
-                    cv: color[e.v.index()].unwrap(),
-                })
-                .collect(),
-        ))
+        Ok(g.edges()
+            .map(|(_, e)| BipartiteLabel {
+                cu: color[e.u.index()].unwrap(),
+                cv: color[e.v.index()].unwrap(),
+            })
+            .collect())
     }
 
     /// Every incident edge must carry two distinct colours, and the colour
@@ -283,7 +281,7 @@ impl Scheme for WholeGraphScheme {
         &self,
         cfg: &Configuration,
         _hint: &ProverHint,
-    ) -> Result<Labeling<WholeGraphLabel>, CertError> {
+    ) -> Result<Vec<WholeGraphLabel>, CertError> {
         let g = cfg.graph();
         // An isolated vertex alongside other vertices means the model's
         // connectivity requirement fails — and the verifier's
@@ -309,14 +307,12 @@ impl Scheme for WholeGraphScheme {
         if !(self.check)(&label) {
             return Err(CertError::PropertyViolated);
         }
-        Ok(Labeling::new(
-            (0..cfg.graph().edge_count() as u64)
-                .map(|edge_index| WholeGraphLabel {
-                    edge_index,
-                    ..label.clone()
-                })
-                .collect(),
-        ))
+        Ok((0..cfg.graph().edge_count() as u64)
+            .map(|edge_index| WholeGraphLabel {
+                edge_index,
+                ..label.clone()
+            })
+            .collect())
     }
 
     fn verify_at(&self, view: &VertexView<WholeGraphLabel>) -> Verdict {
@@ -391,9 +387,8 @@ mod tests {
     #[test]
     fn bipartite_scheme_completeness_and_size() {
         let cfg = Configuration::with_sequential_ids(generators::cycle_graph(8));
-        let report = BipartiteScheme
-            .certify_and_run(&cfg, &ProverHint::auto())
-            .unwrap();
+        let labels = BipartiteScheme.prove(&cfg, &ProverHint::auto()).unwrap();
+        let report = BipartiteScheme.run(&cfg, &labels).unwrap();
         assert!(report.accepted());
         assert_eq!(report.max_label_bits, 2); // the paper's "one bit" scheme
     }
@@ -422,7 +417,8 @@ mod tests {
     fn whole_graph_scheme_works() {
         let scheme = WholeGraphScheme::with_predicate("5 edges", |l| l.edges.len() == 5);
         let cfg = Configuration::with_sequential_ids(generators::star(6));
-        let report = scheme.certify_and_run(&cfg, &ProverHint::auto()).unwrap();
+        let labels = scheme.prove(&cfg, &ProverHint::auto()).unwrap();
+        let report = scheme.run(&cfg, &labels).unwrap();
         assert!(report.accepted());
         // Size grows with the graph: Θ((n + m) log n).
         assert!(report.max_label_bits > 50);
@@ -432,10 +428,8 @@ mod tests {
     fn whole_graph_algebra_predicate_matches_truth() {
         let scheme = WholeGraphScheme::for_algebra(Algebra::shared(Connected));
         let yes = Configuration::with_sequential_ids(generators::cycle_graph(5));
-        assert!(scheme
-            .certify_and_run(&yes, &ProverHint::auto())
-            .unwrap()
-            .accepted());
+        let labels = scheme.prove(&yes, &ProverHint::auto()).unwrap();
+        assert!(scheme.run(&yes, &labels).unwrap().accepted());
         let no = Configuration::with_sequential_ids(
             lanecert_graph::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap(),
         );

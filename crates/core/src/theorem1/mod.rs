@@ -40,7 +40,7 @@ use lanecert_pathwidth::IntervalRep;
 
 pub use labels::EdgeLabel;
 
-use crate::scheme::{Labeling, ProverHint, Scheme, Verdict, VertexView};
+use crate::scheme::{ProverHint, Scheme, Verdict, VertexView};
 use crate::{CertError, Configuration, EncodedLabeling};
 
 /// Scheme parameters.
@@ -146,7 +146,7 @@ impl PathwidthScheme {
         &self,
         cfg: &Configuration,
         rep: &IntervalRep,
-    ) -> Result<Labeling<EdgeLabel>, CertError> {
+    ) -> Result<Vec<EdgeLabel>, CertError> {
         crate::scheme::check_rep_fits(rep, cfg)?;
         decode_labels(&self.prove_validated(cfg, rep)?)
     }
@@ -194,7 +194,7 @@ impl PathwidthScheme {
 }
 
 /// The typed labels behind the wire prover's bytes.
-fn decode_labels(labels: &EncodedLabeling) -> Result<Labeling<EdgeLabel>, CertError> {
+fn decode_labels(labels: &EncodedLabeling) -> Result<Vec<EdgeLabel>, CertError> {
     labels
         .iter()
         .map(|l| {
@@ -202,8 +202,7 @@ fn decode_labels(labels: &EncodedLabeling) -> Result<Labeling<EdgeLabel>, CertEr
                 CertError::Internal("theorem1 prover wrote an undecodable label".into())
             })
         })
-        .collect::<Result<Vec<_>, _>>()
-        .map(Labeling::new)
+        .collect()
 }
 
 impl Scheme for PathwidthScheme {
@@ -237,11 +236,7 @@ impl Scheme for PathwidthScheme {
         self.frozen.is_total()
     }
 
-    fn prove(
-        &self,
-        cfg: &Configuration,
-        hint: &ProverHint,
-    ) -> Result<Labeling<EdgeLabel>, CertError> {
+    fn prove(&self, cfg: &Configuration, hint: &ProverHint) -> Result<Vec<EdgeLabel>, CertError> {
         // `resolve` has already validated a supplied representation.
         let rep = hint.resolve(cfg)?;
         decode_labels(&self.prove_validated(cfg, &rep)?)

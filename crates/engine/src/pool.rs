@@ -7,11 +7,9 @@
 //! its own condvar until a submission unparks it).
 //!
 //! Scheduling is intentionally *non*-deterministic — whichever worker is
-//! free takes the next task — but result collection is deterministic:
-//! [`WorkStealingPool::scatter`] writes each task's output into its
-//! submission-indexed slot, so callers observe input order regardless of
-//! interleaving. The certification pipeline ([`crate::Engine`]) builds on
-//! the same indexed-slot discipline for its job and shard results.
+//! free takes the next task. The certification pipeline
+//! ([`crate::Engine`]) keeps its output deterministic by writing each job
+//! and shard result into a submission-indexed slot.
 //!
 //! Tasks must not block on other pool tasks (a blocked worker is a lost
 //! execution slot, and every-worker-blocked is a deadlock). The engine
@@ -220,14 +218,6 @@ thread_local! {
 
 /// The executor: `workers` OS threads cooperating over per-worker chunked
 /// deques with work stealing, parking when idle.
-///
-/// ```
-/// use lanecert_engine::pool::WorkStealingPool;
-///
-/// let pool = WorkStealingPool::new(4);
-/// let squares = pool.scatter((0..32u64).map(|i| move || i * i).collect::<Vec<_>>());
-/// assert_eq!(squares[7], 49); // results arrive in submission order
-/// ```
 pub struct WorkStealingPool {
     id: u64,
     shared: Arc<PoolShared>,
@@ -305,70 +295,6 @@ impl WorkStealingPool {
             shared: Arc::clone(&self.shared),
         }
     }
-
-    /// Runs every task and returns their results **in submission order**,
-    /// regardless of which workers ran what when — each result is written
-    /// into its submission-indexed slot, making the output deterministic
-    /// under any scheduling.
-    ///
-    /// Must be called from outside the pool: a worker calling `scatter`
-    /// would block its own execution slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called from one of this pool's workers. A panicking
-    /// task is re-raised **on the caller** (the lowest-index panic, to
-    /// stay deterministic) once the batch has drained; the workers
-    /// themselves survive.
-    pub fn scatter<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        assert!(
-            !matches!(CURRENT_WORKER.get(), Some((pool, _)) if pool == self.id),
-            "scatter from a worker would deadlock; spawn continuations instead"
-        );
-        type Slot<T> = Option<std::thread::Result<T>>;
-        // Indexed result slots plus a completed-count, under one lock.
-        type Gather<T> = Arc<(Mutex<(Vec<Slot<T>>, usize)>, Condvar)>;
-        let total = tasks.len();
-        let gather: Gather<T> = Arc::new((
-            Mutex::new(((0..total).map(|_| None).collect(), 0)),
-            Condvar::new(),
-        ));
-        for (i, task) in tasks.into_iter().enumerate() {
-            let gather = Arc::clone(&gather);
-            self.spawn(move || {
-                // Catch unwinds so a panicking task still fills its slot
-                // (otherwise the caller would wait forever); the payload
-                // is re-thrown on the caller below.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                let (lock, cvar) = &*gather;
-                let mut state = lock.lock().expect("gather poisoned");
-                state.0[i] = Some(result);
-                state.1 += 1;
-                if state.1 == total {
-                    cvar.notify_all();
-                }
-            });
-        }
-        let (lock, cvar) = &*gather;
-        let mut state = lock.lock().expect("gather poisoned");
-        while state.1 < total {
-            state = cvar.wait(state).expect("gather poisoned");
-        }
-        let results: Vec<std::thread::Result<T>> = state
-            .0
-            .iter_mut()
-            .map(|s| s.take().expect("slot filled"))
-            .collect();
-        drop(state);
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    }
 }
 
 /// Submission handle returned by [`WorkStealingPool::spawner`].
@@ -440,9 +366,9 @@ fn worker_loop(pool_id: u64, worker: usize, shared: &PoolShared) {
         if let Some(task) = find_task(worker, workers, shared) {
             shared.counters.tasks[worker].fetch_add(1, Ordering::Relaxed);
             // A panicking task must not take the worker thread (and its
-            // execution slot) down with it; result-bearing wrappers
-            // (scatter, the engine pipeline) catch and surface their own
-            // panics, so a payload reaching here carries no result.
+            // execution slot) down with it; the engine pipeline catches
+            // and surfaces its own panics, so a payload reaching here
+            // carries no result.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             continue;
         }
@@ -553,24 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_preserves_submission_order() {
-        let pool = WorkStealingPool::new(4);
-        // Vary task duration so completion order scrambles.
-        let tasks: Vec<_> = (0..64u64)
-            .map(|i| {
-                move || {
-                    if i % 7 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    i * 3
-                }
-            })
-            .collect();
-        let results = pool.scatter(tasks);
-        assert_eq!(results, (0..64u64).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn worker_spawned_subtasks_run_and_are_stealable() {
         // A task fans out subtasks from inside the pool (they land on the
         // spawning worker's own deque) and the continuation-style counter
@@ -610,19 +518,30 @@ mod tests {
         assert_eq!(count.load(Ordering::SeqCst), fanout);
     }
 
+    /// Spawns one task per input from outside the pool, each sending its
+    /// input back, and returns what arrived, sorted (arrival order is
+    /// scheduling's).
+    fn echo_batch(pool: &WorkStealingPool, inputs: std::ops::Range<u64>) -> Vec<u64> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for i in inputs {
+            let tx = tx.clone();
+            pool.spawn(move || tx.send(i).unwrap());
+        }
+        drop(tx);
+        let mut results: Vec<u64> = rx.iter().collect();
+        results.sort_unstable();
+        results
+    }
+
     #[test]
-    fn panicking_task_reaches_the_caller_and_spares_the_workers() {
+    fn panicking_task_spares_the_workers() {
         let pool = WorkStealingPool::new(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scatter(vec![
-                Box::new(|| 1u32) as Box<dyn FnOnce() -> u32 + Send>,
-                Box::new(|| panic!("boom")),
-                Box::new(|| 3),
-            ]);
-        }));
-        assert!(caught.is_err(), "scatter must re-raise the task panic");
+        // `worker_loop` catches the unwind of a task nobody waits on.
+        for _ in 0..4 {
+            pool.spawn(|| panic!("boom"));
+        }
         // Every worker survived: the pool still runs full batches.
-        assert_eq!(pool.scatter(vec![|| 7, || 8, || 9, || 10]), [7, 8, 9, 10]);
+        assert_eq!(echo_batch(&pool, 7..11), [7, 8, 9, 10]);
     }
 
     #[test]
@@ -634,7 +553,7 @@ mod tests {
         assert_eq!(base.workers, 2);
         assert!(base.parks >= 2, "both idle workers parked: {base:?}");
         let n = 32u64;
-        let _ = pool.scatter((0..n).map(|i| move || i).collect::<Vec<_>>());
+        assert_eq!(echo_batch(&pool, 0..n).len(), n as usize);
         let run = pool.stats().delta_since(&base);
         // Driver-side submissions all route through the injector...
         assert_eq!(run.injector_pushes, n);
@@ -653,10 +572,8 @@ mod tests {
         let pool = WorkStealingPool::new(2);
         // Let workers go idle, then submit again: parked workers must wake.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let results = pool.scatter(vec![|| 1, || 2]);
-        assert_eq!(results, vec![1, 2]);
+        assert_eq!(echo_batch(&pool, 1..3), [1, 2]);
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let results = pool.scatter(vec![|| 3]);
-        assert_eq!(results, vec![3]);
+        assert_eq!(echo_batch(&pool, 3..4), [3]);
     }
 }

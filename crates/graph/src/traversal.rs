@@ -1,4 +1,4 @@
-//! Breadth-first and depth-first traversal utilities.
+//! Breadth-first traversal utilities.
 
 use std::collections::VecDeque;
 
@@ -74,17 +74,6 @@ pub fn bfs(g: &Graph, root: VertexId) -> BfsTree {
         }
     }
     tree
-}
-
-/// Returns a shortest `u`–`v` path as a vertex sequence, or `None` if `v` is
-/// unreachable from `u`. The path equals `bfs(g, u).path_to(v)`; callers
-/// asking for many paths should keep one [`PathSearcher`] instead.
-///
-/// # Panics
-///
-/// Panics if `u` or `v` is out of range.
-pub fn shortest_path(g: &Graph, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-    PathSearcher::new().path(g, u, v)
 }
 
 /// A reusable breadth-first path searcher that stops as soon as the
@@ -167,42 +156,6 @@ impl PathSearcher {
     }
 }
 
-/// Converts a vertex path into the edge handles along it.
-///
-/// # Panics
-///
-/// Panics if consecutive vertices are not adjacent.
-pub fn path_edges(g: &Graph, path: &[VertexId]) -> Vec<EdgeId> {
-    path.windows(2)
-        .map(|w| {
-            g.edge_between(w[0], w[1])
-                .unwrap_or_else(|| panic!("no edge between {} and {}", w[0], w[1]))
-        })
-        .collect()
-}
-
-/// Returns the vertices reachable from `root` in DFS preorder.
-pub fn dfs_preorder(g: &Graph, root: VertexId) -> Vec<VertexId> {
-    let n = g.vertex_count();
-    let mut seen = vec![false; n];
-    let mut order = Vec::new();
-    let mut stack = vec![root];
-    while let Some(v) = stack.pop() {
-        if seen[v.index()] {
-            continue;
-        }
-        seen[v.index()] = true;
-        order.push(v);
-        // Push in reverse so lower-index neighbours are visited first.
-        for h in g.incident(v).iter().rev() {
-            if !seen[h.to.index()] {
-                stack.push(h.to);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +176,6 @@ mod tests {
         assert!(tree.reached(VertexId(1)));
         assert!(!tree.reached(VertexId(3)));
         assert_eq!(tree.path_to(VertexId(3)), None);
-    }
-
-    #[test]
-    fn shortest_path_on_cycle() {
-        let g = generators::cycle_graph(8);
-        let p = shortest_path(&g, VertexId(0), VertexId(4)).unwrap();
-        assert_eq!(p.len(), 5);
-        assert_eq!(path_edges(&g, &p).len(), 4);
     }
 
     /// The searcher against full-BFS paths on one graph: every ordered
@@ -291,12 +236,5 @@ mod tests {
                 .len(),
             12
         );
-    }
-
-    #[test]
-    fn dfs_visits_everything_connected() {
-        let g = generators::ladder(4);
-        let order = dfs_preorder(&g, VertexId(0));
-        assert_eq!(order.len(), 8);
     }
 }

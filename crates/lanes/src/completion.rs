@@ -104,11 +104,6 @@ impl Completion {
             .map(|(i, _)| EdgeId::new(i))
     }
 
-    /// Returns `true` if completion edge `e` is an edge of the original `G`.
-    pub fn is_original(&self, e: EdgeId) -> bool {
-        self.roles[e.index()].original.is_some()
-    }
-
     /// Sanity-checks the completion against the graph and representation it
     /// was built from: partition validity, `E1`/`E2` shape, role exactness.
     ///

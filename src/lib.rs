@@ -48,8 +48,7 @@ pub use lanecert_pathwidth as pathwidth;
 pub use lanecert::{
     BatchJob, BatchOutcome, BatchReport, BatchRunner, BoxedScheme, CertError, Certifier,
     CertifierBuilder, Configuration, DynScheme, EncodedLabel, EncodedLabelRef, EncodedLabeling,
-    Labeling, ProverHint, RunReport, Scheme, SchemeRegistry, SchemeSpec, Verdict, VertexView,
-    AUTO_HEURISTIC_LIMIT,
+    ProverHint, RunReport, Scheme, Verdict, VertexView, AUTO_HEURISTIC_LIMIT,
 };
 
 pub use lanecert_engine::{CorpusFamily, CorpusSpec, Engine, EngineBuilder, EngineReport};

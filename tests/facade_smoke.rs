@@ -8,10 +8,9 @@ use lanecert_suite::graph::{components, generators};
 use lanecert_suite::lanes::{bounds, LaneStrategy, Layout};
 use lanecert_suite::mso::{eval, props as mso_props};
 use lanecert_suite::pathwidth::{solver, IntervalRep};
+use lanecert_suite::pls::registry::THEOREM1;
 use lanecert_suite::pls::theorem1::{PathwidthScheme, SchemeOptions};
-use lanecert_suite::{
-    BatchJob, BatchRunner, Certifier, Configuration, ProverHint, Scheme, SchemeRegistry,
-};
+use lanecert_suite::{BatchJob, BatchRunner, Certifier, Configuration, ProverHint, Scheme};
 
 /// Touches one entry point behind each re-exported module, so a facade
 /// wiring regression (a dropped `pub use`, a renamed crate) fails here
@@ -57,8 +56,13 @@ fn every_reexport_resolves() {
     assert_eq!(labels.len(), 2);
 
     // unified API at the crate root
-    let registry = SchemeRegistry::standard();
-    assert!(registry.contains("theorem1"));
+    let certifier = Certifier::builder()
+        .property(Algebra::shared(alg_props::Connected))
+        .pathwidth(2)
+        .scheme(THEOREM1)
+        .build()
+        .unwrap();
+    assert!(certifier.name().starts_with(THEOREM1));
 }
 
 /// A minimal certify → verify round-trip through the typed trait:

@@ -72,7 +72,7 @@ fn labels_from_satisfying_twin_rejected() {
     );
 
     // The chord edge needs *some* label; replicate an existing one.
-    let mut transplanted = labels.into_vec();
+    let mut transplanted = labels;
     transplanted.push(transplanted[0].clone());
     let report = scheme.run(&cfg_chord, &transplanted).unwrap();
     assert!(!report.accepted());
