@@ -34,6 +34,7 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/bits.rs",
     "crates/core/src/certifier.rs",
     "crates/core/src/erased.rs",
+    "crates/core/src/pointer.rs",
     "crates/core/src/theorem1/labels.rs",
     "crates/core/src/theorem1/prover.rs",
     "crates/core/src/theorem1/verifier.rs",
@@ -175,6 +176,7 @@ mod tests {
         assert!(ctx_for("crates/core/src/theorem1/verifier.rs").no_panic);
         assert!(ctx_for("crates/core/src/theorem1/prover.rs").no_panic);
         assert!(ctx_for("crates/core/src/certifier.rs").no_panic);
+        assert!(ctx_for("crates/core/src/pointer.rs").no_panic);
         let engine = ctx_for("crates/engine/src/pool.rs");
         assert!(!engine.determinism && !engine.no_panic && !engine.interior_mut);
         // obs-clock: everywhere except the obs crate itself and the

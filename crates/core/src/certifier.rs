@@ -33,6 +33,10 @@ use crate::simple::{BipartiteScheme, WholeGraphScheme};
 use crate::theorem1::{PathwidthScheme, SchemeOptions};
 use crate::{CertError, Configuration};
 
+/// The most lanes a [`lanecert_lanes::LaneSet`] holds: the largest lane
+/// bound a builder accepts.
+const LANE_CAPACITY: usize = 64;
+
 /// A ready-to-run certification pipeline: one erased scheme plus the
 /// default prover hint.
 pub struct Certifier {
@@ -210,15 +214,16 @@ impl CertifierBuilder {
     /// # Errors
     ///
     /// [`CertError::UnknownScheme`] for a name outside [`crate::registry`];
-    /// [`CertError::InvalidSpec`] when the scheme lacks an input it needs
-    /// or was given one it would not enforce.
+    /// [`CertError::InvalidSpec`] when the scheme lacks an input it needs,
+    /// was given one it would not enforce, or was given a lane bound above
+    /// the 64 lanes a lane set holds.
     pub fn build(self) -> Result<Certifier, CertError> {
         let name = self.scheme.as_deref().unwrap_or(THEOREM1);
         let scheme: BoxedScheme = match name {
             THEOREM1 => {
                 self.reject_formula(THEOREM1)?;
                 let algebra = self.require_algebra(THEOREM1)?;
-                let Some(max_lanes) = self.lane_bound() else {
+                let Some(max_lanes) = self.lane_bound()? else {
                     return Err(CertError::InvalidSpec(
                         "theorem1 needs .pathwidth(k) or .max_lanes(w)".into(),
                     ));
@@ -274,7 +279,7 @@ impl CertifierBuilder {
                         alg.name()
                     )));
                 }
-                let max_lanes = self.lane_bound().unwrap_or(compiled::DEFAULT_MAX_LANES);
+                let max_lanes = self.lane_bound()?.unwrap_or(compiled::DEFAULT_MAX_LANES);
                 let freeze = compiled::freeze_options_for(formula, max_lanes);
                 Box::new(compiled::compile_scheme(
                     formula,
@@ -291,9 +296,27 @@ impl CertifierBuilder {
         Ok(Certifier { scheme, hint })
     }
 
-    /// The verifier lane bound: `.max_lanes(w)`, else `pathwidth + 1`.
-    fn lane_bound(&self) -> Option<usize> {
-        self.max_lanes.or(self.pathwidth.map(|k| k + 1))
+    /// The verifier lane bound: `.max_lanes(w)`, else `pathwidth + 1`;
+    /// `None` when neither is set.
+    ///
+    /// # Errors
+    ///
+    /// [`CertError::InvalidSpec`] for a bound above [`LANE_CAPACITY`],
+    /// including a `pathwidth + 1` that overflows.
+    fn lane_bound(&self) -> Result<Option<usize>, CertError> {
+        let bound = match (self.max_lanes, self.pathwidth) {
+            (Some(w), _) => Some(w),
+            (None, Some(k)) => k.checked_add(1),
+            (None, None) => return Ok(None),
+        };
+        match bound {
+            Some(w) if w <= LANE_CAPACITY => Ok(Some(w)),
+            _ => Err(CertError::InvalidSpec(format!(
+                "lane bound exceeds the {LANE_CAPACITY} lanes a lane set holds \
+                 (pathwidth at most {})",
+                LANE_CAPACITY - 1
+            ))),
+        }
     }
 
     fn options(&self, max_lanes: usize) -> SchemeOptions {
@@ -467,6 +490,21 @@ mod tests {
                 .property(Algebra::shared(Connected))
                 .scheme(THEOREM1)
         ));
+    }
+
+    #[test]
+    fn lane_bounds_past_the_lane_set_are_refused() {
+        let connected = || Certifier::builder().property(Algebra::shared(Connected));
+        // `usize::MAX + 1` must not overflow, and 65 lanes do not fit.
+        assert!(invalid_spec(connected().pathwidth(usize::MAX)));
+        assert!(invalid_spec(connected().max_lanes(65)));
+        assert!(invalid_spec(
+            Certifier::builder()
+                .compiled(lanecert_mso::props::vertex_cover_at_most(1))
+                .pathwidth(usize::MAX)
+        ));
+        // The full lane set still builds (the T9 ablation uses it).
+        assert!(connected().max_lanes(64).build().is_ok());
     }
 
     #[test]

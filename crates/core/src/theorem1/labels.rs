@@ -15,19 +15,120 @@
 //! into each [`TransitLbl`] position. The types are what the verifier and
 //! the typed prover decode those bytes into.
 
+use lanecert_lanes::{Lane, LaneSet};
+
 use crate::bits::{BitReader, BitWriter, Enc};
 use crate::inline::InlineVec;
 
-/// A k-lane interface: lanes with in/out terminal identifiers
-/// (wire form of Definition 5.3).
+/// Slot-id scratch: interfaces expose at most `2 · max_lanes` distinct
+/// terminals, so eight inline slots cover every configuration the test
+/// and benchmark corpora use without touching the heap.
+pub type SlotIds = InlineVec<u64, 8>;
+
+/// One side of an interface: `(lane, id)` pairs, strictly ascending by
+/// lane. Four inline pairs keep the common ≤ 4-lane interface — built,
+/// cloned, compared and hashed on every frame of every certificate —
+/// allocation-free.
+pub type Terminals = InlineVec<(u8, u64), 4>;
+
+/// A k-lane interface (Definition 5.3): a lane set plus an in-terminal
+/// and an out-terminal identifier per lane. The one interface type — the
+/// summaries of [`super::summary`] carry it, and it is what the labels
+/// encode.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct IfaceLbl {
-    /// Lane set bitmask.
-    pub lanes: u64,
-    /// `(lane, id)` pairs, ascending by lane.
-    pub tin: InlineVec<(u8, u64), 4>,
-    /// `(lane, id)` pairs, ascending by lane.
-    pub tout: InlineVec<(u8, u64), 4>,
+    /// The lane set (a bitmask on the wire).
+    pub lanes: LaneSet,
+    /// In-terminals, strictly ascending by lane.
+    pub tin: Terminals,
+    /// Out-terminals, strictly ascending by lane.
+    pub tout: Terminals,
+}
+
+impl IfaceLbl {
+    /// The in-terminal id of `lane`, if the interface has one.
+    pub fn tin_at(&self, lane: Lane) -> Option<u64> {
+        terminal_at(&self.tin, lane)
+    }
+
+    /// The out-terminal id of `lane`, if the interface has one.
+    pub fn tout_at(&self, lane: Lane) -> Option<u64> {
+        terminal_at(&self.tout, lane)
+    }
+
+    /// The canonical slot list: distinct terminal ids, ascending.
+    pub fn slot_ids(&self) -> SlotIds {
+        let mut ids: SlotIds = self
+            .tin
+            .iter()
+            .chain(self.tout.iter())
+            .map(|&(_, id)| id)
+            .collect();
+        ids.sort_unstable();
+        // Slice-level dedup: drop trailing duplicates by `remove`.
+        let mut w = 0;
+        for r in 0..ids.len() {
+            if r == 0 || ids[r] != ids[w - 1] {
+                ids[w] = ids[r];
+                w += 1;
+            }
+        }
+        while ids.len() > w {
+            ids.remove(ids.len() - 1);
+        }
+        ids
+    }
+
+    /// Checks a claimed interface against Definition 5.3 and the
+    /// verifier's lane bound: a non-empty lane set within the first
+    /// `max_lanes` lanes, and per side exactly one terminal per lane,
+    /// strictly ascending by lane (the one order the prover emits, so
+    /// every interface has one encoding), with distinct ids.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first malformation found.
+    pub fn validate(&self, max_lanes: usize) -> Result<(), String> {
+        if self.lanes.is_empty() {
+            return Err("empty lane set".into());
+        }
+        // Computed here rather than by `LaneSet::full`, which asserts
+        // `max_lanes <= 64`: a larger bound admits every lane.
+        let bound = if max_lanes >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << max_lanes) - 1
+        };
+        if !self.lanes.is_subset_of(LaneSet(bound)) {
+            return Err(format!("lane set exceeds the {max_lanes}-lane bound"));
+        }
+        for side in [&self.tin, &self.tout] {
+            for (x, &(lane, id)) in side.iter().enumerate() {
+                let before = &side[..x];
+                if !self.lanes.contains(lane as Lane) {
+                    return Err(format!("terminal on unused lane {lane}"));
+                }
+                if before.last().is_some_and(|&(prev, _)| prev >= lane) {
+                    return Err("terminals not strictly ascending by lane".into());
+                }
+                // Injectivity per Definition 5.3 (at most 64 pairs, so the
+                // quadratic scan beats sorting a scratch vec).
+                if before.iter().any(|&(_, other)| other == id) {
+                    return Err("terminal assignment not injective".into());
+                }
+            }
+            if side.len() != self.lanes.len() {
+                return Err("missing terminal for some lane".into());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Binary search of one interface side for `lane`'s terminal id.
+fn terminal_at(side: &[(u8, u64)], lane: Lane) -> Option<u64> {
+    let x = side.binary_search_by_key(&lane, |&(l, _)| l as Lane).ok()?;
+    side.get(x).map(|&(_, id)| id)
 }
 
 /// Basic information `B(G)` of a hierarchy node (Definition 6.3):
@@ -167,13 +268,13 @@ pub struct EdgeLabel {
 
 impl Enc for IfaceLbl {
     fn enc(&self, w: &mut BitWriter) {
-        self.lanes.enc(w);
+        self.lanes.0.enc(w);
         self.tin.enc(w);
         self.tout.enc(w);
     }
     fn dec(r: &mut BitReader<'_>) -> Option<Self> {
         Some(Self {
-            lanes: Enc::dec(r)?,
+            lanes: LaneSet(Enc::dec(r)?),
             tin: Enc::dec(r)?,
             tout: Enc::dec(r)?,
         })
@@ -397,7 +498,7 @@ mod tests {
                         node: 2,
                         class: 5,
                         iface: IfaceLbl {
-                            lanes: 0b11,
+                            lanes: LaneSet(0b11),
                             tin: [(0, 3), (1, 4)].into(),
                             tout: [(0, 9), (1, 4)].into(),
                         },
@@ -446,7 +547,7 @@ mod tests {
                     node: 5,
                     class: 0,
                     iface: IfaceLbl {
-                        lanes: 1,
+                        lanes: LaneSet(1),
                         tin: [(0, 8)].into(),
                         tout: [(0, 8)].into(),
                     },
@@ -455,7 +556,7 @@ mod tests {
                     node: 6,
                     class: 1,
                     iface: IfaceLbl {
-                        lanes: 2,
+                        lanes: LaneSet(2),
                         tin: [(1, 2)].into(),
                         tout: [(1, 4)].into(),
                     },
@@ -473,5 +574,46 @@ mod tests {
             let (bytes, _) = encode(&f);
             assert_eq!(decode::<FrameLbl>(&bytes), Some(f));
         }
+    }
+
+    #[test]
+    fn iface_validation_rejects_every_malformation() {
+        let good = IfaceLbl {
+            lanes: LaneSet(0b101),
+            tin: [(0, 4), (2, 6)].into(),
+            tout: [(0, 5), (2, 6)].into(),
+        };
+        assert_eq!(good.validate(3), Ok(()));
+        // Bounds past the 64-lane capacity admit every lane, and must not
+        // panic computing the lane mask.
+        for max_lanes in [64, 65, usize::MAX] {
+            assert_eq!(good.validate(max_lanes), Ok(()));
+            let wide = IfaceLbl {
+                lanes: LaneSet(1 << 63),
+                tin: [(63, 1)].into(),
+                tout: [(63, 2)].into(),
+            };
+            assert_eq!(wide.validate(max_lanes), Ok(()));
+        }
+        let rejects = |edit: fn(&mut IfaceLbl), reason: &str| {
+            let mut iface = good.clone();
+            edit(&mut iface);
+            assert_eq!(iface.validate(3), Err(reason.to_string()));
+        };
+        rejects(|i| i.lanes = LaneSet::EMPTY, "empty lane set");
+        rejects(|i| i.lanes = LaneSet(0b011), "terminal on unused lane 2");
+        rejects(|i| i.tin[0].0 = 1, "terminal on unused lane 1");
+        let unordered = "terminals not strictly ascending by lane";
+        rejects(|i| i.tin = [(0, 4), (0, 6)].into(), unordered); // duplicate lane
+        rejects(|i| i.tin = [(2, 6), (0, 4)].into(), unordered);
+        rejects(
+            |i| i.tout = [(0, 5)].into(),
+            "missing terminal for some lane",
+        );
+        rejects(|i| i.tout[0].1 = 6, "terminal assignment not injective");
+        assert_eq!(
+            good.validate(2),
+            Err("lane set exceeds the 2-lane bound".to_string())
+        );
     }
 }

@@ -447,6 +447,56 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_interface_claims_are_rejected() {
+        use super::labels::{BasicInfoLbl, EdgeCertLbl, FrameLbl};
+        use crate::erased::{DynScheme, EncodedLabeling};
+        // The side and child claims a verifier parses (T subtrees are
+        // compared against a recomputation instead).
+        fn parsed_infos(cert: &mut EdgeCertLbl) -> impl Iterator<Item = &mut BasicInfoLbl> {
+            cert.frames.iter_mut().flat_map(|f| match f {
+                FrameLbl::T(t) => t.children.iter_mut().collect::<Vec<_>>(),
+                FrameLbl::B(b) => vec![&mut b.left, &mut b.right],
+                _ => Vec::new(),
+            })
+        }
+        let scheme = PathwidthScheme::new(
+            Algebra::shared(Connected),
+            SchemeOptions::exact_pathwidth(2),
+        );
+        let g = generators::ladder(8);
+        let hint = ProverHint::with_representation(rep_of(&g));
+        let cfg = Configuration::with_random_ids(g, 23);
+        let mut labels = scheme.prove(&cfg, &hint).unwrap();
+        let honest = labels
+            .iter_mut()
+            .flat_map(|l| parsed_infos(&mut l.own))
+            .find(|info| info.iface.tin.len() > 1)
+            .expect("a ladder has a multi-lane side or child claim")
+            .clone();
+        let mut reordered = honest.clone();
+        reordered.iface.tin.reverse();
+        // Every copy of the claim, so only the interface order is wrong.
+        for label in &mut labels {
+            let certs = std::iter::once(&mut label.own)
+                .chain(label.transits.iter_mut().map(|t| &mut t.cert));
+            for cert in certs {
+                for info in parsed_infos(cert) {
+                    if *info == honest {
+                        *info = reordered.clone();
+                    }
+                }
+            }
+        }
+        let wire = EncodedLabeling::encode(&labels);
+        let report = DynScheme::verify_encoded(&scheme, &cfg, &wire).unwrap();
+        assert!(report.reject_count() >= 1);
+        assert!(report
+            .verdicts
+            .iter()
+            .any(|v| *v == Verdict::reject("terminals not strictly ascending by lane")));
+    }
+
+    #[test]
     fn random_graphs_complete() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);

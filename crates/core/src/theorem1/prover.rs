@@ -425,7 +425,7 @@ impl<'a> Frames<'a> {
                     Ok(BasicInfoLbl {
                         node: side as u32,
                         class: fr.wire_class(s)?,
-                        iface: s.iface.to_lbl(),
+                        iface: s.iface.clone(),
                     })
                 };
                 let mut frame = BFrameLbl {
@@ -462,7 +462,7 @@ impl<'a> Frames<'a> {
                         children.push(BasicInfoLbl {
                             node: members[c] as u32,
                             class: self.wire_class(s)?,
-                            iface: s.iface.to_lbl(),
+                            iface: s.iface.clone(),
                         });
                     }
                     let frame = FrameLbl::T(TFrameLbl {
@@ -471,7 +471,7 @@ impl<'a> Frames<'a> {
                         subtree: BasicInfoLbl {
                             node: m as u32,
                             class: self.wire_class(sub)?,
-                            iface: sub.iface.to_lbl(),
+                            iface: sub.iface.clone(),
                         },
                         children,
                         is_root_member: idx == 0,

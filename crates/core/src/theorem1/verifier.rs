@@ -16,11 +16,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use lanecert_algebra::{FrozenAlgebra, StateId};
-use lanecert_lanes::LaneSet;
 
 use super::labels::*;
-use super::summary::{self, Iface, Summary};
+use super::summary::{self, Summary};
 use crate::inline::{InlineVec, ScratchBuf};
+use crate::pointer;
 use crate::scheme::{Verdict, VertexView};
 
 /// Verification context.
@@ -294,10 +294,7 @@ fn check_cert_shape(ctx: &Ctx<'_>, cert: &EdgeCertLbl) -> VResult<()> {
 /// slipped past the fingerprint check) are a rejection, never a panic —
 /// [`FrozenAlgebra::class_of`] is total.
 fn parse_info(ctx: &Ctx<'_>, info: &BasicInfoLbl) -> VResult<Summary> {
-    let iface = Iface::from_lbl(&info.iface)?;
-    if !iface.lanes.is_subset_of(LaneSet::full(ctx.max_lanes)) {
-        return Err(format!("lane set exceeds the {}-lane bound", ctx.max_lanes));
-    }
+    info.iface.validate(ctx.max_lanes)?;
     let Some(class) = ctx.alg.class_of(StateId(info.class)) else {
         return Err("unknown homomorphism class".into());
     };
@@ -305,27 +302,20 @@ fn parse_info(ctx: &Ctx<'_>, info: &BasicInfoLbl) -> VResult<Summary> {
     // this check an adversarial class id of the wrong arity could drive
     // slot-indexed algebra operations out of bounds (a panic, not a
     // rejection).
-    if class.arity() != iface.slot_ids().len() {
+    if class.arity() != info.iface.slot_ids().len() {
         return Err("class arity does not match the claimed interface".into());
     }
-    Ok(Summary { class, iface })
+    Ok(Summary {
+        class,
+        iface: info.iface.clone(),
+    })
 }
 
 /// Compares a recomputed summary against a wire claim without building a
-/// [`Summary`] from the claim: the class id resolves through the canonical
-/// table and the interface compares in the canonical ascending lane order
-/// (the only order the prover emits).
+/// [`Summary`] from the claim: the interfaces are the same type, and the
+/// class id resolves through the canonical table.
 fn summary_matches_lbl(ctx: &Ctx<'_>, s: &Summary, claim: &BasicInfoLbl) -> bool {
-    fn map_matches(m: &summary::LaneMap, wire: &[(u8, u64)]) -> bool {
-        m.len() == wire.len()
-            && m.iter()
-                .zip(wire)
-                .all(|((&l, &v), &(wl, wv))| l == wl as usize && v == wv)
-    }
-    s.iface.lanes.0 == claim.iface.lanes
-        && map_matches(&s.iface.tin, &claim.iface.tin)
-        && map_matches(&s.iface.tout, &claim.iface.tout)
-        && ctx.alg.class_of(StateId(claim.class)).as_ref() == Some(&s.class)
+    s.iface == claim.iface && ctx.alg.class_of(StateId(claim.class)).as_ref() == Some(&s.class)
 }
 
 /// Memoized [`summary::base_e`]: the recipe is a pure function of the
@@ -414,8 +404,9 @@ fn fold_children(ctx: &Ctx<'_>, own: &Summary, frame: &TFrameLbl) -> VResult<Sum
                 return Err("child lanes exceed member lanes".into());
             }
             for lane in kid.iface.lanes.iter() {
-                if kid.iface.tin[&lane] != own.iface.tout[&lane] {
-                    return Err("child junction id mismatch".into());
+                match (kid.iface.tin_at(lane), own.iface.tout_at(lane)) {
+                    (Some(x), Some(y)) if x == y => {}
+                    _ => return Err("child junction id mismatch".into()),
                 }
             }
         }
@@ -484,14 +475,19 @@ fn bridge_summary(ctx: &Ctx<'_>, f0: &BFrameLbl) -> VResult<(Summary, u64, u64)>
                 if info.iface.lanes.len() != 1 || info.iface.tin != info.iface.tout {
                     return Err("V-node side with a non-V interface".into());
                 }
-                let recomputed = summary::base_v(ctx.alg, lane, info.iface.tin[&lane]);
+                let id = info
+                    .iface
+                    .tin_at(lane)
+                    .ok_or("V-node side without a terminal")?;
+                let recomputed = summary::base_v(ctx.alg, lane, id);
                 if recomputed.class != info.class {
                     return Err("V-node class mismatch".into());
                 }
             }
         }
-        let u = left.iface.tout[&i];
-        let w = right.iface.tout[&j];
+        let (Some(u), Some(w)) = (left.iface.tout_at(i), right.iface.tout_at(j)) else {
+            return Err("bridge lane without an out-terminal".into());
+        };
         let s = summary::bridge(ctx.alg, &left, &right, i, j, f0.bridge_marked)?;
         m.bridge.entry(h).or_default().push((
             (
@@ -534,36 +530,19 @@ fn check_tnode(
     }
     let first = tf_at(certs.first().ok_or("empty T-node group")?, depth)?;
     let (t_node, root_vertex) = (first.t_node, first.root_vertex);
-    // Pointer consistency (Proposition 2.2 within this T-node).
-    let mut my_d: Option<u32> = None;
-    let mut has_parent = false;
-    for &c in certs.iter() {
+    // Proposition 2.2 within this T-node, rooted at `root_vertex`.
+    let distances = certs.iter().map(|&c| -> VResult<(u32, u32)> {
         let t = tf_at(c, depth)?;
         if t.t_node != t_node || t.root_vertex != root_vertex {
             return Err("inconsistent T-node context".into());
         }
-        let (mine, other) = if ctx.my_id == c.a {
+        Ok(if ctx.my_id == c.a {
             (t.d_a, t.d_b)
         } else {
             (t.d_b, t.d_a)
-        };
-        if *my_d.get_or_insert(mine) != mine {
-            return Err("inconsistent pointer distance".into());
-        }
-        if mine.abs_diff(other) > 1 {
-            return Err("pointer distance jump".into());
-        }
-        if other.checked_add(1) == Some(mine) {
-            has_parent = true;
-        }
-    }
-    let d = my_d.ok_or("empty T-node group")?;
-    if d == 0 && ctx.my_id != root_vertex {
-        return Err("claims pointer distance 0 with wrong id".into());
-    }
-    if d > 0 && !has_parent {
-        return Err("no decreasing pointer neighbour".into());
-    }
+        })
+    });
+    pointer::check_distances(distances, ctx.my_id == root_vertex)?;
 
     // Distinct members in first-appearance order (few members per vertex,
     // so the rescans below stay cheap and allocation-free).
@@ -638,7 +617,7 @@ fn check_tnode(
     for &(member, ref mc) in checked.iter() {
         // R2: if I am a glue point (an in-terminal) of a non-root member,
         // my parent member must be present and list this member.
-        let is_tin = mc.own.iface.tin.values().any(|&x| x == ctx.my_id);
+        let is_tin = mc.own.iface.tin.iter().any(|&(_, x)| x == ctx.my_id);
         if is_tin && !mc.frame.is_root_member {
             let listed = checked.iter().any(|(_, p)| {
                 p.frame
@@ -653,10 +632,11 @@ fn check_tnode(
         // R1: every child hanging at one of my out-terminals must be
         // physically present here.
         for entry in &mc.frame.children {
-            let lanes = LaneSet(entry.iface.lanes);
-            let attaches_here = lanes
+            let attaches_here = entry
+                .iface
+                .lanes
                 .iter()
-                .any(|l| mc.own.iface.tout.get(&l) == Some(&ctx.my_id));
+                .any(|l| mc.own.iface.tout_at(l) == Some(ctx.my_id));
             if attaches_here {
                 let present = checked
                     .iter()

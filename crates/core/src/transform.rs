@@ -216,7 +216,7 @@ mod tests {
     fn pointer_scheme_survives_the_transform() {
         let cfg = Configuration::with_random_ids(generators::grid(3, 4), 8);
         let target = cfg.id_of(VertexId(5));
-        let edge_labels = pointer::prove(&cfg, target);
+        let edge_labels = pointer::prove(&cfg, target).unwrap();
         let vertex_labels = edge_to_vertex_labels(&cfg, &edge_labels);
         let report = run_vertex_scheme(&cfg, &vertex_labels, pointer::verify_at).unwrap();
         assert!(report.accepted(), "{:?}", report.first_rejection());
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn hiding_an_edge_is_detected() {
         let cfg = Configuration::with_sequential_ids(generators::cycle_graph(6));
-        let edge_labels = pointer::prove(&cfg, 0);
+        let edge_labels = pointer::prove(&cfg, 0).unwrap();
         let mut vertex_labels = edge_to_vertex_labels(&cfg, &edge_labels);
         // Remove one claim: some port loses its unique claim.
         let victim = vertex_labels
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn fabricating_an_edge_is_detected() {
         let cfg = Configuration::with_sequential_ids(generators::cycle_graph(6));
-        let edge_labels = pointer::prove(&cfg, 0);
+        let edge_labels = pointer::prove(&cfg, 0).unwrap();
         let mut vertex_labels = edge_to_vertex_labels(&cfg, &edge_labels);
         // Duplicate a claim on the same port: double-claimed port.
         let victim = vertex_labels
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn truncated_vertex_labeling_is_an_error_not_a_panic() {
         let cfg = Configuration::with_sequential_ids(generators::cycle_graph(6));
-        let edge_labels = pointer::prove(&cfg, 0);
+        let edge_labels = pointer::prove(&cfg, 0).unwrap();
         let mut vertex_labels = edge_to_vertex_labels(&cfg, &edge_labels);
         vertex_labels.pop();
         let err =
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn vertex_labels_stay_small_on_sparse_graphs() {
         let cfg = Configuration::with_sequential_ids(generators::caterpillar(30, 2));
-        let edge_labels = pointer::prove(&cfg, 0);
+        let edge_labels = pointer::prove(&cfg, 0).unwrap();
         let vertex_labels = edge_to_vertex_labels(&cfg, &edge_labels);
         let report = run_vertex_scheme(&cfg, &vertex_labels, pointer::verify_at).unwrap();
         assert!(report.accepted());

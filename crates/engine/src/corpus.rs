@@ -7,8 +7,9 @@
 //! thousands of configurations never sits in memory at once and the
 //! engine's bounded in-flight window is the only working set.
 //!
-//! Families with a known decomposition ([`CorpusFamily::hints_known`])
-//! attach a [`ProverHint`] carrying an interval representation that
+//! Families with a known decomposition (those whose
+//! [`CorpusFamily::instance`] returns a representation) attach a
+//! [`ProverHint`] carrying an interval representation that
 //! witnesses their pathwidth, which is how corpora scale past the
 //! automatic-derivation limit; the rest rely on the certifier's hint
 //! resolution (exact solver, then heuristic fallback) or deliberately
@@ -90,21 +91,6 @@ impl CorpusFamily {
             CorpusFamily::Gnp { .. } => "gnp",
             CorpusFamily::DisjointPaths => "disjoint-paths",
         }
-    }
-
-    /// `true` when instances carry a [`ProverHint`] with a known interval
-    /// representation (so the family scales past the automatic-derivation
-    /// limit).
-    pub fn hints_known(&self) -> bool {
-        matches!(
-            self,
-            CorpusFamily::Path
-                | CorpusFamily::Cycle
-                | CorpusFamily::Ladder
-                | CorpusFamily::Caterpillar
-                | CorpusFamily::RandomPathwidth { .. }
-                | CorpusFamily::RandomInterval { .. }
-        )
     }
 
     /// Builds one instance: the graph and, for representation-bearing
@@ -445,7 +431,6 @@ mod tests {
                 let rep = rep.expect("hinted family");
                 rep.validate(&g)
                     .unwrap_or_else(|e| panic!("{}/n{n}: {e}", family.name()));
-                assert!(family.hints_known());
             }
         }
     }
@@ -476,7 +461,6 @@ mod tests {
             let (g, rep) = family.instance(20, 1);
             assert_eq!(g.vertex_count(), 20, "{}", family.name());
             assert!(rep.is_none());
-            assert!(!family.hints_known());
         }
         // Disjoint paths are disconnected by construction.
         let (g, _) = CorpusFamily::DisjointPaths.instance(12, 2);

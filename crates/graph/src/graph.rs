@@ -262,30 +262,6 @@ impl Graph {
         self.adj[v.index()].iter().map(|h| h.to)
     }
 
-    /// Builds the subgraph induced by `keep`, returning the subgraph together
-    /// with the map from new vertex indices to original handles.
-    ///
-    /// Vertices in `keep` must be distinct.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` contains an out-of-range or repeated vertex.
-    pub fn induced_subgraph(&self, keep: &[VertexId]) -> (Graph, Vec<VertexId>) {
-        let mut to_new: HashMap<VertexId, VertexId> = HashMap::with_capacity(keep.len());
-        for (i, &v) in keep.iter().enumerate() {
-            assert!(v.index() < self.vertex_count(), "out-of-range vertex {v}");
-            let prev = to_new.insert(v, VertexId::new(i));
-            assert!(prev.is_none(), "repeated vertex {v} in induced_subgraph");
-        }
-        let mut sub = Graph::new(keep.len());
-        for (_, e) in self.edges() {
-            if let (Some(&nu), Some(&nv)) = (to_new.get(&e.u), to_new.get(&e.v)) {
-                sub.add_edge(nu, nv).expect("induced edges are simple");
-            }
-        }
-        (sub, keep.to_vec())
-    }
-
     /// Total degree sum, i.e. `2m`. Exposed for sanity checks in tests.
     pub fn degree_sum(&self) -> usize {
         self.adj.iter().map(Vec::len).sum()
@@ -362,15 +338,6 @@ mod tests {
         assert_eq!(e.other(VertexId(0)), VertexId(1));
         assert_eq!(e.other(VertexId(1)), VertexId(0));
         assert!(e.is_incident(VertexId(0)));
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let (sub, back) = g.induced_subgraph(&[VertexId(1), VertexId(2), VertexId(3)]);
-        assert_eq!(sub.vertex_count(), 3);
-        assert_eq!(sub.edge_count(), 2); // 1-2 and 2-3 survive
-        assert_eq!(back[0], VertexId(1));
     }
 
     #[test]

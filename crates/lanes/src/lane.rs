@@ -55,11 +55,6 @@ impl LaneSet {
         LaneSet(self.0 | other.0)
     }
 
-    /// Set intersection.
-    pub fn intersection(&self, other: LaneSet) -> LaneSet {
-        LaneSet(self.0 & other.0)
-    }
-
     /// Returns `true` if `self ⊆ other`.
     pub fn is_subset_of(&self, other: LaneSet) -> bool {
         self.0 & !other.0 == 0
@@ -136,7 +131,6 @@ mod tests {
         assert!(a.contains(2));
         assert!(!a.contains(1));
         assert_eq!(a.union(b), [0, 2, 3, 5].into_iter().collect());
-        assert_eq!(a.intersection(b), LaneSet::singleton(2));
         assert!(!a.is_disjoint(b));
         assert!(LaneSet::singleton(1).is_disjoint(a));
         assert!(b.is_subset_of(a.union(b)));

@@ -113,11 +113,6 @@ impl ManualClock {
         self.time.fetch_add(delta, Ordering::SeqCst);
     }
 
-    /// Jumps time to an absolute nanosecond value.
-    pub fn set_ns(&self, t: u64) {
-        self.time.store(t, Ordering::SeqCst);
-    }
-
     /// Current manual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.time.load(Ordering::SeqCst)
@@ -146,7 +141,7 @@ mod tests {
         assert_eq!(clock.now_ns(), 0);
         manual.advance_ns(250);
         assert_eq!(clock.now_ns(), 250);
-        manual.set_ns(1_000);
+        manual.advance_ns(750);
         assert_eq!(clock.now_ns(), 1_000);
         assert_eq!(clock.seconds_since(500), 0.000_000_5);
         assert!(clock.is_manual());

@@ -136,12 +136,6 @@ impl ObsReport {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Total nanoseconds recorded into the named stage histogram —
-    /// the per-stage totals the trace summary surfaces.
-    pub fn stage_total_ns(&self, name: &str) -> u64 {
-        self.histogram(name).map_or(0, |h| h.sum)
-    }
-
     /// JSON object rendering (stable key order).
     pub fn to_json(&self) -> String {
         let counters: Vec<String> = self
@@ -293,6 +287,6 @@ mod tests {
         );
         assert_eq!(report.counter("labels_decoded"), 7);
         assert_eq!(report.counter("missing"), 0);
-        assert_eq!(report.stage_total_ns("prove_ns"), 30);
+        assert_eq!(report.histogram("prove_ns").map(|h| h.sum), Some(30));
     }
 }
