@@ -14,7 +14,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::{Property, Slot};
+use crate::{FxHasher, Property, Slot};
 
 /// An `Algebra` shared between the prover and all verifier invocations.
 pub type SharedAlgebra = Arc<Algebra>;
@@ -22,15 +22,24 @@ pub type SharedAlgebra = Arc<Algebra>;
 /// A type-erased homomorphism-class *value*: the property state together
 /// with its boundary arity (number of live terminal slots).
 ///
-/// `Class` is a value, not a table index: cloning is an `Arc` bump,
-/// equality and hashing are structural (two classes are equal exactly
-/// when they came from the same state type and compare equal as states
-/// at the same arity). The wire-level [`StateId`](crate::StateId)s are
-/// assigned by [`FrozenAlgebra`](crate::FrozenAlgebra).
+/// `Class` is a value, not a table index: cloning is an `Arc` bump, and
+/// equality is structural (two classes are equal exactly when they came
+/// from the same state type and compare equal as states at the same
+/// arity). The structural hash is computed once, when an operation builds
+/// the class: hashing writes that one word, and equality returns early on
+/// a hash mismatch or on a shared state pointer, so a class keys a map in
+/// `O(1)`. The wire-level [`StateId`](crate::StateId)s are assigned by
+/// [`FrozenAlgebra`](crate::FrozenAlgebra).
 #[derive(Clone)]
-pub struct Class {
-    state: Arc<dyn ErasedState>,
+pub struct Class(Arc<Node<dyn ErasedState>>);
+
+/// What a [`Class`] points to: the state, behind its arity and its
+/// cached hash (one pointer per class value, however many copies).
+struct Node<S: ?Sized> {
     arity: usize,
+    /// [`FxHasher`] digest of `(arity, state)`.
+    hash: u64,
+    state: S,
 }
 
 impl Class {
@@ -39,7 +48,7 @@ impl Class {
     /// before applying slot-indexed operations, so adversarial class ids
     /// can never drive a property implementation out of bounds.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.0.arity
     }
 
     /// The canonical structural key used for the freeze pass's sort and
@@ -48,13 +57,15 @@ impl Class {
     /// key orders distinct states deterministically across runs and
     /// builds.
     pub(crate) fn structural_key(&self) -> (usize, String) {
-        (self.arity, format!("{:?}", self.state))
+        (self.0.arity, format!("{:?}", &self.0.state))
     }
 }
 
 impl PartialEq for Class {
     fn eq(&self, other: &Self) -> bool {
-        self.arity == other.arity && self.state.eq_dyn(other.state.as_ref())
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.hash == b.hash && a.arity == b.arity && a.state.eq_dyn(&b.state))
     }
 }
 
@@ -62,37 +73,30 @@ impl Eq for Class {}
 
 impl Hash for Class {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        self.arity.hash(h);
-        self.state.hash_dyn(h);
+        h.write_u64(self.0.hash);
     }
 }
 
 impl fmt::Debug for Class {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Class")
-            .field("arity", &self.arity)
-            .field("state", &self.state)
+            .field("arity", &self.0.arity)
+            .field("state", &&self.0.state)
             .finish()
     }
 }
 
 /// Object-safe view of a property state: `Any` for downcasting plus
-/// dynamic equality/hashing (states of different property types never
-/// compare equal).
+/// dynamic equality (states of different property types never compare
+/// equal).
 trait ErasedState: Any + Send + Sync + fmt::Debug {
     fn eq_dyn(&self, other: &dyn ErasedState) -> bool;
-    fn hash_dyn(&self, h: &mut dyn Hasher);
     fn as_any(&self) -> &dyn Any;
 }
 
-impl<S: Eq + Hash + fmt::Debug + Send + Sync + 'static> ErasedState for S {
+impl<S: Eq + fmt::Debug + Send + Sync + 'static> ErasedState for S {
     fn eq_dyn(&self, other: &dyn ErasedState) -> bool {
         other.as_any().downcast_ref::<S>() == Some(self)
-    }
-
-    fn hash_dyn(&self, mut h: &mut dyn Hasher) {
-        self.as_any().type_id().hash(&mut h);
-        self.hash(&mut h);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -117,17 +121,21 @@ struct TypedProp<P: Property>(P);
 
 impl<P: Property> TypedProp<P> {
     fn state<'a>(&self, c: &'a Class) -> &'a P::State {
-        c.state
+        c.0.state
             .as_any()
             .downcast_ref()
             .expect("class value belongs to a different property algebra")
     }
 
     fn wrap(&self, state: P::State, arity: usize) -> Class {
-        Class {
-            state: Arc::new(state),
+        let mut h = FxHasher::default();
+        arity.hash(&mut h);
+        state.hash(&mut h);
+        Class(Arc::new(Node {
             arity,
-        }
+            hash: h.finish(),
+            state,
+        }))
     }
 }
 
@@ -143,27 +151,27 @@ impl<P: Property> ErasedProp for TypedProp<P> {
     }
     fn add_vertex(&self, s: Class) -> Class {
         let out = self.0.add_vertex(self.state(&s));
-        self.wrap(out, s.arity + 1)
+        self.wrap(out, s.arity() + 1)
     }
     fn add_edge(&self, s: Class, a: Slot, b: Slot, marked: bool) -> Class {
         let out = self.0.add_edge(self.state(&s), a, b, marked);
-        self.wrap(out, s.arity)
+        self.wrap(out, s.arity())
     }
     fn glue(&self, s: Class, a: Slot, b: Slot) -> Class {
         let out = self.0.glue(self.state(&s), a, b);
-        self.wrap(out, s.arity.saturating_sub(1))
+        self.wrap(out, s.arity().saturating_sub(1))
     }
     fn forget(&self, s: Class, a: Slot) -> Class {
         let out = self.0.forget(self.state(&s), a);
-        self.wrap(out, s.arity.saturating_sub(1))
+        self.wrap(out, s.arity().saturating_sub(1))
     }
     fn union(&self, s1: Class, s2: Class) -> Class {
         let out = self.0.union(self.state(&s1), self.state(&s2));
-        self.wrap(out, s1.arity + s2.arity)
+        self.wrap(out, s1.arity() + s2.arity())
     }
     fn swap(&self, s: Class, a: Slot, b: Slot) -> Class {
         let out = self.0.swap(self.state(&s), a, b);
-        self.wrap(out, s.arity)
+        self.wrap(out, s.arity())
     }
     fn accept(&self, s: &Class) -> bool {
         self.0.accept(self.state(s))

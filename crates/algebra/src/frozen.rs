@@ -46,7 +46,10 @@ use std::ops::Deref;
 // lint: allow(interior-mut) reason="imports for the documented sealed tail and the freeze cache; every use site carries its own suppression"
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use crate::{Algebra, Class, SharedAlgebra};
+use crate::{Algebra, Class, FxBuildHasher, SharedAlgebra};
+
+/// A map keyed by classes, which hash to their cached structural digest.
+type ClassMap<V> = HashMap<Class, V, FxBuildHasher>;
 
 /// An interned homomorphism class id — the `O(1)`-bit value certificates
 /// carry (the class space `C` of Proposition 2.4 depends only on `ϕ` and
@@ -117,7 +120,7 @@ impl FreezeOptions {
 #[derive(Default)]
 struct Tail {
     classes: Vec<Class>,
-    index: HashMap<Class, u32>,
+    index: ClassMap<u32>,
 }
 
 /// An immutable, canonically ordered class table over an [`Algebra`] —
@@ -128,7 +131,7 @@ pub struct FrozenAlgebra {
     algebra: SharedAlgebra,
     /// Canonically sorted classes; `canonical[i]` has id `i`.
     canonical: Vec<Class>,
-    index: HashMap<Class, u32>,
+    index: ClassMap<u32>,
     /// `true` when the enumeration completed: the table is the entire
     /// reachable space under the arity cap and the tail stays empty.
     total: bool,
@@ -419,12 +422,12 @@ fn freeze_cache() -> &'static FreezeCache {
 /// function of `(property, opts)` either way.
 fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
     let mut order: Vec<Class> = Vec::new();
-    let mut seen: HashMap<Class, ()> = HashMap::new();
+    let mut seen: ClassMap<()> = ClassMap::default();
     // Processed states, indexed by arity, for the union closure.
     let mut by_arity: Vec<Vec<usize>> = vec![Vec::new(); opts.max_arity + 1];
     let mut ops = 0usize;
 
-    let push = |c: Class, order: &mut Vec<Class>, seen: &mut HashMap<Class, ()>| -> bool {
+    let push = |c: Class, order: &mut Vec<Class>, seen: &mut ClassMap<()>| -> bool {
         if c.arity() <= opts.max_arity && seen.insert(c.clone(), ()).is_none() {
             order.push(c);
         }
@@ -441,7 +444,7 @@ fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
         by_arity[a].push(next);
         next += 1;
 
-        let mut apply = |c: Class, order: &mut Vec<Class>, seen: &mut HashMap<Class, ()>| -> bool {
+        let mut apply = |c: Class, order: &mut Vec<Class>, seen: &mut ClassMap<()>| -> bool {
             ops += 1;
             ops <= opts.op_budget && push(c, order, seen)
         };

@@ -30,6 +30,7 @@
 
 mod algebra;
 mod frozen;
+mod fx;
 mod property;
 
 pub use algebra::{Algebra, Class, SharedAlgebra};
@@ -37,6 +38,7 @@ pub use frozen::{
     FreezeOptions, FrozenAlgebra, SharedFrozenAlgebra, StateId, DEFAULT_OP_BUDGET,
     DEFAULT_STATE_BUDGET, MAX_FREEZE_ARITY,
 };
+pub use fx::{FxBuildHasher, FxHasher};
 pub use property::{glue_order, Property, Slot};
 
 pub mod mirror;

@@ -33,9 +33,8 @@ use crate::simple::{BipartiteScheme, WholeGraphScheme};
 use crate::theorem1::{PathwidthScheme, SchemeOptions};
 use crate::{CertError, Configuration};
 
-/// The most lanes a [`lanecert_lanes::LaneSet`] holds: the largest lane
-/// bound a builder accepts.
-const LANE_CAPACITY: usize = 64;
+/// The largest lane bound a builder accepts: what a lane set holds.
+const LANE_CAPACITY: usize = lanecert_lanes::LaneSet::CAPACITY;
 
 /// A ready-to-run certification pipeline: one erased scheme plus the
 /// default prover hint.

@@ -190,12 +190,12 @@ pub fn freeze_options_for(formula: &Formula, max_lanes: usize) -> FreezeOptions 
     for entry in standard_formulas() {
         if sexpr::canonical(&entry.formula()) == canonical {
             return FreezeOptions {
-                max_arity: 2 * max_lanes,
+                max_arity: max_lanes.saturating_mul(2),
                 ..entry.freeze_options()
             };
         }
     }
-    FreezeOptions::for_interface_arity(2 * max_lanes)
+    FreezeOptions::for_interface_arity(max_lanes.saturating_mul(2))
 }
 
 #[cfg(test)]

@@ -480,7 +480,7 @@ fn verify_span<S: Scheme + Send + Sync>(
     // label — a rejection, never a panic (adversarial bytes flow here).
     let mut scratch: Vec<Option<&S::Label>> = Vec::with_capacity(g.max_degree());
     // lint: zero-alloc {
-    (lo..hi)
+    let verdicts = (lo..hi)
         .map(|v| {
             let v = VertexId::new(v);
             scratch.clear();
@@ -494,8 +494,12 @@ fn verify_span<S: Scheme + Send + Sync>(
                 incident: &scratch,
             })
         })
-        .collect()
+        .collect();
     // lint: }
+    // The Theorem 1 transition memo's tallies for this call (none for
+    // other schemes).
+    crate::theorem1::summary::flush_memo_counters();
+    verdicts
 }
 
 impl<S: Scheme + Send + Sync> DynScheme for S {

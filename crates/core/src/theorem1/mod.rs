@@ -35,7 +35,7 @@ pub mod summary;
 mod verifier;
 
 use lanecert_algebra::{FreezeOptions, FrozenAlgebra, SharedAlgebra, SharedFrozenAlgebra};
-use lanecert_lanes::{LaneStrategy, Layout};
+use lanecert_lanes::{LaneSet, LaneStrategy, Layout};
 use lanecert_pathwidth::IntervalRep;
 
 pub use labels::EdgeLabel;
@@ -96,7 +96,7 @@ impl PathwidthScheme {
         Self::with_freeze_options(
             algebra,
             opts,
-            &FreezeOptions::for_interface_arity(2 * opts.max_lanes),
+            &FreezeOptions::for_interface_arity(opts.max_lanes.saturating_mul(2)),
         )
     }
 
@@ -111,7 +111,7 @@ impl PathwidthScheme {
         freeze: &FreezeOptions,
     ) -> Self {
         let freeze = FreezeOptions {
-            max_arity: 2 * opts.max_lanes,
+            max_arity: opts.max_lanes.saturating_mul(2),
             ..freeze.clone()
         };
         let frozen = FrozenAlgebra::freeze(algebra, &freeze);
@@ -175,21 +175,25 @@ impl PathwidthScheme {
             };
         }
         // Every lane partition needs at least `width` lanes; refusing here
-        // keeps an over-wide representation out of `Layout::build`.
-        if rep.width() > self.opts.max_lanes {
+        // keeps an over-wide representation out of `Layout::build`. A lane
+        // set holds 64 lanes, whatever bound the options name.
+        let bound = self.opts.max_lanes.min(LaneSet::CAPACITY);
+        if rep.width() > bound {
             return Err(CertError::TooManyLanes {
                 needed: rep.width(),
-                bound: self.opts.max_lanes,
+                bound,
             });
         }
         let layout = Layout::build(g, rep, self.opts.strategy);
-        if layout.lane_count() > self.opts.max_lanes {
+        if layout.lane_count() > bound {
             return Err(CertError::TooManyLanes {
                 needed: layout.lane_count(),
-                bound: self.opts.max_lanes,
+                bound,
             });
         }
-        prover::build_labels(&self.frozen, cfg, &layout)
+        let labels = prover::build_labels(&self.frozen, cfg, &layout);
+        summary::flush_memo_counters();
+        labels
     }
 }
 
@@ -345,6 +349,36 @@ mod tests {
             scheme.prove_with_rep(&cfg, &rep),
             Err(CertError::TooManyLanes { .. })
         ));
+    }
+
+    #[test]
+    fn lane_bounds_past_the_lane_set_refuse_without_panicking() {
+        // Direct construction takes any bound: the freeze arity saturates
+        // (and seals), and a representation wider than a lane set holds
+        // is refused before the layout is built.
+        let wide_cfg = Configuration::with_sequential_ids(generators::complete_graph(65));
+        let wide = IntervalRep::new(vec![lanecert_pathwidth::Interval::new(0, 0); 65]);
+        for max_lanes in [65, usize::MAX] {
+            let scheme = PathwidthScheme::new(
+                Algebra::shared(Connected),
+                SchemeOptions {
+                    strategy: LaneStrategy::Greedy,
+                    max_lanes,
+                },
+            );
+            assert!(!scheme.frozen_algebra().is_total());
+            assert_eq!(
+                scheme.prove_with_rep(&wide_cfg, &wide).err(),
+                Some(CertError::TooManyLanes {
+                    needed: 65,
+                    bound: 64
+                })
+            );
+            run_case(&scheme, generators::path_graph(9), true);
+            let opts =
+                crate::compiled::freeze_options_for(&lanecert_mso::props::connected(), max_lanes);
+            assert_eq!(opts.max_arity, max_lanes.saturating_mul(2));
+        }
     }
 
     #[test]

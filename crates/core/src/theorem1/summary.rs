@@ -11,9 +11,47 @@
 //! distinct terminal identifiers in ascending order, so prover and
 //! verifier — who run the same deterministic recipes below — always agree
 //! on interned class ids.
+//!
+//! # The transition memo
+//!
+//! Each recipe checks and builds the interface on every call, and records
+//! the algebra work as a *program*: slot-level operations applied to the
+//! disjoint union of its input classes (the empty class for base nodes).
+//! A program depends only on the interfaces' shape — lane masks, each
+//! terminal's rank among the distinct ids involved, bridge lanes and
+//! marks — never on the ids themselves. The class space is finite for
+//! each `(ϕ, k)` (Proposition 2.4), so a certification runs the same few
+//! `(inputs, program)` pairs over and over. A per-thread memo, shared by
+//! the prover and the verifier, runs each pair once per thread. It is
+//! keyed by the frozen table's fingerprint, the input classes and the
+//! program, so two algebras never see each other's results, and it stores
+//! only finished results: every interface check runs on every call, and a
+//! verdict never depends on what the memo holds.
+//!
+//! # Shape order
+//!
+//! A memo key still depends on the ids' relative order: a class keeps its
+//! slots in ascending id order, so one interface shape gives a different
+//! input class and program for each ordering of its ids, and how many
+//! distinct keys a certification meets would depend on its random ids. A
+//! merge (`f_B`, `f_P`) that misses therefore runs in *shape order* — each
+//! interface's distinct ids lane by lane, in-terminal before out-terminal,
+//! as `shape_order` lists them. It permutes each input class into shape
+//! order, runs the merge there, and permutes the result back into id
+//! order. In shape order the inputs, the program and the result depend on
+//! the shape alone, so the expensive part of a merge — the union's
+//! product of states and the glues and forgets after it — runs once per
+//! thread and shape whatever the ids are; only the permutations, a few
+//! swaps each, are paid per ordering. The algebra operations commute with
+//! renaming slots, so the result is the class the id-order program gives.
 
-use lanecert_algebra::{Algebra, Class};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+
+use lanecert_algebra::{Class, FrozenAlgebra, FxBuildHasher, FxHasher};
 use lanecert_lanes::{Lane, LaneSet};
+use lanecert_obs::{counter_add, names};
 
 use super::labels::{IfaceLbl, SlotIds, Terminals};
 use crate::inline::InlineVec;
@@ -22,12 +60,211 @@ use crate::inline::InlineVec;
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Summary {
     /// The class value (slot order = `iface.slot_ids()`). A value, not a
-    /// table index: prover and verifier compare classes structurally and
-    /// only map through the canonical [`lanecert_algebra::FrozenAlgebra`]
-    /// table at the wire boundary.
+    /// table index: the canonical [`FrozenAlgebra`] table maps it to a
+    /// wire id only when a label is written or read, so a sealed table
+    /// still interns classes in the order the prover writes them.
     pub class: Class,
     /// The interface, in the form the labels carry it.
     pub iface: IfaceLbl,
+}
+
+/// One slot-level algebra operation of a recipe.
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash)]
+enum Op {
+    #[default]
+    AddVertex,
+    AddEdge(u8, u8, bool),
+    Glue(u8, u8),
+    Forget(u8),
+    Swap(u8, u8),
+}
+
+/// A slot index as an [`Op`] operand. Indexes stay below 256: an
+/// interface has at most 128 distinct ids (64 lanes, two terminals each)
+/// and a recipe unites at most two interfaces.
+fn slot(x: usize) -> Result<u8, String> {
+    u8::try_from(x).map_err(|_| "summary recipe past 256 slots".to_string())
+}
+
+/// The input classes of a memoized program: none (base nodes, which
+/// start from the empty class), one (a slot permutation), or two (a
+/// merge, which starts from their disjoint union).
+type Inputs<'a> = [Option<&'a Class>; 2];
+
+/// The algebra operations of one recipe, in order, applied to its
+/// [`Inputs`].
+#[derive(Default, Hash)]
+struct Program(InlineVec<Op, 24>);
+
+impl Program {
+    fn push(&mut self, op: Op) {
+        self.0.push(op);
+    }
+
+    fn run(&self, alg: &FrozenAlgebra, inputs: Inputs<'_>) -> Class {
+        let mut s = match inputs {
+            [Some(a), Some(b)] => alg.union(a.clone(), b.clone()),
+            [Some(a), None] => a.clone(),
+            _ => alg.empty(),
+        };
+        for &op in self.0.iter() {
+            s = match op {
+                Op::AddVertex => alg.add_vertex(s),
+                Op::AddEdge(a, b, marked) => alg.add_edge(s, a.into(), b.into(), marked),
+                Op::Glue(a, b) => alg.glue(s, a.into(), b.into()),
+                Op::Forget(a) => alg.forget(s, a.into()),
+                Op::Swap(a, b) => alg.swap(s, a.into(), b.into()),
+            };
+        }
+        s
+    }
+}
+
+/// One memoized program run: its key, then its result. The program is
+/// stored at its exact length, since thousands of entries per thread are
+/// common.
+struct Entry {
+    fingerprint: u64,
+    inputs: [Option<Class>; 2],
+    program: Box<[Op]>,
+    out: Class,
+}
+
+/// The per-thread transition memo (see the module docs). Entries are
+/// indexed by the key's [`FxHasher`] digest and compared in full, so a
+/// digest collision only costs a recomputation.
+#[derive(Default)]
+struct Memo {
+    entries: HashMap<u64, Entry, FxBuildHasher>,
+    hits: u64,
+    misses: u64,
+    merges: u64,
+}
+
+/// Entry cap per thread; reaching it clears the memo (a perf event only —
+/// results never depend on the memo's contents).
+const MEMO_CAP: usize = 1 << 14;
+
+thread_local! {
+    // The verifier's own memo is borrowed while it calls the recipes, so
+    // this one lives in a separate thread-local.
+    static TRANSITIONS: RefCell<Memo> = RefCell::new(Memo::default());
+}
+
+/// Which memo counter a lookup feeds.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Count {
+    /// A recipe call: a hit or a miss.
+    Recipe,
+    /// A shape-order merge: counted when it runs.
+    Merge,
+    /// A slot permutation: not counted.
+    Quiet,
+}
+
+/// Looks `(inputs, program)` up in the transition memo and on a miss
+/// computes it with `run`. The result is the canonical table's copy of
+/// the class when it has one, so later comparisons against it are pointer
+/// comparisons.
+fn memoized(
+    alg: &FrozenAlgebra,
+    inputs: Inputs<'_>,
+    program: &Program,
+    count: Count,
+    run: impl FnOnce() -> Class,
+) -> Class {
+    let fingerprint = alg.fingerprint();
+    let key = key_of(fingerprint, inputs, program);
+    let hit = TRANSITIONS.with(|m| {
+        let mut m = m.try_borrow_mut().ok()?;
+        let out = m
+            .entries
+            .get(&key)
+            .filter(|e| {
+                e.fingerprint == fingerprint
+                    && *e.program == *program.0
+                    && e.inputs[0].as_ref() == inputs[0]
+                    && e.inputs[1].as_ref() == inputs[1]
+            })
+            .map(|e| e.out.clone());
+        match (count, out.is_some()) {
+            (Count::Recipe, true) => m.hits += 1,
+            (Count::Recipe, false) => m.misses += 1,
+            (Count::Merge, false) => m.merges += 1,
+            _ => {}
+        }
+        out
+    });
+    if let Some(out) = hit {
+        return out;
+    }
+    let out = run();
+    let out = alg
+        .id_of(&out)
+        .and_then(|id| alg.class_of(id))
+        .unwrap_or(out);
+    store(key, fingerprint, inputs, program, &out);
+    out
+}
+
+/// The memo key digest of `(fingerprint, inputs, program)`.
+fn key_of(fingerprint: u64, inputs: Inputs<'_>, program: &Program) -> u64 {
+    let mut h = FxHasher::default();
+    fingerprint.hash(&mut h);
+    inputs.hash(&mut h);
+    program.hash(&mut h);
+    h.finish()
+}
+
+/// Stores a finished result under its key.
+fn store(key: u64, fingerprint: u64, inputs: Inputs<'_>, program: &Program, out: &Class) {
+    TRANSITIONS.with(|m| {
+        if let Ok(mut m) = m.try_borrow_mut() {
+            if m.entries.len() >= MEMO_CAP {
+                m.entries.clear();
+            }
+            m.entries.insert(
+                key,
+                Entry {
+                    fingerprint,
+                    inputs: inputs.map(|c| c.cloned()),
+                    program: program.0.as_slice().into(),
+                    out: out.clone(),
+                },
+            );
+        }
+    });
+}
+
+/// Runs `program` on `inputs` through the transition memo.
+fn apply(alg: &FrozenAlgebra, inputs: Inputs<'_>, program: &Program, count: Count) -> Class {
+    memoized(alg, inputs, program, count, || program.run(alg, inputs))
+}
+
+/// Adds this thread's memo hits, misses and shape-order merges since the
+/// last call to the obs counters ([`names::TRANSITION_MEMO_HITS`],
+/// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]).
+/// Called once at the end of each prove and each verify call.
+pub(crate) fn flush_memo_counters() {
+    if !lanecert_obs::COMPILED {
+        return;
+    }
+    let (hits, misses, merges) = TRANSITIONS.with(|m| {
+        m.try_borrow_mut()
+            .map(|mut m| {
+                (
+                    std::mem::take(&mut m.hits),
+                    std::mem::take(&mut m.misses),
+                    std::mem::take(&mut m.merges),
+                )
+            })
+            .unwrap_or((0, 0, 0))
+    });
+    if hits + misses > 0 {
+        counter_add(names::TRANSITION_MEMO_HITS, hits);
+        counter_add(names::TRANSITION_MEMO_MISSES, misses);
+        counter_add(names::TRANSITION_MEMO_MERGES, merges);
+    }
 }
 
 /// The one-lane interface of a `V`- or `E`-node.
@@ -46,35 +283,142 @@ fn merged(a: &Terminals, b: &Terminals) -> Terminals {
     out
 }
 
-/// Sorts the slots of `state` (currently ordered as `slots`) into ascending
-/// id order via selection sort of `swap`s.
-fn sort_slots(alg: &Algebra, mut state: Class, slots: &mut [u64]) -> Class {
+/// The interface's distinct terminal ids in shape order: lane by lane,
+/// in-terminal before out-terminal, each id where it first occurs. The
+/// same ids as [`IfaceLbl::slot_ids`]; which position an id takes depends
+/// only on which terminals coincide, never on the id values.
+fn shape_order(iface: &IfaceLbl) -> SlotIds {
+    let mut terminals: InlineVec<(u8, bool, u64), 8> = iface
+        .tin
+        .iter()
+        .map(|&(lane, id)| (lane, false, id))
+        .chain(iface.tout.iter().map(|&(lane, id)| (lane, true, id)))
+        .collect();
+    terminals.sort_unstable_by_key(|&(lane, out, _)| (lane, out));
+    let mut order = SlotIds::new();
+    for &(_, _, id) in terminals.iter() {
+        if !order.contains(&id) {
+            order.push(id);
+        }
+    }
+    order
+}
+
+/// Position of `id` in the slot order `order` (past the end if absent).
+fn rank(order: &[u64], id: u64) -> u64 {
+    order.iter().position(|&x| x == id).unwrap_or(order.len()) as u64
+}
+
+/// Records the `swap`s that rearrange slots (currently ordered as `slots`)
+/// into ascending `key` order (selection sort).
+fn sort_slots(
+    program: &mut Program,
+    slots: &mut [u64],
+    key: impl Fn(u64) -> u64,
+) -> Result<(), String> {
     for i in 0..slots.len() {
         let mut min = i;
         for j in (i + 1)..slots.len() {
-            if slots[j] < slots[min] {
+            if key(slots[j]) < key(slots[min]) {
                 min = j;
             }
         }
         if min != i {
             slots.swap(i, min);
-            state = alg.swap(state, i, min);
+            program.push(Op::Swap(slot(i)?, slot(min)?));
         }
     }
-    state
+    Ok(())
+}
+
+/// `class`, whose slots hold the ids `from` in that order, with its slots
+/// rearranged into the order `to` (the same ids), through the memo. Also
+/// stores the way back, so that a merge taking the result in shape order
+/// (or a summary built in shape order, back in id order) finds it.
+fn permute(alg: &FrozenAlgebra, class: &Class, from: &[u64], to: &[u64]) -> Result<Class, String> {
+    let mut program = Program::default();
+    sort_slots(&mut program, &mut SlotIds::from(from), |id| rank(to, id))?;
+    if program.0.is_empty() {
+        return Ok(class.clone());
+    }
+    let out = apply(alg, [Some(class), None], &program, Count::Quiet);
+    let mut back = Program::default();
+    sort_slots(&mut back, &mut SlotIds::from(to), |id| rank(from, id))?;
+    let fingerprint = alg.fingerprint();
+    let inputs = [Some(&out), None];
+    store(
+        key_of(fingerprint, inputs, &back),
+        fingerprint,
+        inputs,
+        &back,
+        class,
+    );
+    Ok(out)
+}
+
+/// Runs a base recipe through the memo. `core` builds the node with its
+/// slots holding the ids `shape` in that order (the node's shape order);
+/// the memo key is the recipe in id order, `core` followed by the swaps
+/// that sort the slots by id. On a miss the node is built in shape order
+/// and permuted, which stores the way back for the merges that take it.
+fn base(alg: &FrozenAlgebra, core: &Program, shape: &[u64]) -> Result<Class, String> {
+    let mut ids = SlotIds::from(shape);
+    let mut program = Program(core.0.clone());
+    sort_slots(&mut program, &mut ids, |id| id)?;
+    Ok(memoized(alg, [None, None], &program, Count::Recipe, || {
+        let built = apply(alg, [None, None], core, Count::Quiet);
+        permute(alg, &built, shape, &ids).unwrap_or_else(|_| program.run(alg, [None, None]))
+    }))
+}
+
+/// Runs a merge recipe on the classes of `a` and `b` through the memo.
+/// `program` is the recipe for slots in id order, the memo key of the
+/// call; `shaped(a_order, b_order, out_order)` builds the same recipe for
+/// slots in the given orders. On a miss the merge runs in shape order
+/// (see the module docs), or — should a shape-order program fail to
+/// build — as `program` itself.
+fn merge(
+    alg: &FrozenAlgebra,
+    a: &Summary,
+    b: &Summary,
+    out: &IfaceLbl,
+    program: &Program,
+    shaped: impl FnOnce(&[u64], &[u64], &[u64]) -> Result<Program, String>,
+) -> Class {
+    let inputs = [Some(&a.class), Some(&b.class)];
+    memoized(alg, inputs, program, Count::Recipe, || {
+        let in_shape_order = || -> Result<Class, String> {
+            let (ao, bo, oo) = (
+                shape_order(&a.iface),
+                shape_order(&b.iface),
+                shape_order(out),
+            );
+            let core = shaped(&ao, &bo, &oo)?;
+            let sa = permute(alg, &a.class, &a.iface.slot_ids(), &ao)?;
+            let sb = permute(alg, &b.class, &b.iface.slot_ids(), &bo)?;
+            let merged = apply(alg, [Some(&sa), Some(&sb)], &core, Count::Merge);
+            permute(alg, &merged, &oo, &out.slot_ids())
+        };
+        in_shape_order().unwrap_or_else(|_| program.run(alg, inputs))
+    })
 }
 
 /// Builds the summary of a `V`-node: one vertex, one lane (`lane < 64`).
-pub fn base_v(alg: &Algebra, lane: Lane, id: u64) -> Summary {
+pub fn base_v(alg: &FrozenAlgebra, lane: Lane, id: u64) -> Summary {
     Summary {
-        class: alg.add_vertex(alg.empty()),
+        class: apply(
+            alg,
+            [None, None],
+            &Program([Op::AddVertex].into()),
+            Count::Recipe,
+        ),
         iface: one_lane(lane, id, id),
     }
 }
 
 /// Builds the summary of an `E`-node: one edge, one lane.
 pub fn base_e(
-    alg: &Algebra,
+    alg: &FrozenAlgebra,
     lane: Lane,
     tin: u64,
     tout: u64,
@@ -86,19 +430,16 @@ pub fn base_e(
     if lane >= 64 {
         return Err("E-node lane out of range".into());
     }
-    let mut state = alg.add_vertex(alg.add_vertex(alg.empty()));
-    state = alg.add_edge(state, 0, 1, marked);
-    let mut slots = [tin, tout];
-    state = sort_slots(alg, state, &mut slots);
+    let core = Program([Op::AddVertex, Op::AddVertex, Op::AddEdge(0, 1, marked)].into());
     Ok(Summary {
-        class: state,
+        class: base(alg, &core, &[tin, tout])?,
         iface: one_lane(lane, tin, tout),
     })
 }
 
 /// Builds the summary of the `P`-node: a path over all lanes, with per-edge
 /// marks.
-pub fn base_p(alg: &Algebra, ids: &[u64], marks: &[bool]) -> Result<Summary, String> {
+pub fn base_p(alg: &FrozenAlgebra, ids: &[u64], marks: &[bool]) -> Result<Summary, String> {
     if ids.is_empty() || marks.len() + 1 != ids.len() {
         return Err("malformed P-node".into());
     }
@@ -112,22 +453,21 @@ pub fn base_p(alg: &Algebra, ids: &[u64], marks: &[bool]) -> Result<Summary, Str
             return Err("P-node ids not distinct".into());
         }
     }
-    let mut state = alg.empty();
+    let mut core = Program::default();
     for _ in ids {
-        state = alg.add_vertex(state);
+        core.push(Op::AddVertex);
     }
     for (pos, &m) in marks.iter().enumerate() {
-        state = alg.add_edge(state, pos, pos + 1, m);
+        core.push(Op::AddEdge(slot(pos)?, slot(pos + 1)?, m));
     }
-    let mut slots: SlotIds = ids.into();
-    state = sort_slots(alg, state, &mut slots);
+    let class = base(alg, &core, ids)?;
     let path: Terminals = ids
         .iter()
         .enumerate()
         .map(|(lane, &id)| (lane as u8, id))
         .collect();
     Ok(Summary {
-        class: state,
+        class,
         iface: IfaceLbl {
             lanes: LaneSet::full(ids.len()),
             tin: path.clone(),
@@ -138,7 +478,7 @@ pub fn base_p(alg: &Algebra, ids: &[u64], marks: &[bool]) -> Result<Summary, Str
 
 /// `f_B`: Bridge-merge of two summaries (Proposition 6.1).
 pub fn bridge(
-    alg: &Algebra,
+    alg: &FrozenAlgebra,
     left: &Summary,
     right: &Summary,
     i: Lane,
@@ -157,7 +497,28 @@ pub fn bridge(
     if ls.iter().any(|x| rs.binary_search(x).is_ok()) {
         return Err("Bridge-merge: sides share a vertex".into());
     }
-    let mut state = alg.union(left.class.clone(), right.class.clone());
+    let iface = IfaceLbl {
+        lanes: left.iface.lanes.union(right.iface.lanes),
+        tin: merged(&left.iface.tin, &right.iface.tin),
+        tout: merged(&left.iface.tout, &right.iface.tout),
+    };
+    let program = bridge_program(&ls, &rs, (u, v), marked, &iface.slot_ids())?;
+    let class = merge(alg, left, right, &iface, &program, |lo, ro, oo| {
+        bridge_program(lo, ro, (u, v), marked, oo)
+    });
+    Ok(Summary { class, iface })
+}
+
+/// `f_B`'s program: the left slots hold the ids `ls` in that order, the
+/// right slots `rs`; add the bridge edge `(u, v)`, then order the slots as
+/// `out`.
+fn bridge_program(
+    ls: &[u64],
+    rs: &[u64],
+    (u, v): (u64, u64),
+    marked: bool,
+    out: &[u64],
+) -> Result<Program, String> {
     let mut slots: SlotIds = ls.iter().chain(rs.iter()).copied().collect();
     let pa = slots
         .iter()
@@ -167,34 +528,18 @@ pub fn bridge(
         .iter()
         .position(|&x| x == v)
         .ok_or("Bridge-merge: right bridge slot missing")?;
-    state = alg.add_edge(state, pa, pb, marked);
-    state = sort_slots(alg, state, &mut slots);
-    Ok(Summary {
-        class: state,
-        iface: IfaceLbl {
-            lanes: left.iface.lanes.union(right.iface.lanes),
-            tin: merged(&left.iface.tin, &right.iface.tin),
-            tout: merged(&left.iface.tout, &right.iface.tout),
-        },
-    })
+    let mut program = Program([Op::AddEdge(slot(pa)?, slot(pb)?, marked)].into());
+    sort_slots(&mut program, &mut slots, |id| rank(out, id))?;
+    Ok(program)
 }
 
 /// `f_P`: Parent-merge of a child summary onto a parent summary
 /// (Proposition 6.1): glue `τin_ℓ(child)` onto `τout_ℓ(parent)` for every
 /// child lane, then retire vertices that are no longer terminals.
-pub fn parent(alg: &Algebra, child: &Summary, par: &Summary) -> Result<Summary, String> {
+pub fn parent(alg: &FrozenAlgebra, child: &Summary, par: &Summary) -> Result<Summary, String> {
     if !child.iface.lanes.is_subset_of(par.iface.lanes) {
         return Err("Parent-merge: child lanes not a subset".into());
     }
-    let cs = child.iface.slot_ids();
-    let ps = par.iface.slot_ids();
-    let mut state = alg.union(child.class.clone(), par.class.clone());
-    // (id, from_child) slot list.
-    let mut slots: InlineVec<(u64, bool), 8> = cs
-        .iter()
-        .map(|&x| (x, true))
-        .chain(ps.iter().map(|&x| (x, false)))
-        .collect();
     for lane in child.iface.lanes.iter() {
         let (Some(x), Some(y)) = (child.iface.tin_at(lane), par.iface.tout_at(lane)) else {
             return Err(format!("Parent-merge: no junction terminal on lane {lane}"));
@@ -202,17 +547,6 @@ pub fn parent(alg: &Algebra, child: &Summary, par: &Summary) -> Result<Summary, 
         if x != y {
             return Err(format!("Parent-merge: junction mismatch on lane {lane}"));
         }
-        let pa = slots
-            .iter()
-            .position(|&(id, c)| id == x && c)
-            .ok_or("Parent-merge: child junction slot missing")?;
-        let pb = slots
-            .iter()
-            .position(|&(id, c)| id == x && !c)
-            .ok_or("Parent-merge: parent junction slot missing")?;
-        let (keep, drop) = if pa < pb { (pa, pb) } else { (pb, pa) };
-        state = alg.glue(state, keep, drop);
-        slots.remove(drop);
     }
     // Resulting interface: the child's out-terminals replace the
     // parent's on the child's lanes.
@@ -225,11 +559,55 @@ pub fn parent(alg: &Algebra, child: &Summary, par: &Summary) -> Result<Summary, 
                 .ok_or("Parent-merge: child out-terminal missing")?;
         }
     }
-    let keep_ids = iface.slot_ids();
+    let program = parent_program(
+        &child.iface.slot_ids(),
+        &par.iface.slot_ids(),
+        &child.iface,
+        &iface.slot_ids(),
+    )?;
+    let class = merge(alg, child, par, &iface, &program, |co, po, oo| {
+        parent_program(co, po, &child.iface, oo)
+    });
+    Ok(Summary { class, iface })
+}
+
+/// `f_P`'s program: the child's slots hold the ids `cs` in that order, the
+/// parent's `ps`; glue each of `child`'s in-terminals onto the parent's
+/// slot of the same id, forget the slots whose id is not in `out`, then
+/// order the rest as `out`.
+fn parent_program(
+    cs: &[u64],
+    ps: &[u64],
+    child: &IfaceLbl,
+    out: &[u64],
+) -> Result<Program, String> {
+    let mut program = Program::default();
+    // (id, from_child) slot list.
+    let mut slots: InlineVec<(u64, bool), 8> = cs
+        .iter()
+        .map(|&x| (x, true))
+        .chain(ps.iter().map(|&x| (x, false)))
+        .collect();
+    for lane in child.lanes.iter() {
+        let x = child
+            .tin_at(lane)
+            .ok_or("Parent-merge: child junction slot missing")?;
+        let pa = slots
+            .iter()
+            .position(|&(id, c)| id == x && c)
+            .ok_or("Parent-merge: child junction slot missing")?;
+        let pb = slots
+            .iter()
+            .position(|&(id, c)| id == x && !c)
+            .ok_or("Parent-merge: parent junction slot missing")?;
+        let (keep, drop) = if pa < pb { (pa, pb) } else { (pb, pa) };
+        program.push(Op::Glue(slot(keep)?, slot(drop)?));
+        slots.remove(drop);
+    }
     // Retire slots that are no longer terminals (descending index).
     for idx in (0..slots.len()).rev() {
-        if keep_ids.binary_search(&slots[idx].0).is_err() {
-            state = alg.forget(state, idx);
+        if !out.contains(&slots[idx].0) {
+            program.push(Op::Forget(slot(idx)?));
             slots.remove(idx);
         }
     }
@@ -242,21 +620,26 @@ pub fn parent(alg: &Algebra, child: &Summary, par: &Summary) -> Result<Summary, 
             return Err("Parent-merge: unresolved duplicate slots".into());
         }
     }
-    state = sort_slots(alg, state, &mut plain);
-    Ok(Summary {
-        class: state,
-        iface,
-    })
+    sort_slots(&mut program, &mut plain, |id| rank(out, id))?;
+    Ok(program)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lanecert_algebra::props::{Connected, Forest};
+    use lanecert_algebra::props::{Bipartite, Connected, Forest, HamiltonianCycle};
+    use lanecert_algebra::{Algebra, FreezeOptions, Property, SharedFrozenAlgebra};
+
+    fn frozen<P: Property>(prop: P) -> SharedFrozenAlgebra {
+        FrozenAlgebra::freeze(
+            Algebra::shared(prop),
+            &FreezeOptions::for_interface_arity(4),
+        )
+    }
 
     #[test]
     fn base_and_bridge_compose() {
-        let alg = Algebra::new(Connected);
+        let alg = frozen(Connected);
         // Two E-nodes on lanes 0 and 1, bridged: a path of 4 vertices.
         let l = base_e(&alg, 0, 10, 11, true).unwrap();
         let r = base_e(&alg, 1, 20, 21, true).unwrap();
@@ -270,7 +653,7 @@ mod tests {
 
     #[test]
     fn parent_merge_glues_and_retires() {
-        let alg = Algebra::new(Forest);
+        let alg = frozen(Forest);
         // Parent: P-node path 1-2 (lanes 0,1); child: E-node on lane 0 with
         // tin 2 (the parent's tout in lane 0 is 1... use tin 1).
         let p = base_p(&alg, &[1, 2], &[true]).unwrap();
@@ -288,7 +671,7 @@ mod tests {
     #[test]
     fn lanes_past_the_lane_set_are_errors() {
         // Reachable from the wire when a scheme's lane bound exceeds 64.
-        let alg = Algebra::new(Connected);
+        let alg = frozen(Connected);
         assert!(base_e(&alg, 64, 1, 2, true).is_err());
         let ids: Vec<u64> = (0..65).collect();
         assert!(base_p(&alg, &ids, &[true; 64]).is_err());
@@ -296,10 +679,153 @@ mod tests {
 
     #[test]
     fn summaries_are_deterministic() {
-        let alg = Algebra::new(Connected);
+        let alg = frozen(Connected);
         let s1 = base_p(&alg, &[5, 9, 7], &[true, true]).unwrap();
         let s2 = base_p(&alg, &[5, 9, 7], &[true, true]).unwrap();
         assert_eq!(s1.class, s2.class);
         assert_eq!(s1, s2);
+    }
+
+    fn clear_memo() {
+        TRANSITIONS.with(|m| *m.borrow_mut() = Memo::default());
+    }
+
+    fn merges_run() -> u64 {
+        TRANSITIONS.with(|m| m.borrow().merges)
+    }
+
+    /// The id-order program of `f_B`/`f_P`, run directly: what a merge
+    /// gives without the memo.
+    fn direct_bridge(alg: &FrozenAlgebra, l: &Summary, r: &Summary, out: &Summary) -> Class {
+        let (u, v) = (l.iface.tout[0].1, r.iface.tout[0].1);
+        let program = bridge_program(
+            &l.iface.slot_ids(),
+            &r.iface.slot_ids(),
+            (u, v),
+            true,
+            &out.iface.slot_ids(),
+        )
+        .unwrap();
+        program.run(alg, [Some(&l.class), Some(&r.class)])
+    }
+
+    fn direct_parent(alg: &FrozenAlgebra, child: &Summary, par: &Summary, out: &Summary) -> Class {
+        let program = parent_program(
+            &child.iface.slot_ids(),
+            &par.iface.slot_ids(),
+            &child.iface,
+            &out.iface.slot_ids(),
+        )
+        .unwrap();
+        program.run(alg, [Some(&child.class), Some(&par.class)])
+    }
+
+    /// A three-lane certificate fragment on the ids `[a, b, c, d, e, f,
+    /// g]`: a P-node, a bridged pair of E-nodes merged onto it, then two
+    /// more E-node children (the first retires `d`). Returns every merge's
+    /// summary with the class its id-order program gives when run directly.
+    fn fragment(alg: &FrozenAlgebra, [a, b, c, d, e, f, g]: [u64; 7]) -> Vec<(Summary, Class)> {
+        let par = base_p(alg, &[a, b, c], &[true, false]).unwrap();
+        let l = base_e(alg, 0, a, d, true).unwrap();
+        let r = base_e(alg, 2, c, e, false).unwrap();
+        let br = bridge(alg, &l, &r, 0, 2, true).unwrap();
+        let m1 = parent(alg, &br, &par).unwrap();
+        let k1 = base_e(alg, 0, d, f, true).unwrap();
+        let m2 = parent(alg, &k1, &m1).unwrap();
+        let k2 = base_e(alg, 1, b, g, true).unwrap();
+        let m3 = parent(alg, &k2, &m2).unwrap();
+        vec![
+            (br.clone(), direct_bridge(alg, &l, &r, &br)),
+            (m1.clone(), direct_parent(alg, &br, &par, &m1)),
+            (m2.clone(), direct_parent(alg, &k1, &m1, &m2)),
+            (m3.clone(), direct_parent(alg, &k2, &m2, &m3)),
+        ]
+    }
+
+    /// The ids `10..17` in `n` pseudo-random orders (the first ascending).
+    fn id_orders(n: usize) -> Vec<[u64; 7]> {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        (0..n)
+            .map(|k| {
+                let mut ids = [10, 11, 12, 13, 14, 15, 16];
+                if k > 0 {
+                    for i in (1..ids.len()).rev() {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        ids.swap(i, (x % (i as u64 + 1)) as usize);
+                    }
+                }
+                ids
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shape_order_ignores_id_values() {
+        let alg = frozen(Connected);
+        let s1 = parent(
+            &alg,
+            &base_e(&alg, 1, 5, 9, true).unwrap(),
+            &base_p(&alg, &[7, 5], &[true]).unwrap(),
+        )
+        .unwrap();
+        let s2 = parent(
+            &alg,
+            &base_e(&alg, 1, 50, 1, true).unwrap(),
+            &base_p(&alg, &[3, 50], &[true]).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(shape_order(&s1.iface).as_slice(), &[7, 5, 9]);
+        assert_eq!(shape_order(&s2.iface).as_slice(), &[3, 50, 1]);
+        let mut sorted = shape_order(&s1.iface);
+        sorted.sort_unstable();
+        assert_eq!(sorted, s1.iface.slot_ids());
+    }
+
+    #[test]
+    fn shape_order_merges_equal_direct_runs() {
+        let compiled = crate::compiled::standard_formula("max-degree-1")
+            .unwrap()
+            .scheme()
+            .unwrap();
+        let algs = [
+            frozen(Connected),
+            frozen(Forest),
+            frozen(Bipartite),
+            frozen(HamiltonianCycle),
+            compiled.frozen_algebra().clone(),
+        ];
+        for alg in &algs {
+            for ids in id_orders(24) {
+                // Cold, so every merge takes the shape-order path.
+                clear_memo();
+                for (s, direct) in fragment(alg, ids) {
+                    assert_eq!(s.class, direct, "{ids:?}");
+                }
+                // Warm: exact hits give the same classes.
+                for (s, direct) in fragment(alg, ids) {
+                    assert_eq!(s.class, direct, "{ids:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merges_run_once_per_shape_whatever_the_ids() {
+        let alg = frozen(Connected);
+        let orders = id_orders(16);
+        clear_memo();
+        fragment(&alg, orders[0]);
+        let first = merges_run();
+        assert!(first > 0);
+        for ids in &orders[1..] {
+            fragment(&alg, *ids);
+        }
+        assert_eq!(
+            merges_run(),
+            first,
+            "a reordering of the ids ran a merge again"
+        );
     }
 }

@@ -13,9 +13,9 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
-use lanecert_algebra::{FrozenAlgebra, StateId};
+use lanecert_algebra::{FrozenAlgebra, FxBuildHasher, FxHasher, StateId};
 
 use super::labels::*;
 use super::summary::{self, Summary};
@@ -38,43 +38,34 @@ type VResult<T> = Result<T, String>;
 /// keeps the verify path near the decode-side allocation floor.
 type CertList<'a> = ScratchBuf<&'a EdgeCertLbl, 8>;
 
-/// Per-thread memo for the *pure* summary recomputations.
+/// Per-thread memo for the *pure* checks of a member's wire claims.
 ///
-/// Neighbouring vertices of the same hierarchy member recompute identical
-/// facts from identical label bytes: the parsed [`Summary`] of every basic-
-/// information claim, the `f_P` fold of a member's children, and the `f_B`
-/// bridge-merge. All three are pure functions of label content given the
-/// frozen algebra, so caching them per OS thread keeps verdicts bit-for-bit
+/// Neighbouring vertices of the same hierarchy member check identical
+/// claims from identical label bytes: the parse and `f_P` fold of a
+/// member's children, and the parse, lane checks and `f_B` bridge-merge of
+/// a B-node. Both are pure functions of label content given the frozen
+/// algebra, so caching them per OS thread keeps verdicts bit-for-bit
 /// identical (lookups compare full keys — a hash collision can never
-/// substitute a wrong summary) while doing the algebra work once per
-/// distinct claim per thread instead of once per vertex.
+/// substitute a wrong summary) while parsing and checking each claim once
+/// per thread instead of once per vertex. The algebra work underneath is
+/// memoized once more, by class and interface shape, in [`summary`]'s
+/// transition memo, which also serves the base nodes and the prover.
 ///
 /// Entries are scoped to one `(algebra fingerprint, lane bound)` pair and
 /// cleared on a switch, so schemes over different properties or widths
 /// never observe each other's summaries. Only successful computations are
 /// cached; rejections (adversarial labels) always re-run the full check.
-type FxMap<V> = HashMap<u64, Vec<V>, BuildHasherDefault<FxHasher>>;
+type FxMap<V> = HashMap<u64, Vec<V>, FxBuildHasher>;
 
 /// Key of a memoized B-node recomputation: the two side claims and the
 /// bridge parameters, exactly as they appear on the wire.
 type BridgeKey = (BasicInfoLbl, BasicInfoLbl, u8, u8, bool, bool, bool);
-
-/// Key of a memoized base-summary recomputation (`E`- and `P`-node
-/// members), exactly the wire fields the recipe depends on.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum BaseKey {
-    /// `(lane, tin, tout, marked)` of an E-node edge.
-    E(u8, u64, u64, bool),
-    /// `(ids, marks)` of a P-node path.
-    P(InlineVec<u64, 6>, InlineVec<bool, 6>),
-}
 
 struct Memo {
     fp: u64,
     max_lanes: usize,
     fold: FxMap<((Summary, Vec<BasicInfoLbl>), Summary)>,
     bridge: FxMap<(BridgeKey, (Summary, u64, u64))>,
-    base: FxMap<(BaseKey, Summary)>,
     entries: usize,
 }
 
@@ -88,7 +79,6 @@ thread_local! {
         max_lanes: 0,
         fold: FxMap::default(),
         bridge: FxMap::default(),
-        base: FxMap::default(),
         entries: 0,
     });
 }
@@ -101,71 +91,10 @@ impl Memo {
         if self.fp != fp || self.max_lanes != ctx.max_lanes || self.entries >= MEMO_CAP {
             self.fold.clear();
             self.bridge.clear();
-            self.base.clear();
             self.entries = 0;
             self.fp = fp;
             self.max_lanes = ctx.max_lanes;
         }
-    }
-}
-
-/// Multiply-xor hasher in the Fx style: a few ns for the small fixed-shape
-/// memo keys where SipHash costs as much as the computation it would skip.
-/// Not DoS-hardened — fine here, because a collision only means a bucket
-/// scan whose entries are compared by full structural equality.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c);
-            self.add(u64::from_le_bytes(word));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut last = 0u64;
-            for (i, &b) in rest.iter().enumerate() {
-                last |= (b as u64) << (8 * i);
-            }
-            self.add(last);
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -316,52 +245,6 @@ fn parse_info(ctx: &Ctx<'_>, info: &BasicInfoLbl) -> VResult<Summary> {
 /// class id resolves through the canonical table.
 fn summary_matches_lbl(ctx: &Ctx<'_>, s: &Summary, claim: &BasicInfoLbl) -> bool {
     s.iface == claim.iface && ctx.alg.class_of(StateId(claim.class)).as_ref() == Some(&s.class)
-}
-
-/// Memoized [`summary::base_e`]: the recipe is a pure function of the
-/// wire fields in its [`BaseKey`], and E-node members are shared by both
-/// endpoint vertices (and re-checked at every enclosing frame), so the
-/// algebra work — each op builds a fresh state — runs once per distinct
-/// edge per thread. Same regime as the fold/bridge memos: full-key
-/// comparison, successful results only.
-fn memo_base_e(ctx: &Ctx<'_>, lane: u8, tin: u64, tout: u64, marked: bool) -> VResult<Summary> {
-    memo_base(ctx, BaseKey::E(lane, tin, tout, marked), |alg| {
-        summary::base_e(alg, lane as usize, tin, tout, marked)
-    })
-}
-
-/// Memoized [`summary::base_p`] (see [`memo_base_e`] for the regime).
-fn memo_base_p(
-    ctx: &Ctx<'_>,
-    ids: &InlineVec<u64, 6>,
-    marks: &InlineVec<bool, 6>,
-) -> VResult<Summary> {
-    memo_base(ctx, BaseKey::P(ids.clone(), marks.clone()), |alg| {
-        summary::base_p(alg, ids, marks)
-    })
-}
-
-fn memo_base(
-    ctx: &Ctx<'_>,
-    key: BaseKey,
-    compute: impl Fn(&lanecert_algebra::Algebra) -> VResult<Summary>,
-) -> VResult<Summary> {
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        m.sync(ctx);
-        let h = hash_key(&key);
-        if let Some(bucket) = m.base.get(&h) {
-            for (k, v) in bucket {
-                if *k == key {
-                    return Ok(v.clone());
-                }
-            }
-        }
-        let s = compute(ctx.alg)?;
-        m.base.entry(h).or_default().push((key, s.clone()));
-        m.entries += 1;
-        Ok(s)
-    })
 }
 
 /// Parses a member's children claims, checks their mutual lane
@@ -701,7 +584,7 @@ fn check_member_own(
             if f.lane as usize >= ctx.max_lanes {
                 return Err("E-node lane exceeds the lane bound".into());
             }
-            memo_base_e(ctx, f.lane, f.tin, f.tout, c.marked)
+            summary::base_e(ctx.alg, f.lane as usize, f.tin, f.tout, c.marked)
         }
         1 => {
             let Some(FrameLbl::P(f0)) = first.frames.get(depth) else {
@@ -767,7 +650,7 @@ fn check_member_own(
                     return Err("incident P edges do not match my path position".into());
                 }
             }
-            memo_base_p(ctx, &f0.ids, &f0.marks)
+            summary::base_p(ctx.alg, &f0.ids, &f0.marks)
         }
         _ => check_bnode(ctx, group, depth, member),
     }

@@ -15,6 +15,9 @@ impl LaneSet {
     /// The empty set.
     pub const EMPTY: LaneSet = LaneSet(0);
 
+    /// The most lanes a set holds.
+    pub const CAPACITY: usize = 64;
+
     /// The singleton `{lane}`.
     ///
     /// # Panics

@@ -79,6 +79,15 @@ pub mod names {
     pub const BNB_PRUNES: &str = "bnb_prunes";
     /// Counter: dominated prefix re-visits answered by the B&B memo.
     pub const BNB_MEMO_HITS: &str = "bnb_memo_hits";
+    /// Counter: Theorem 1 summary recipes (`f_B`, `f_P` and the base
+    /// nodes) answered by the per-thread transition memo.
+    pub const TRANSITION_MEMO_HITS: &str = "transition_memo_hits";
+    /// Counter: Theorem 1 summary recipes the transition memo missed, so
+    /// they ran (a merge through its shape-order form).
+    pub const TRANSITION_MEMO_MISSES: &str = "transition_memo_misses";
+    /// Counter: shape-order merges (`f_B`, `f_P` on slots in shape
+    /// order) the transition memo ran, each once per thread and shape.
+    pub const TRANSITION_MEMO_MERGES: &str = "transition_memo_merges";
 }
 
 /// Opens a structured span: `span!("prove")` or

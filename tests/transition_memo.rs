@@ -1,0 +1,237 @@
+//! The Theorem 1 transition memo (`pls::theorem1::summary`) is a pure
+//! cache: a per-thread map from (algebra fingerprint, input classes,
+//! recipe program) to the resulting class, shared by prover and verifier.
+//!
+//! 1. **It never crosses algebras.** Compiled `connected` and
+//!    `max-degree-1` share one state type (`CompiledState`), so only the
+//!    fingerprint in the key keeps their results apart. Alternating both
+//!    formulas on one thread must reproduce, byte for byte and verdict for
+//!    verdict, what each does on a fresh thread — including one
+//!    formula's labels verified under the other's table.
+//! 2. **It never caches a rejection.** A tampered labeling rejects with
+//!    the same reasons whether the memo is cold or warm.
+//! 3. **It stays effective.** Certifying compiled `connected` on a
+//!    1,024-vertex path from a fresh thread misses the memo at most a
+//!    pinned number of times (`transition_memo_misses`, an obs counter;
+//!    no timing involved).
+//! 4. **Its cold cost does not depend on the ids.** Merges that miss run
+//!    in shape order, so verifying compiled `connected` on a 256-vertex
+//!    path from a fresh thread runs the same few merges
+//!    (`transition_memo_merges`) whatever the random ids, while the
+//!    recipe-level misses vary with them.
+//!
+//! Obs sessions are process-wide, so the tests take one lock and never
+//! overlap.
+
+use std::sync::{Mutex, MutexGuard};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use lanecert_suite::graph::{generators, Graph};
+use lanecert_suite::obs::{names, TraceConfig, TraceSession};
+use lanecert_suite::pls::attacks::{self, Corruption};
+use lanecert_suite::pls::compiled;
+use lanecert_suite::{
+    CertError, Certifier, Configuration, EncodedLabeling, ProverHint, Scheme, Verdict,
+};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn certifier(name: &str) -> Certifier {
+    let formula = compiled::standard_formula(name)
+        .expect("catalog formula")
+        .formula();
+    Certifier::builder()
+        .compiled(formula)
+        .build()
+        .expect("catalog formula freezes")
+}
+
+/// Runs `f` on a new thread, whose transition memo starts empty.
+fn fresh<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().expect("worker thread"))
+}
+
+/// What one formula does with one instance: the certify result, the
+/// verdicts on its own labels (when it certified), and the verdicts on
+/// the other formula's labels, restamped with this formula's fingerprint.
+type Outcome = (
+    Result<EncodedLabeling, CertError>,
+    Option<Vec<Verdict>>,
+    Option<Vec<Verdict>>,
+);
+
+fn outcome(c: &Certifier, cfg: &Configuration, foreign: Option<&EncodedLabeling>) -> Outcome {
+    let labels = c.certify(cfg);
+    let own = labels
+        .as_ref()
+        .ok()
+        .map(|l| c.verify(cfg, l).expect("label count").verdicts);
+    let cross = foreign.map(|l| {
+        let l = l.clone().with_fingerprint(c.scheme().fingerprint());
+        c.verify(cfg, &l).expect("label count").verdicts
+    });
+    (labels, own, cross)
+}
+
+fn instances() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("K2", generators::path_graph(2)),
+        ("path-12", generators::path_graph(12)),
+        ("star-6", generators::star(6)),
+        ("caterpillar-5x2", generators::caterpillar(5, 2)),
+    ]
+}
+
+#[test]
+fn alternating_formulas_on_one_thread_match_fresh_threads() {
+    let _serial = serial();
+    let conn = certifier("connected");
+    let deg1 = certifier("max-degree-1");
+    let cases: Vec<(&str, Configuration, EncodedLabeling)> = instances()
+        .into_iter()
+        .map(|(name, g)| {
+            let cfg = Configuration::with_random_ids(g, 5);
+            let labels = fresh(|| conn.certify(&cfg)).expect("connected certifies");
+            (name, cfg, labels)
+        })
+        .collect();
+    // The corpus must separate the two formulas.
+    assert!(cases
+        .iter()
+        .any(|(_, cfg, _)| fresh(|| deg1.certify(cfg)) == Err(CertError::PropertyViolated)));
+    assert!(cases
+        .iter()
+        .any(|(_, cfg, _)| fresh(|| deg1.certify(cfg)).is_ok()));
+
+    let cold: Vec<(Outcome, Outcome)> = cases
+        .iter()
+        .map(|(_, cfg, labels)| {
+            (
+                fresh(|| outcome(&conn, cfg, None)),
+                fresh(|| outcome(&deg1, cfg, Some(labels))),
+            )
+        })
+        .collect();
+    // Two rounds on one thread, so the second round runs fully warm.
+    fresh(|| {
+        for round in 0..2 {
+            for ((name, cfg, labels), (c, d)) in cases.iter().zip(&cold) {
+                assert_eq!(
+                    &outcome(&conn, cfg, None),
+                    c,
+                    "connected on {name}, round {round}"
+                );
+                assert_eq!(
+                    &outcome(&deg1, cfg, Some(labels)),
+                    d,
+                    "max-degree-1 on {name}, round {round}"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn tampered_labels_reject_alike_with_a_cold_or_warm_memo() {
+    let _serial = serial();
+    let scheme = compiled::standard_formula("connected")
+        .expect("catalog formula")
+        .scheme()
+        .expect("catalog formula freezes");
+    let cfg = Configuration::with_random_ids(generators::caterpillar(6, 2), 3);
+    let honest = scheme
+        .prove(&cfg, &ProverHint::auto())
+        .expect("connected certifies");
+    let kinds = [
+        Corruption::FlipMark,
+        Corruption::BumpClass,
+        Corruption::CloneLabel,
+        Corruption::DropTransits,
+    ];
+    let mut rejected = 0;
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let Some(tampered) = attacks::corrupt(&honest, kind, &mut rng) else {
+            continue;
+        };
+        let cold = fresh(|| scheme.run(&cfg, &tampered).expect("label count"));
+        let warm = fresh(|| {
+            // Warm every recipe the honest labeling uses, then re-check.
+            assert!(scheme.run(&cfg, &honest).expect("label count").accepted());
+            scheme.run(&cfg, &tampered).expect("label count")
+        });
+        assert_eq!(cold.verdicts, warm.verdicts, "{kind:?}");
+        assert_eq!(cold.first_rejection(), warm.first_rejection(), "{kind:?}");
+        if !cold.accepted() {
+            rejected += 1;
+        }
+    }
+    assert!(rejected > 0, "no corruption was rejected");
+}
+
+/// Memo misses when certifying compiled `connected` on a 1,024-vertex
+/// path from a fresh thread, as measured. The prover makes about 4,100
+/// recipe calls there; without the memo each would run its algebra
+/// operations.
+const PATH_1024_MISSES: u64 = 131;
+
+#[test]
+fn certifying_a_long_path_mostly_hits_the_memo() {
+    let _serial = serial();
+    let conn = certifier("connected");
+    let cfg = Configuration::with_random_ids(generators::path_graph(1024), 9);
+    let session = TraceSession::begin(TraceConfig::new());
+    let labels = fresh(|| conn.certify(&cfg)).expect("connected certifies");
+    let trace = session.end();
+    let counter = |name: &str| {
+        trace
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    let (hits, misses) = (
+        counter(names::TRANSITION_MEMO_HITS),
+        counter(names::TRANSITION_MEMO_MISSES),
+    );
+    assert!(!labels.is_empty());
+    assert!(hits > 0, "the memo never hit");
+    assert!(
+        misses <= PATH_1024_MISSES + PATH_1024_MISSES / 10 + 8,
+        "{misses} memo misses (pinned {PATH_1024_MISSES}; {hits} hits)"
+    );
+}
+
+/// Shape-order merges when verifying compiled `connected` on a
+/// 256-vertex path from a fresh thread, as measured for every id seed
+/// below (the recipe-level misses range over 83–113 on the same runs).
+const PATH_256_MERGES: u64 = 7;
+
+#[test]
+fn cold_verification_runs_the_same_merges_whatever_the_ids() {
+    let _serial = serial();
+    let conn = certifier("connected");
+    for seed in 1..=6u64 {
+        let cfg = Configuration::with_random_ids(generators::path_graph(256), seed << 16);
+        let labels = fresh(|| conn.certify(&cfg)).expect("connected certifies");
+        let session = TraceSession::begin(TraceConfig::new());
+        let report = fresh(|| conn.verify(&cfg, &labels)).expect("label count");
+        let trace = session.end();
+        let merges = trace
+            .counters
+            .iter()
+            .find(|(n, _)| n == names::TRANSITION_MEMO_MERGES)
+            .map_or(0, |&(_, v)| v);
+        assert!(report.accepted(), "seed {seed}: honest labels rejected");
+        assert!(
+            (1..=PATH_256_MERGES).contains(&merges),
+            "seed {seed}: {merges} merges (pinned at most {PATH_256_MERGES})"
+        );
+    }
+}
