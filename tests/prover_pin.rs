@@ -3,12 +3,18 @@
 //! Certifies `connected`, `bipartite` and the sealed `hamiltonian-cycle`
 //! at pathwidth 2 from each family's known representation, with fixed
 //! graph and identifier seeds, and compares an FNV-1a digest of every
-//! labeling's `(bytes, bits)` against a hard-coded value. The parity
-//! suites compare two paths through the same prover; this suite is what
-//! catches a prover rewrite that changes a single label bit. FNV-1a rather than `DefaultHasher`, whose output may change
+//! labeling's `(bytes, bits)` against a hard-coded value. The compiled
+//! catalog formulas `connected` and `independent-set-2` are pinned the
+//! same way, hintless on their witness graphs, so a change to the
+//! compiler or to the freeze pass that moves a class id shows here too.
+//! The parity suites compare two paths through the same prover; this
+//! suite is what catches a prover rewrite that changes a single label
+//! bit. FNV-1a rather than `DefaultHasher`, whose output may change
 //! between Rust releases.
 
 use lanecert_suite::algebra::{props, Algebra, SharedAlgebra};
+use lanecert_suite::engine::FormulaCorpus;
+use lanecert_suite::pls::compiled;
 use lanecert_suite::{Certifier, Configuration, CorpusFamily, EncodedLabeling, ProverHint};
 
 /// FNV-1a over each label's bit length (8 bytes, little endian) and then
@@ -126,6 +132,50 @@ fn theorem1_sealed_label_bytes_are_pinned() {
     let certifier = certifier(Algebra::shared(props::HamiltonianCycle));
     assert!(!certifier.scheme().canonical_labels());
     let moved = mismatches(&certifier, sealed_pins());
+    assert!(
+        moved.is_empty(),
+        "label digests moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// The pinned compiled instances: `(catalog formula, n, digest)` on the
+/// formula's [`FormulaCorpus::witness`] graph, proven hintless with
+/// identifier seed `n`.
+fn compiled_pins() -> Vec<(&'static str, usize, u64)> {
+    vec![
+        ("connected", 64, 0xbd2b_a1b1_4c0c_4f17),
+        ("connected", 256, 0x6a31_adb8_dc8f_ba8e),
+        ("independent-set-2", 64, 0x60ab_5753_0b6f_91e3),
+        ("independent-set-2", 256, 0xbe8c_9f8a_b61a_042b),
+    ]
+}
+
+#[test]
+fn compiled_label_bytes_are_pinned() {
+    let mut moved = Vec::new();
+    for (name, states) in [("connected", 2_809), ("independent-set-2", 12_520)] {
+        let entry = compiled::standard_formula(name).expect("catalog formula");
+        let certifier = Certifier::builder()
+            .compiled(entry.formula())
+            .build()
+            .expect("compiled certifier");
+        assert!(certifier.scheme().canonical_labels());
+        assert_eq!(certifier.scheme().algebra_state_count(), Some(states));
+        for (pin, n, want) in compiled_pins() {
+            if pin != name {
+                continue;
+            }
+            let cfg = Configuration::with_random_ids(FormulaCorpus::witness(name, n), n as u64);
+            let labels = certifier
+                .certify_with(&cfg, &ProverHint::auto())
+                .unwrap_or_else(|e| panic!("{name}/n{n}: {e}"));
+            let got = digest(&labels);
+            if got != want {
+                moved.push(format!("{name}/n{n}: got {got:#018x}"));
+            }
+        }
+    }
     assert!(
         moved.is_empty(),
         "label digests moved:\n{}",
