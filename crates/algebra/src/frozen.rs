@@ -11,12 +11,22 @@
 //! are reproducible at any worker count.
 //!
 //! The freeze pass ([`FrozenAlgebra::freeze`]) enumerates the reachable
-//! `(arity, state)` space of a property under the five primitive
-//! operations, bounded by an arity cap and a state/op budget, then sorts
-//! the discovered classes by a **structural key** (arity, then the
-//! state's `Debug` rendering — insertion order plays no part) and assigns
-//! dense ids `0..n` in that order. The resulting table is immutable and
-//! shared via `Arc`; lookups are content-addressed and lock-free.
+//! `(arity, state)` space of a property under the primitive operations,
+//! bounded by an arity cap and a state/op budget, then sorts the
+//! discovered classes by a **structural key** (arity, then the state's
+//! `Debug` rendering — insertion order plays no part) and assigns dense
+//! ids `0..n` in that order. The resulting table is immutable and shared
+//! via `Arc`; lookups are content-addressed and lock-free.
+//!
+//! # The generating set
+//!
+//! The operations commute with renaming slots, so the enumeration closes
+//! the space under a *generating set* only: `add_vertex`, the other
+//! unary operations on the first slots, the adjacent swaps (which reach
+//! every permutation), and `union` once per pair of orbit
+//! representatives. It finds the classes that applying every operation
+//! at every slot finds, with about a sixth of the operations; the
+//! private `enumerate` docs give the argument and the failure mode.
 //!
 //! # The sealed fallback
 //!
@@ -45,6 +55,8 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 // lint: allow(interior-mut) reason="imports for the documented sealed tail and the freeze cache; every use site carries its own suppression"
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
+
+use lanecert_obs::{counter_add, names};
 
 use crate::{Algebra, Class, FxBuildHasher, SharedAlgebra};
 
@@ -78,7 +90,8 @@ pub const DEFAULT_STATE_BUDGET: usize = 60_000;
 
 /// Default bound on primitive-operation applications before the freeze
 /// pass gives up and seals (the abort path for algebras whose state
-/// count grows slowly but whose states are expensive).
+/// count grows slowly but whose states are expensive). Counts generator
+/// applications (see [`FreezeOptions::op_budget`]).
 pub const DEFAULT_OP_BUDGET: usize = 4_000_000;
 
 /// Tuning for [`FrozenAlgebra::freeze`].
@@ -90,7 +103,11 @@ pub struct FreezeOptions {
     /// Abort enumeration (and seal) past this many distinct states.
     pub state_budget: usize,
     /// Abort enumeration (and seal) past this many operation
-    /// applications.
+    /// applications. Only the generating set of the module docs counts:
+    /// per state, `add_vertex`, two `add_edge`s, one `glue`, one
+    /// `forget` and `arity − 1` adjacent swaps, plus one `union` per
+    /// pair of orbit representatives whose arities fit the cap. Where the
+    /// budget is hit decides which prefix a sealed table keeps.
     pub op_budget: usize,
 }
 
@@ -413,94 +430,271 @@ fn freeze_cache() -> &'static FreezeCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Deterministic closure of the reachable state space under the
-/// primitive operations, bounded by `opts`. Returns the discovered
-/// classes plus whether the closure *completed* (`false` = a budget was
-/// hit and the set is a partial prefix). The worklist order is fixed
-/// (FIFO over discovery, operations in a fixed order), so the set — all
-/// that matters, since ids come from the structural sort — is a pure
-/// function of `(property, opts)` either way.
+/// Deterministic closure of the reachable state space under a
+/// generating set of the primitive operations, bounded by `opts`.
+/// Returns the discovered classes plus whether the closure *completed*
+/// (`false` = a budget was hit and the set is a partial prefix). The
+/// worklist order is fixed (FIFO over discovery, generators in a fixed
+/// order), so the set — all that matters, since ids come from the
+/// structural sort — is a pure function of `(property, opts)` either
+/// way. Reports the states found, the operations applied and any
+/// overrun as [`lanecert_obs::names`] counters, once per enumeration.
+///
+/// # The generating set
+///
+/// The primitive operations commute with renaming slots: applying an
+/// operation to a permuted state gives a permutation of its result on
+/// the original (the Theorem 1 summary's shape-order merges rely on the
+/// same fact). So the closure needs only
+///
+/// * the unary generators `add_vertex`, `add_edge(0, 1, false)`,
+///   `add_edge(0, 1, true)`, `glue(0, 1)` and `forget(0)`, applied to
+///   every state — any other slot pair or slot is a permutation away;
+/// * the adjacent swaps `swap(i, i + 1)`, applied to every state, which
+///   close the set under every permutation of its slots;
+/// * `union` in one operand order between *orbit representatives*:
+///   states first found by an operation other than a swap. Every state
+///   is a permutation of a representative, and a union of permuted
+///   operands (in either order) is a permutation of the union of their
+///   representatives, so one run per unordered pair of representatives
+///   (each paired with itself too) whose arities fit the cap suffices.
+///
+/// Every generator is a primitive operation, and every primitive
+/// operation's result is a permutation of a generator's, so the closure
+/// finds exactly the classes a closure under all operations on all slots
+/// finds, at a fraction of the operations.
+///
+/// An algebra that broke slot equivariance would get a total table that
+/// lacks some class. `intern` then returns `None` for it, so the prover
+/// refuses with an internal error and the verifier rejects; neither can
+/// accept wrongly.
 fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
-    let mut order: Vec<Class> = Vec::new();
-    let mut seen: ClassMap<()> = ClassMap::default();
-    // Processed states, indexed by arity, for the union closure.
-    let mut by_arity: Vec<Vec<usize>> = vec![Vec::new(); opts.max_arity + 1];
-    let mut ops = 0usize;
-
-    let push = |c: Class, order: &mut Vec<Class>, seen: &mut ClassMap<()>| -> bool {
-        if c.arity() <= opts.max_arity && seen.insert(c.clone(), ()).is_none() {
-            order.push(c);
-        }
-        order.len() <= opts.state_budget
+    let mut closure = Closure {
+        alg,
+        opts,
+        order: Vec::new(),
+        reps: Vec::new(),
+        seen: ClassMap::default(),
+        ops: 0,
     };
+    let complete = closure.close().is_ok();
+    counter_add(names::FREEZE_STATES, closure.order.len() as u64);
+    counter_add(names::FREEZE_OPS, closure.ops as u64);
+    counter_add(names::FREEZE_OVERRUNS, u64::from(!complete));
+    (closure.order, complete)
+}
 
-    if !push(alg.empty(), &mut order, &mut seen) {
-        return (order, false);
-    }
-    let mut next = 0usize;
-    while next < order.len() {
-        let s = order[next].clone();
-        let a = s.arity();
-        by_arity[a].push(next);
-        next += 1;
+/// A state or operation budget was exceeded: the closure stops there.
+struct Overrun;
 
-        let mut apply = |c: Class, order: &mut Vec<Class>, seen: &mut ClassMap<()>| -> bool {
-            ops += 1;
-            ops <= opts.op_budget && push(c, order, seen)
-        };
+/// The freeze pass's worklist: the classes found so far in discovery
+/// order, which of them are orbit representatives, and the number of
+/// operations applied.
+struct Closure<'a> {
+    alg: &'a Algebra,
+    opts: &'a FreezeOptions,
+    order: Vec<Class>,
+    /// `reps[i]`: `order[i]` was first found by an operation other than
+    /// a swap.
+    reps: Vec<bool>,
+    seen: ClassMap<()>,
+    ops: usize,
+}
 
-        if a < opts.max_arity && !apply(alg.add_vertex(s.clone()), &mut order, &mut seen) {
-            return (order, false);
+impl Closure<'_> {
+    /// Records `c` (when it is new and within the arity cap).
+    fn found(&mut self, c: Class, rep: bool) -> Result<(), Overrun> {
+        if c.arity() <= self.opts.max_arity && self.seen.insert(c.clone(), ()).is_none() {
+            self.order.push(c);
+            self.reps.push(rep);
         }
-        for x in 0..a {
-            for y in 0..a {
-                if x == y {
-                    continue;
-                }
+        if self.order.len() > self.opts.state_budget {
+            return Err(Overrun);
+        }
+        Ok(())
+    }
+
+    /// Counts one operation against the budget, then records its result.
+    fn apply(&mut self, rep: bool, op: impl FnOnce() -> Class) -> Result<(), Overrun> {
+        self.ops += 1;
+        if self.ops > self.opts.op_budget {
+            return Err(Overrun);
+        }
+        self.found(op(), rep)
+    }
+
+    /// Closes the table under the generating set (see [`enumerate`]).
+    fn close(&mut self) -> Result<(), Overrun> {
+        let (alg, cap) = (self.alg, self.opts.max_arity);
+        self.found(alg.empty(), true)?;
+        // Processed representatives, indexed by arity, for the unions.
+        let mut reps_by_arity: Vec<Vec<usize>> = vec![Vec::new(); cap + 1];
+        let mut next = 0usize;
+        while next < self.order.len() {
+            let s = self.order[next].clone();
+            let a = s.arity();
+            if a < cap {
+                self.apply(true, || alg.add_vertex(s.clone()))?;
+            }
+            if a >= 2 {
                 for marked in [false, true] {
-                    if !apply(alg.add_edge(s.clone(), x, y, marked), &mut order, &mut seen) {
-                        return (order, false);
+                    self.apply(true, || alg.add_edge(s.clone(), 0, 1, marked))?;
+                }
+                self.apply(true, || alg.glue(s.clone(), 0, 1))?;
+            }
+            if a >= 1 {
+                self.apply(true, || alg.forget(s.clone(), 0))?;
+            }
+            for i in 1..a {
+                self.apply(false, || alg.swap(s.clone(), i - 1, i))?;
+            }
+            if self.reps[next] {
+                reps_by_arity[a].push(next);
+                for partners in &reps_by_arity[..=cap - a] {
+                    for &t in partners {
+                        let t = self.order[t].clone();
+                        self.apply(true, || alg.union(s.clone(), t))?;
                     }
                 }
             }
+            next += 1;
         }
-        for x in 0..a {
-            for y in (x + 1)..a {
-                if !apply(alg.glue(s.clone(), x, y), &mut order, &mut seen) {
-                    return (order, false);
-                }
-                if !apply(alg.swap(s.clone(), x, y), &mut order, &mut seen) {
-                    return (order, false);
-                }
-            }
-        }
-        for x in 0..a {
-            if !apply(alg.forget(s.clone(), x), &mut order, &mut seen) {
-                return (order, false);
-            }
-        }
-        // Unions with every already-processed state whose arity fits the
-        // cap (both operand orders; later states pick up earlier ones
-        // when their own turn comes, so all pairs are covered).
-        for b in 0..=(opts.max_arity - a) {
-            for i in 0..by_arity[b].len() {
-                let t = order[by_arity[b][i]].clone();
-                if !apply(alg.union(s.clone(), t.clone()), &mut order, &mut seen) {
-                    return (order, false);
-                }
-                if !apply(alg.union(t, s.clone()), &mut order, &mut seen) {
-                    return (order, false);
-                }
-            }
-        }
+        Ok(())
     }
-    (order, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::props::{Bipartite, Connected, HamiltonianCycle};
+    use crate::props::{
+        And, Bipartite, Connected, EdgeCountMod, EvenDegrees, Forest, HamiltonianCycle,
+        MaxDegreeAtMost, Not, Or, VertexCountMod,
+    };
+    use std::collections::HashSet;
+
+    /// The oracle: the closure under every primitive operation on every
+    /// slot choice, with unions in both operand orders, under the same
+    /// budgets. Returns the classes found and whether it completed.
+    fn full_closure(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
+        let mut c = Closure {
+            alg,
+            opts,
+            order: Vec::new(),
+            reps: Vec::new(),
+            seen: ClassMap::default(),
+            ops: 0,
+        };
+        let complete = close_under_every_operation(&mut c).is_ok();
+        (c.order, complete)
+    }
+
+    fn close_under_every_operation(c: &mut Closure<'_>) -> Result<(), Overrun> {
+        let (alg, cap) = (c.alg, c.opts.max_arity);
+        c.found(alg.empty(), true)?;
+        let mut by_arity: Vec<Vec<usize>> = vec![Vec::new(); cap + 1];
+        let mut next = 0usize;
+        while next < c.order.len() {
+            let s = c.order[next].clone();
+            let a = s.arity();
+            by_arity[a].push(next);
+            next += 1;
+            if a < cap {
+                c.apply(true, || alg.add_vertex(s.clone()))?;
+            }
+            for x in 0..a {
+                for y in (0..a).filter(|&y| y != x) {
+                    for marked in [false, true] {
+                        c.apply(true, || alg.add_edge(s.clone(), x, y, marked))?;
+                    }
+                }
+            }
+            for x in 0..a {
+                for y in (x + 1)..a {
+                    c.apply(true, || alg.glue(s.clone(), x, y))?;
+                    c.apply(true, || alg.swap(s.clone(), x, y))?;
+                }
+            }
+            for x in 0..a {
+                c.apply(true, || alg.forget(s.clone(), x))?;
+            }
+            for partners in &by_arity[..=cap - a] {
+                for &t in partners {
+                    let t = c.order[t].clone();
+                    c.apply(true, || alg.union(s.clone(), t.clone()))?;
+                    c.apply(true, || alg.union(t, s.clone()))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn class_set(classes: impl IntoIterator<Item = Class>) -> HashSet<Class> {
+        classes.into_iter().collect()
+    }
+
+    fn canonical_classes(frozen: &FrozenAlgebra) -> HashSet<Class> {
+        class_set(
+            (0..frozen.canonical_state_count() as u32).filter_map(|i| frozen.class_of(StateId(i))),
+        )
+    }
+
+    #[test]
+    fn generating_set_finds_exactly_the_full_closure() {
+        // Every enumerable hand-written property and the combinators, at
+        // each arity where the full closure completes under the default
+        // budgets (every product tried overruns at arity 6).
+        let all = [2, 4, 6];
+        let cases = [
+            (Algebra::shared(Forest), &all[..]),
+            (Algebra::shared(Connected), &all),
+            (Algebra::shared(Bipartite), &all),
+            (Algebra::shared(MaxDegreeAtMost::new(1)), &all),
+            (Algebra::shared(MaxDegreeAtMost::new(2)), &all),
+            (Algebra::shared(EvenDegrees), &all),
+            (Algebra::shared(EdgeCountMod::new(3, 1)), &all),
+            (Algebra::shared(VertexCountMod::new(2, 0)), &all),
+            (Algebra::shared(Not(Connected)), &all),
+            (Algebra::shared(Not(Bipartite)), &all),
+            (
+                Algebra::shared(And(Forest, MaxDegreeAtMost::new(2))),
+                &all[..2],
+            ),
+            (Algebra::shared(And(Connected, EvenDegrees)), &all[..2]),
+            (Algebra::shared(Or(Connected, EvenDegrees)), &all[..2]),
+        ];
+        for (alg, arities) in cases {
+            for &arity in arities {
+                let opts = FreezeOptions::for_interface_arity(arity);
+                let (want, complete) = full_closure(&alg, &opts);
+                assert!(complete, "{} at arity {arity}: oracle overran", alg.name());
+                let frozen = FrozenAlgebra::freeze(Arc::clone(&alg), &opts);
+                assert!(frozen.is_total(), "{} at arity {arity}", alg.name());
+                assert_eq!(
+                    canonical_classes(&frozen),
+                    class_set(want.iter().cloned()),
+                    "{} at arity {arity}",
+                    alg.name()
+                );
+                let oracle = FrozenAlgebra::total_with(Arc::clone(&alg), want, arity);
+                assert_eq!(frozen.fingerprint(), oracle.fingerprint());
+            }
+        }
+    }
+
+    #[test]
+    fn connected_and_bipartite_at_arity_six_now_freezes_totally() {
+        // Under the default op budget the full closure overran and sealed
+        // at 40,175 classes; the generating set completes the same space.
+        let alg = Algebra::shared(And(Connected, Bipartite));
+        let opts = FreezeOptions::for_interface_arity(6);
+        let (prefix, complete) = full_closure(&alg, &opts);
+        assert!(!complete);
+        assert_eq!(prefix.len(), 40_175);
+        let frozen = FrozenAlgebra::freeze(alg, &opts);
+        assert!(frozen.is_total());
+        assert_eq!(frozen.canonical_state_count(), 40_259);
+        assert!(class_set(prefix).is_subset(&canonical_classes(&frozen)));
+    }
 
     fn freeze_connected(arity: usize) -> SharedFrozenAlgebra {
         FrozenAlgebra::freeze(

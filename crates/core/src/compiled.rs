@@ -77,7 +77,10 @@ pub struct StandardFormula {
     pub build: fn() -> Formula,
     /// State budget with headroom over the measured total count.
     pub state_budget: usize,
-    /// Operation budget with headroom over the measured closure cost.
+    /// Operation budget for the freeze closure. The values were set
+    /// over the cost of a closure under every operation at every slot;
+    /// the generating-set closure applies about a sixth of that (see
+    /// [`standard_formulas`]), so they now leave wide headroom.
     pub op_budget: usize,
 }
 
@@ -121,6 +124,14 @@ impl StandardFormula {
 /// bipartite 11 713, 2-colorable 11 713, max-degree-1 141,
 /// max-degree-2 812, vertex-cover-1 1 210, independent-set-2 12 520;
 /// see the README table).
+///
+/// Measured closure cost at interface arity 4, in operations the
+/// generating-set freeze applies (the closure under every operation at
+/// every slot, which the op budgets were first set against, in
+/// brackets): connected 21 735 (127 287), bipartite and 2-colorable
+/// 85 604 (511 294), max-degree-1 1 150 (5 639), max-degree-2 6 405
+/// (34 490), vertex-cover-1 9 978 (57 195), independent-set-2 95 740
+/// (570 019).
 ///
 /// Deliberately absent: `acyclic`, `triangle_free`,
 /// `dominating_set_at_most`, and `colorable(3)` — their compiled spaces

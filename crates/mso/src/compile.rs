@@ -791,10 +791,13 @@ impl RunData {
     }
 }
 
-/// Sorts and deduplicates a run set (the canonical powerset value).
+/// Sorts and deduplicates a run set (the canonical powerset value),
+/// dropping the spare capacity forking and deduplication left: frozen
+/// tables keep thousands of these sets alive.
 fn canonical_runs(mut runs: Vec<Run>) -> Vec<Run> {
     runs.sort_unstable();
     runs.dedup();
+    runs.shrink_to_fit();
     runs
 }
 
@@ -1346,9 +1349,11 @@ mod tests {
     use super::*;
     use crate::{eval, props};
     use lanecert_algebra::mirror::{self, Mirror, Program, TraceStep};
-    use lanecert_algebra::Algebra;
+    use lanecert_algebra::{Algebra, Class, FreezeOptions, FrozenAlgebra, StateId};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::collections::HashSet;
+    use std::sync::Arc;
 
     fn alg(f: &Formula) -> Algebra {
         Algebra::new(compile(f).expect("formula compiles"))
@@ -1649,5 +1654,56 @@ mod tests {
             )),
         );
         assert_eq!(compile(&f1).unwrap().name(), compile(&g).unwrap().name());
+    }
+
+    /// Oracle for the freeze pass's generating set: the closure under
+    /// every primitive operation on every slot choice, with unions in
+    /// both operand orders, up to `cap` slots.
+    fn full_closure(alg: &Algebra, cap: usize) -> HashSet<Class> {
+        let mut order = vec![alg.empty()];
+        let mut seen: HashSet<Class> = order.iter().cloned().collect();
+        let mut next = 0;
+        while next < order.len() {
+            let s = order[next].clone();
+            let a = s.arity();
+            let mut out = Vec::new();
+            if a < cap {
+                out.push(alg.add_vertex(s.clone()));
+            }
+            for x in 0..a {
+                for y in (0..a).filter(|&y| y != x) {
+                    out.push(alg.add_edge(s.clone(), x, y, false));
+                    out.push(alg.add_edge(s.clone(), x, y, true));
+                }
+                for y in (x + 1)..a {
+                    out.push(alg.glue(s.clone(), x, y));
+                    out.push(alg.swap(s.clone(), x, y));
+                }
+                out.push(alg.forget(s.clone(), x));
+            }
+            for t in order[..=next].iter().filter(|t| a + t.arity() <= cap) {
+                out.push(alg.union(s.clone(), t.clone()));
+                out.push(alg.union(t.clone(), s.clone()));
+            }
+            order.extend(out.into_iter().filter(|c| seen.insert(c.clone())));
+            next += 1;
+        }
+        seen
+    }
+
+    #[test]
+    fn freeze_finds_exactly_the_full_closure_of_compiled_formulas() {
+        // Equal class sets of two total tables mean equal ids and
+        // fingerprints: both are functions of the sorted set.
+        for f in [props::max_degree_at_most(1), props::vertex_cover_at_most(1)] {
+            let alg = Arc::new(alg(&f));
+            let frozen =
+                FrozenAlgebra::freeze(Arc::clone(&alg), &FreezeOptions::for_interface_arity(4));
+            assert!(frozen.is_total());
+            let classes: HashSet<Class> = (0..frozen.canonical_state_count() as u32)
+                .filter_map(|i| frozen.class_of(StateId(i)))
+                .collect();
+            assert_eq!(classes, full_closure(&alg, 4));
+        }
     }
 }

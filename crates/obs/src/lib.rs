@@ -88,6 +88,15 @@ pub mod names {
     /// Counter: shape-order merges (`f_B`, `f_P` on slots in shape
     /// order) the transition memo ran, each once per thread and shape.
     pub const TRANSITION_MEMO_MERGES: &str = "transition_memo_merges";
+    /// Counter: classes the algebra freeze pass found, added once per
+    /// enumeration (a cached freeze adds nothing).
+    pub const FREEZE_STATES: &str = "freeze_states";
+    /// Counter: primitive operations the freeze pass applied, added once
+    /// per enumeration.
+    pub const FREEZE_OPS: &str = "freeze_ops";
+    /// Counter: freeze enumerations that exceeded a state or operation
+    /// budget and sealed.
+    pub const FREEZE_OVERRUNS: &str = "freeze_overruns";
 }
 
 /// Opens a structured span: `span!("prove")` or
