@@ -55,9 +55,12 @@ impl Class {
     /// fingerprinting: the arity plus the state's `Debug` rendering.
     /// Derived `Debug` impls are faithful renderings of the state, so the
     /// key orders distinct states deterministically across runs and
-    /// builds.
+    /// builds. The rendering is shrunk to its length: the freeze pass
+    /// holds one key per class at once.
     pub(crate) fn structural_key(&self) -> (usize, String) {
-        (self.0.arity, format!("{:?}", &self.0.state))
+        let mut key = format!("{:?}", &self.0.state);
+        key.shrink_to_fit();
+        (self.0.arity, key)
     }
 }
 

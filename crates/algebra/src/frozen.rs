@@ -28,6 +28,23 @@
 //! at every slot finds, with about a sixth of the operations; the
 //! private `enumerate` docs give the argument and the failure mode.
 //!
+//! # Transition rows
+//!
+//! The closure applies every adjacent swap `swap(i, i + 1)` to every
+//! state anyway, so a total table keeps those results: one dense `u32`
+//! row per class, `row[id × (max_arity − 1) + i]` holding the canonical
+//! id of `swap(class, i, i + 1)` (only the result's index is kept during
+//! the closure, never a second copy of the class). [`FrozenAlgebra::swap`]
+//! answers a transposition `(a, b)` as a walk of `2|a − b| − 1` such rows,
+//! `a`, …, `b − 1`, …, `a` — a palindrome, so the order in which the
+//! renamings compose does not matter — instead of rebuilding the state.
+//! This is exact: the rows are the algebra's own results, and a
+//! transposition is that product of adjacent ones, so every slot renaming
+//! the algebra performs lands on the same class. The rows cost
+//! `|C| × (max_arity − 1) × 4` bytes: about 34 KB for compiled
+//! `connected` at arity 4, 150 KB for compiled `independent-set-2`.
+//! Sealed tables keep no rows and run the algebra.
+//!
 //! # The sealed fallback
 //!
 //! Some algebras are too large to pre-enumerate (set-valued states such
@@ -49,6 +66,8 @@
 //! semantics (all built-in names do). Sealed tables are never shared
 //! between scheme instances.
 
+// lint: allow(interior-mut) reason="per-thread row-swap counters, flushed to obs; never read by an operation"
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -58,7 +77,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use lanecert_obs::{counter_add, names};
 
-use crate::{Algebra, Class, FxBuildHasher, SharedAlgebra};
+use crate::{Algebra, Class, FxBuildHasher, SharedAlgebra, Slot};
 
 /// A map keyed by classes, which hash to their cached structural digest.
 type ClassMap<V> = HashMap<Class, V, FxBuildHasher>;
@@ -133,6 +152,30 @@ impl FreezeOptions {
     }
 }
 
+/// A transition-row entry with no class behind it: a slot past the
+/// class's arity.
+const NO_ROW: u32 = u32::MAX;
+
+thread_local! {
+    // lint: allow(interior-mut) reason="per-thread row-swap counters, flushed to obs; never read by an operation"
+    static ROW_COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Adds this thread's [`FrozenAlgebra::swap`] counts since the last call
+/// to the obs counters: swaps answered from transition rows
+/// ([`names::FROZEN_ROW_SWAPS`]) and swaps a total table handed to the
+/// algebra ([`names::FROZEN_ROW_FALLBACKS`]).
+pub fn flush_row_counters() {
+    if !lanecert_obs::COMPILED {
+        return;
+    }
+    let (rows, fallbacks) = ROW_COUNTS.with(|c| c.take());
+    if rows + fallbacks > 0 {
+        counter_add(names::FROZEN_ROW_SWAPS, rows);
+        counter_add(names::FROZEN_ROW_FALLBACKS, fallbacks);
+    }
+}
+
 /// The dynamic tail of a sealed table.
 #[derive(Default)]
 struct Tail {
@@ -143,7 +186,8 @@ struct Tail {
 /// An immutable, canonically ordered class table over an [`Algebra`] —
 /// see the crate docs for the invariant. Dereferences to the
 /// underlying [`Algebra`], so the primitive operations are available
-/// directly on a `FrozenAlgebra`.
+/// directly on a `FrozenAlgebra`; [`FrozenAlgebra::swap`] shadows the
+/// algebra's to read the table's transition rows.
 pub struct FrozenAlgebra {
     algebra: SharedAlgebra,
     /// Canonically sorted classes; `canonical[i]` has id `i`.
@@ -154,6 +198,9 @@ pub struct FrozenAlgebra {
     total: bool,
     fingerprint: u64,
     max_arity: usize,
+    /// The transition rows of the module docs, `max_arity − 1` per class
+    /// in id order; empty for sealed tables.
+    rows: Box<[u32]>,
     // lint: allow(interior-mut) reason="the documented sealed tail: append-only interning of post-freeze classes, canonical ids never change"
     tail: RwLock<Tail>,
 }
@@ -188,10 +235,10 @@ impl FrozenAlgebra {
                 None => {}
             }
         }
-        let (classes, complete) = enumerate(&algebra, opts);
+        let (classes, swaps, complete) = enumerate(&algebra, opts);
         let mut cache = freeze_cache().lock().expect("freeze cache poisoned");
         if complete {
-            let frozen = Self::total_with(algebra, classes, opts.max_arity);
+            let frozen = Self::build(algebra, classes, &swaps, true, opts.max_arity);
             cache.insert(key, CachedFreeze::Total(Arc::clone(&frozen)));
             frozen
         } else {
@@ -201,32 +248,30 @@ impl FrozenAlgebra {
         }
     }
 
-    fn total_with(
-        algebra: SharedAlgebra,
-        classes: Vec<Class>,
-        max_arity: usize,
-    ) -> SharedFrozenAlgebra {
-        Self::build(algebra, classes, true, max_arity)
-    }
-
     fn sealed_with_prefix(
         algebra: SharedAlgebra,
         classes: Vec<Class>,
         max_arity: usize,
     ) -> SharedFrozenAlgebra {
-        Self::build(algebra, classes, false, max_arity)
+        Self::build(algebra, classes, &[], false, max_arity)
     }
 
+    /// Sorts `classes` (in discovery order) canonically into a table.
+    /// `swaps` holds the closure's adjacent-swap results by discovery
+    /// index, `max_arity − 1` per class; it becomes the transition rows,
+    /// or none when empty.
     fn build(
         algebra: SharedAlgebra,
         classes: Vec<Class>,
+        swaps: &[u32],
         total: bool,
         max_arity: usize,
     ) -> SharedFrozenAlgebra {
         // Canonical order: structural sort, never insertion order.
-        let mut keyed: Vec<((usize, String), Class)> = classes
+        let mut keyed: Vec<((usize, String), u32, Class)> = classes
             .into_iter()
-            .map(|c| (c.structural_key(), c))
+            .enumerate()
+            .map(|(n, c)| (c.structural_key(), n as u32, c))
             .collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -234,7 +279,7 @@ impl FrozenAlgebra {
         max_arity.hash(&mut hasher);
         total.hash(&mut hasher);
         keyed.len().hash(&mut hasher);
-        for (key, _) in &keyed {
+        for (key, _, _) in &keyed {
             key.hash(&mut hasher);
         }
         if !total {
@@ -259,7 +304,24 @@ impl FrozenAlgebra {
             // crate rather than reading `SystemTime` here.
             lanecert_obs::wall_entropy_ns().hash(&mut hasher);
         }
-        let canonical: Vec<Class> = keyed.into_iter().map(|(_, c)| c).collect();
+        // `id_of[n]`: the canonical id of the class discovered `n`-th.
+        let mut id_of = vec![0u32; keyed.len()];
+        let canonical: Vec<Class> = keyed
+            .into_iter()
+            .enumerate()
+            .map(|(id, (_, n, c))| {
+                id_of[n as usize] = id as u32;
+                c
+            })
+            .collect();
+        let width = max_arity.saturating_sub(1);
+        let mut rows = vec![NO_ROW; swaps.len()];
+        for (n, row) in swaps.chunks_exact(width.max(1)).enumerate() {
+            let id = id_of[n] as usize;
+            for (i, &r) in row.iter().enumerate().filter(|&(_, &r)| r != NO_ROW) {
+                rows[id * width + i] = id_of[r as usize];
+            }
+        }
         let index = canonical
             .iter()
             .enumerate()
@@ -272,9 +334,49 @@ impl FrozenAlgebra {
             total,
             fingerprint: hasher.finish(),
             max_arity,
+            rows: rows.into_boxed_slice(),
             // lint: allow(interior-mut) reason="constructs the documented sealed tail"
             tail: RwLock::new(Tail::default()),
         })
+    }
+
+    /// Exchanges slots `a` and `b` of `s`: the class
+    /// [`Algebra::swap`] returns, read from the table's transition rows
+    /// (see the module docs) when it can be. That takes a total table, a
+    /// class in it and `a ≠ b` within its arity; the walk of
+    /// `2|a − b| − 1` rows then returns the table's own copy of the
+    /// result. Anything else runs the algebra. Shadows the `Deref`'d
+    /// [`Algebra::swap`], so every caller holding a `FrozenAlgebra` gets
+    /// the rows.
+    pub fn swap(&self, s: Class, a: Slot, b: Slot) -> Class {
+        let served = self.swap_by_rows(&s, a, b);
+        if lanecert_obs::COMPILED && self.total {
+            ROW_COUNTS.with(|c| {
+                let (rows, fallbacks) = c.get();
+                c.set(match served {
+                    Some(_) => (rows + 1, fallbacks),
+                    None => (rows, fallbacks + 1),
+                });
+            });
+        }
+        served.unwrap_or_else(|| self.algebra.swap(s, a, b))
+    }
+
+    /// The row walk of [`FrozenAlgebra::swap`]; `None` where it does not
+    /// apply.
+    fn swap_by_rows(&self, s: &Class, a: Slot, b: Slot) -> Option<Class> {
+        let (lo, hi) = (a.min(b), a.max(b));
+        if lo == hi || hi >= s.arity() {
+            return None;
+        }
+        let width = self.max_arity.saturating_sub(1);
+        let mut id = *self.index.get(s)?;
+        for i in (lo..hi).chain((lo..hi - 1).rev()) {
+            id = *self.rows.get(id as usize * width + i)?;
+        }
+        // A [`NO_ROW`] entry (never reached within the class's arity)
+        // would index past the rows or the table and end in `None`.
+        self.canonical.get(id as usize).cloned()
     }
 
     /// The wrapped algebra (also reachable through `Deref`).
@@ -432,10 +534,11 @@ fn freeze_cache() -> &'static FreezeCache {
 
 /// Deterministic closure of the reachable state space under a
 /// generating set of the primitive operations, bounded by `opts`.
-/// Returns the discovered classes plus whether the closure *completed*
-/// (`false` = a budget was hit and the set is a partial prefix). The
-/// worklist order is fixed (FIFO over discovery, generators in a fixed
-/// order), so the set — all that matters, since ids come from the
+/// Returns the discovered classes, their adjacent-swap results (the
+/// transition rows of the module docs, by discovery index) and whether
+/// the closure *completed* (`false` = a budget was hit and the set is a
+/// partial prefix). The worklist order is fixed (FIFO over discovery,
+/// generators in a fixed order), so the set — all that matters, since ids come from the
 /// structural sort — is a pure function of `(property, opts)` either
 /// way. Reports the states found, the operations applied and any
 /// overrun as [`lanecert_obs::names`] counters, once per enumeration.
@@ -468,28 +571,21 @@ fn freeze_cache() -> &'static FreezeCache {
 /// lacks some class. `intern` then returns `None` for it, so the prover
 /// refuses with an internal error and the verifier rejects; neither can
 /// accept wrongly.
-fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
-    let mut closure = Closure {
-        alg,
-        opts,
-        order: Vec::new(),
-        reps: Vec::new(),
-        seen: ClassMap::default(),
-        ops: 0,
-    };
+fn enumerate(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, Vec<u32>, bool) {
+    let mut closure = Closure::new(alg, opts);
     let complete = closure.close().is_ok();
     counter_add(names::FREEZE_STATES, closure.order.len() as u64);
     counter_add(names::FREEZE_OPS, closure.ops as u64);
     counter_add(names::FREEZE_OVERRUNS, u64::from(!complete));
-    (closure.order, complete)
+    (closure.order, closure.swaps, complete)
 }
 
 /// A state or operation budget was exceeded: the closure stops there.
 struct Overrun;
 
 /// The freeze pass's worklist: the classes found so far in discovery
-/// order, which of them are orbit representatives, and the number of
-/// operations applied.
+/// order, which of them are orbit representatives, their adjacent-swap
+/// results, and the number of operations applied.
 struct Closure<'a> {
     alg: &'a Algebra,
     opts: &'a FreezeOptions,
@@ -497,25 +593,48 @@ struct Closure<'a> {
     /// `reps[i]`: `order[i]` was first found by an operation other than
     /// a swap.
     reps: Vec<bool>,
-    seen: ClassMap<()>,
+    /// The discovery index of every class in `order`.
+    seen: ClassMap<u32>,
+    /// `swaps[n × (max_arity − 1) + i]`: the discovery index of
+    /// `swap(order[n], i, i + 1)`, for each processed state `n`
+    /// ([`NO_ROW`] past its arity).
+    swaps: Vec<u32>,
     ops: usize,
 }
 
-impl Closure<'_> {
-    /// Records `c` (when it is new and within the arity cap).
-    fn found(&mut self, c: Class, rep: bool) -> Result<(), Overrun> {
-        if c.arity() <= self.opts.max_arity && self.seen.insert(c.clone(), ()).is_none() {
+impl<'a> Closure<'a> {
+    fn new(alg: &'a Algebra, opts: &'a FreezeOptions) -> Self {
+        Self {
+            alg,
+            opts,
+            order: Vec::new(),
+            reps: Vec::new(),
+            seen: ClassMap::default(),
+            swaps: Vec::new(),
+            ops: 0,
+        }
+    }
+
+    /// Records `c` when it is new, and returns its discovery index
+    /// (`None` past the arity cap).
+    fn found(&mut self, c: Class, rep: bool) -> Result<Option<u32>, Overrun> {
+        if c.arity() > self.opts.max_arity {
+            return Ok(None);
+        }
+        let next = self.order.len() as u32;
+        let n = *self.seen.entry(c.clone()).or_insert(next);
+        if n == next {
             self.order.push(c);
             self.reps.push(rep);
+            if self.order.len() > self.opts.state_budget {
+                return Err(Overrun);
+            }
         }
-        if self.order.len() > self.opts.state_budget {
-            return Err(Overrun);
-        }
-        Ok(())
+        Ok(Some(n))
     }
 
     /// Counts one operation against the budget, then records its result.
-    fn apply(&mut self, rep: bool, op: impl FnOnce() -> Class) -> Result<(), Overrun> {
+    fn apply(&mut self, rep: bool, op: impl FnOnce() -> Class) -> Result<Option<u32>, Overrun> {
         self.ops += 1;
         if self.ops > self.opts.op_budget {
             return Err(Overrun);
@@ -545,8 +664,11 @@ impl Closure<'_> {
             if a >= 1 {
                 self.apply(true, || alg.forget(s.clone(), 0))?;
             }
+            let row = self.swaps.len();
+            self.swaps.resize(row + cap.saturating_sub(1), NO_ROW);
             for i in 1..a {
-                self.apply(false, || alg.swap(s.clone(), i - 1, i))?;
+                let to = self.apply(false, || alg.swap(s.clone(), i - 1, i))?;
+                self.swaps[row + i - 1] = to.unwrap_or(NO_ROW);
             }
             if self.reps[next] {
                 reps_by_arity[a].push(next);
@@ -576,14 +698,7 @@ mod tests {
     /// slot choice, with unions in both operand orders, under the same
     /// budgets. Returns the classes found and whether it completed.
     fn full_closure(alg: &Algebra, opts: &FreezeOptions) -> (Vec<Class>, bool) {
-        let mut c = Closure {
-            alg,
-            opts,
-            order: Vec::new(),
-            reps: Vec::new(),
-            seen: ClassMap::default(),
-            ops: 0,
-        };
+        let mut c = Closure::new(alg, opts);
         let complete = close_under_every_operation(&mut c).is_ok();
         (c.order, complete)
     }
@@ -632,10 +747,13 @@ mod tests {
         classes.into_iter().collect()
     }
 
+    /// Every class of `frozen`'s canonical table.
+    fn classes_of(frozen: &FrozenAlgebra) -> impl Iterator<Item = Class> + '_ {
+        (0..frozen.canonical_state_count() as u32).filter_map(|i| frozen.class_of(StateId(i)))
+    }
+
     fn canonical_classes(frozen: &FrozenAlgebra) -> HashSet<Class> {
-        class_set(
-            (0..frozen.canonical_state_count() as u32).filter_map(|i| frozen.class_of(StateId(i))),
-        )
+        class_set(classes_of(frozen))
     }
 
     #[test]
@@ -675,10 +793,133 @@ mod tests {
                     "{} at arity {arity}",
                     alg.name()
                 );
-                let oracle = FrozenAlgebra::total_with(Arc::clone(&alg), want, arity);
+                let oracle = FrozenAlgebra::build(Arc::clone(&alg), want, &[], true, arity);
                 assert_eq!(frozen.fingerprint(), oracle.fingerprint());
             }
         }
+    }
+
+    /// `FrozenAlgebra::swap` against `Algebra::swap` on every class of the
+    /// table and every slot pair, and whether the rows answered.
+    fn assert_swaps_match_the_algebra(frozen: &FrozenAlgebra) {
+        for c in classes_of(frozen) {
+            for a in 0..c.arity() {
+                for b in 0..c.arity() {
+                    assert_eq!(
+                        frozen.swap(c.clone(), a, b),
+                        frozen.algebra().swap(c.clone(), a, b),
+                        "{} at arity {}: swap({a}, {b}) of {c:?}",
+                        frozen.name(),
+                        frozen.max_arity()
+                    );
+                    assert_eq!(
+                        frozen.swap_by_rows(&c, a, b).is_some(),
+                        frozen.is_total() && a != b,
+                        "{}: swap({a}, {b}) of {c:?}",
+                        frozen.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_swaps_match_the_algebra() {
+        let cases = [
+            Algebra::shared(Forest),
+            Algebra::shared(Connected),
+            Algebra::shared(Bipartite),
+            Algebra::shared(MaxDegreeAtMost::new(1)),
+            Algebra::shared(MaxDegreeAtMost::new(2)),
+            Algebra::shared(EvenDegrees),
+            Algebra::shared(EdgeCountMod::new(3, 1)),
+            Algebra::shared(VertexCountMod::new(2, 0)),
+            Algebra::shared(Not(Connected)),
+            Algebra::shared(Not(Bipartite)),
+            Algebra::shared(And(Forest, MaxDegreeAtMost::new(2))),
+            Algebra::shared(And(Connected, EvenDegrees)),
+            Algebra::shared(Or(Connected, EvenDegrees)),
+            Algebra::shared(And(Connected, Bipartite)),
+        ];
+        // `And(Forest, MaxDegreeAtMost(2))` overruns the default budgets
+        // at arity 6 and seals; the oracle then checks the fallback.
+        let mut total = 0;
+        for alg in cases {
+            for arity in [2, 4, 6] {
+                let opts = FreezeOptions::for_interface_arity(arity);
+                let frozen = FrozenAlgebra::freeze(Arc::clone(&alg), &opts);
+                assert!(
+                    frozen.is_total() || arity == 6,
+                    "{} at arity {arity}",
+                    alg.name()
+                );
+                total += usize::from(frozen.is_total());
+                assert_swaps_match_the_algebra(&frozen);
+            }
+        }
+        assert_eq!(total, 41);
+    }
+
+    #[test]
+    fn sealed_tables_swap_through_the_algebra() {
+        // A budget-sealed prefix and an opted-out property: no rows, the
+        // algebra answers, and the answer is the algebra's.
+        let opts = FreezeOptions {
+            state_budget: 500,
+            ..FreezeOptions::for_interface_arity(6)
+        };
+        let prefix = FrozenAlgebra::freeze(Algebra::shared(And(Connected, Bipartite)), &opts);
+        assert!(!prefix.is_total());
+        assert!(prefix.canonical_state_count() > 0);
+        assert!(classes_of(&prefix).any(|c| c.arity() >= 2));
+        assert_swaps_match_the_algebra(&prefix);
+
+        let ham = FrozenAlgebra::freeze(
+            Algebra::shared(HamiltonianCycle),
+            &FreezeOptions::for_interface_arity(6),
+        );
+        assert!(!ham.is_total());
+        let mut s = ham.empty();
+        for _ in 0..4 {
+            s = ham.add_vertex(s);
+        }
+        s = ham.add_edge(s, 0, 1, true);
+        s = ham.add_edge(s, 1, 3, true);
+        for a in 0..4 {
+            for b in 0..4 {
+                assert!(ham.swap_by_rows(&s, a, b).is_none());
+                assert_eq!(
+                    ham.swap(s.clone(), a, b),
+                    ham.algebra().swap(s.clone(), a, b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn classes_outside_a_total_table_swap_through_the_algebra() {
+        // Arity 3 is past the cap of a table frozen at arity 2.
+        let frozen = freeze_connected(2);
+        let mut s = frozen.empty();
+        for _ in 0..3 {
+            s = frozen.add_vertex(s);
+        }
+        s = frozen.add_edge(s, 0, 2, true);
+        assert_eq!(frozen.id_of(&s), None);
+        assert!(frozen.swap_by_rows(&s, 0, 2).is_none());
+        assert_eq!(frozen.swap(s.clone(), 0, 2), frozen.algebra().swap(s, 0, 2));
+    }
+
+    #[test]
+    fn total_tables_keep_one_row_entry_per_adjacent_swap() {
+        let frozen = freeze_connected(4);
+        assert_eq!(frozen.rows.len(), frozen.canonical_state_count() * 3);
+        assert!(FrozenAlgebra::freeze(
+            Algebra::shared(HamiltonianCycle),
+            &FreezeOptions::for_interface_arity(4)
+        )
+        .rows
+        .is_empty());
     }
 
     #[test]

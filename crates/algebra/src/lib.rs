@@ -35,8 +35,8 @@ mod property;
 
 pub use algebra::{Algebra, Class, SharedAlgebra};
 pub use frozen::{
-    FreezeOptions, FrozenAlgebra, SharedFrozenAlgebra, StateId, DEFAULT_OP_BUDGET,
-    DEFAULT_STATE_BUDGET, MAX_FREEZE_ARITY,
+    flush_row_counters, FreezeOptions, FrozenAlgebra, SharedFrozenAlgebra, StateId,
+    DEFAULT_OP_BUDGET, DEFAULT_STATE_BUDGET, MAX_FREEZE_ARITY,
 };
 pub use fx::{FxBuildHasher, FxHasher};
 pub use property::{glue_order, Property, Slot};

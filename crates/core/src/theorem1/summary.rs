@@ -42,8 +42,11 @@
 //! the shape alone, so the expensive part of a merge — the union's
 //! product of states and the glues and forgets after it — runs once per
 //! thread and shape whatever the ids are; only the permutations, a few
-//! swaps each, are paid per ordering. The algebra operations commute with
-//! renaming slots, so the result is the class the id-order program gives.
+//! swaps each, are paid per ordering. On a total table a permutation is a
+//! row walk: [`FrozenAlgebra::swap`] reads each swap from the transition
+//! rows the freeze recorded, so it never rebuilds a state. The algebra
+//! operations commute with renaming slots, so the result is the class the
+//! id-order program gives.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -243,12 +246,15 @@ fn apply(alg: &FrozenAlgebra, inputs: Inputs<'_>, program: &Program, count: Coun
 
 /// Adds this thread's memo hits, misses and shape-order merges since the
 /// last call to the obs counters ([`names::TRANSITION_MEMO_HITS`],
-/// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]).
-/// Called once at the end of each prove and each verify call.
+/// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]),
+/// together with the frozen table's row swaps
+/// ([`lanecert_algebra::flush_row_counters`]). Called once at the end of
+/// each prove and each verify call.
 pub(crate) fn flush_memo_counters() {
     if !lanecert_obs::COMPILED {
         return;
     }
+    lanecert_algebra::flush_row_counters();
     let (hits, misses, merges) = TRANSITIONS.with(|m| {
         m.try_borrow_mut()
             .map(|mut m| {

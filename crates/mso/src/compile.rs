@@ -1691,6 +1691,53 @@ mod tests {
         seen
     }
 
+    /// `FrozenAlgebra::swap`, answered from transition rows, against
+    /// `Algebra::swap` on every class of `f`'s total table at arity 4 and
+    /// every transposition (both slot orders; the algebra runs once per
+    /// pair).
+    fn assert_row_swaps_match_the_algebra(f: &Formula) {
+        let frozen =
+            FrozenAlgebra::freeze(Arc::new(alg(f)), &FreezeOptions::for_interface_arity(4));
+        assert!(frozen.is_total());
+        for c in
+            (0..frozen.canonical_state_count() as u32).filter_map(|i| frozen.class_of(StateId(i)))
+        {
+            for b in 0..c.arity() {
+                for a in 0..b {
+                    let want = frozen.algebra().swap(c.clone(), a, b);
+                    assert_eq!(
+                        frozen.swap(c.clone(), a, b),
+                        want,
+                        "swap({a}, {b}) of {c:?}"
+                    );
+                    assert_eq!(
+                        frozen.swap(c.clone(), b, a),
+                        want,
+                        "swap({b}, {a}) of {c:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_swaps_match_the_algebra_on_compiled_formulas() {
+        for f in [props::max_degree_at_most(1), props::vertex_cover_at_most(1)] {
+            assert_row_swaps_match_the_algebra(&f);
+        }
+    }
+
+    /// The same oracle on the formulas lanebench's `compiled` workload
+    /// certifies: 2,809 and 12,520 classes, too slow for a debug build.
+    /// Run with `cargo test --release -p lanecert_mso --lib -- --ignored`.
+    #[test]
+    #[ignore = "release only: freezes compiled connected and independent-set-2"]
+    fn row_swaps_match_the_algebra_on_the_benchmark_formulas() {
+        for f in [props::connected(), props::independent_set_at_least(2)] {
+            assert_row_swaps_match_the_algebra(&f);
+        }
+    }
+
     #[test]
     fn freeze_finds_exactly_the_full_closure_of_compiled_formulas() {
         // Equal class sets of two total tables mean equal ids and

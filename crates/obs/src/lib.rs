@@ -88,6 +88,13 @@ pub mod names {
     /// Counter: shape-order merges (`f_B`, `f_P` on slots in shape
     /// order) the transition memo ran, each once per thread and shape.
     pub const TRANSITION_MEMO_MERGES: &str = "transition_memo_merges";
+    /// Counter: slot swaps a total frozen table answered from its
+    /// transition rows (`FrozenAlgebra::swap`), flushed with the
+    /// transition-memo counters.
+    pub const FROZEN_ROW_SWAPS: &str = "frozen_row_swaps";
+    /// Counter: slot swaps a total frozen table handed to the algebra
+    /// (a class outside the table, or a degenerate slot pair).
+    pub const FROZEN_ROW_FALLBACKS: &str = "frozen_row_fallbacks";
     /// Counter: classes the algebra freeze pass found, added once per
     /// enumeration (a cached freeze adds nothing).
     pub const FREEZE_STATES: &str = "freeze_states";

@@ -19,6 +19,10 @@
 //!    path from a fresh thread runs the same few merges
 //!    (`transition_memo_merges`) whatever the random ids, while the
 //!    recipe-level misses vary with them.
+//! 5. **Its slot permutations read the frozen table.** The same cold
+//!    verification answers every `swap` from the table's transition rows
+//!    (`frozen_row_swaps`), never from the algebra
+//!    (`frozen_row_fallbacks`).
 //!
 //! Obs sessions are process-wide, so the tests take one lock and never
 //! overlap.
@@ -234,4 +238,32 @@ fn cold_verification_runs_the_same_merges_whatever_the_ids() {
             "seed {seed}: {merges} merges (pinned at most {PATH_256_MERGES})"
         );
     }
+}
+
+#[test]
+fn cold_verification_swaps_slots_from_transition_rows() {
+    let _serial = serial();
+    let conn = certifier("connected");
+    let cfg = Configuration::with_random_ids(generators::path_graph(256), 3 << 16);
+    let labels = fresh(|| conn.certify(&cfg)).expect("connected certifies");
+    let session = TraceSession::begin(TraceConfig::new());
+    let report = fresh(|| conn.verify(&cfg, &labels)).expect("label count");
+    let trace = session.end();
+    let counter = |name: &str| {
+        trace
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    assert!(report.accepted(), "honest labels rejected");
+    let (rows, fallbacks) = (
+        counter(names::FROZEN_ROW_SWAPS),
+        counter(names::FROZEN_ROW_FALLBACKS),
+    );
+    assert!(rows >= 1, "no swap was answered from the rows");
+    assert_eq!(
+        fallbacks, 0,
+        "{fallbacks} swaps ran the algebra ({rows} from rows)"
+    );
 }
