@@ -1738,6 +1738,109 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a class table's `Debug` renderings, in id order.
+    fn table_digest(frozen: &FrozenAlgebra) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0100_0000_01b3;
+        let mut h = OFFSET;
+        for i in 0..frozen.canonical_state_count() as u32 {
+            let class = frozen.class_of(StateId(i)).expect("canonical id");
+            for &b in format!("{class:?}").as_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(PRIME);
+            }
+        }
+        h
+    }
+
+    /// The standard catalog (`lanecert::compiled::standard_formulas`) at
+    /// interface arity 4, with its freeze budgets: `(name, formula,
+    /// state budget, op budget, |C|, table digest)`. A class's rendering
+    /// fixes its structural key, so equal digests mean equal ids and
+    /// fingerprints.
+    fn catalog_pins() -> Vec<(&'static str, Formula, usize, usize, usize, u64)> {
+        vec![
+            (
+                "connected",
+                props::connected(),
+                6_000,
+                30_000_000,
+                2_809,
+                0x250a_8bab_407d_d2fa,
+            ),
+            (
+                "bipartite",
+                props::bipartite(),
+                18_000,
+                30_000_000,
+                11_713,
+                0xeb58_3325_dc21_f841,
+            ),
+            (
+                "2-colorable",
+                props::colorable(2),
+                18_000,
+                30_000_000,
+                11_713,
+                0xcc10_6cb3_2c89_7ca3,
+            ),
+            (
+                "max-degree-1",
+                props::max_degree_at_most(1),
+                1_000,
+                8_000_000,
+                141,
+                0xda03_c0b6_b411_f75a,
+            ),
+            (
+                "max-degree-2",
+                props::max_degree_at_most(2),
+                3_000,
+                40_000_000,
+                812,
+                0x06e2_31c4_bc88_8ae9,
+            ),
+            (
+                "vertex-cover-1",
+                props::vertex_cover_at_most(1),
+                3_000,
+                8_000_000,
+                1_210,
+                0xb2d1_ee34_34a5_ced3,
+            ),
+            (
+                "independent-set-2",
+                props::independent_set_at_least(2),
+                19_000,
+                30_000_000,
+                12_520,
+                0xc28d_6da8_8ee8_82ec,
+            ),
+        ]
+    }
+
+    /// Pins every catalog table: its size and the digest of its classes
+    /// in id order. Run with
+    /// `cargo test --release -p lanecert_mso --lib -- --ignored`.
+    #[test]
+    #[ignore = "release only: freezes all seven catalog formulas"]
+    fn catalog_tables_are_pinned() {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (name, f, state_budget, op_budget, states, digest) in catalog_pins() {
+            let opts = FreezeOptions {
+                max_arity: 4,
+                state_budget,
+                op_budget,
+            };
+            let frozen = FrozenAlgebra::freeze(Arc::new(alg(&f)), &opts);
+            assert!(frozen.is_total(), "{name} seals");
+            let count = frozen.canonical_state_count();
+            got.push(format!("{name}: {count} {:#018x}", table_digest(&frozen)));
+            want.push(format!("{name}: {states} {digest:#018x}"));
+        }
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn freeze_finds_exactly_the_full_closure_of_compiled_formulas() {
         // Equal class sets of two total tables mean equal ids and
