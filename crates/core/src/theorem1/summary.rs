@@ -248,13 +248,20 @@ fn apply(alg: &FrozenAlgebra, inputs: Inputs<'_>, program: &Program, count: Coun
 /// last call to the obs counters ([`names::TRANSITION_MEMO_HITS`],
 /// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]),
 /// together with the frozen table's row swaps
-/// ([`lanecert_algebra::flush_row_counters`]). Called once at the end of
-/// each prove and each verify call.
+/// ([`lanecert_algebra::flush_row_counters`]) and the compiled automaton's
+/// memo hits and misses ([`names::COMPILED_MEMO_HITS`],
+/// [`names::COMPILED_MEMO_MISSES`]). Called once at the end of each prove
+/// and each verify call.
 pub(crate) fn flush_memo_counters() {
     if !lanecert_obs::COMPILED {
         return;
     }
     lanecert_algebra::flush_row_counters();
+    let (hits, misses) = lanecert_mso::compile::take_memo_counts();
+    if hits + misses > 0 {
+        counter_add(names::COMPILED_MEMO_HITS, hits);
+        counter_add(names::COMPILED_MEMO_MISSES, misses);
+    }
     let (hits, misses, merges) = TRANSITIONS.with(|m| {
         m.try_borrow_mut()
             .map(|mut m| {

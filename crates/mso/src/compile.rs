@@ -34,10 +34,45 @@
 //! States are congruences: two equal states accept identically under any
 //! continuation (validated against the brute-force trace mirror and the
 //! naive evaluator in this module's tests and `tests/compile_parity.rs`).
+//!
+//! # Sharing
+//!
+//! A state's `Pair` and run-set children are shared nodes: an `Arc` that
+//! carries the child's [`FxHasher`] digest, computed once when the node
+//! is built. Hashing a state writes the children's digests, not their
+//! trees, and equality and ordering return early when both sides are
+//! the same node. Otherwise they compare structurally, as the derived
+//! impls did, and `Debug` renders the child itself, so a class's
+//! rendering, and with it its structural key, id and fingerprint, is the
+//! one the unshared states had.
+//!
+//! Transitions are memoized per thread at every product and quantifier
+//! node of the plan. The key is the property's unique id (drawn from a
+//! process-wide counter when [`compile`] runs, never a plan address,
+//! which a later property may reuse after a drop), the node's dense
+//! index in the plan, the input sub-state(s), and the operation with its
+//! decoration mask; for a union, both operands and the slot shift. A hit
+//! returns the stored node, so a transition computed twice yields one
+//! shared result and later comparisons against it are pointer
+//! comparisons. The freeze applies each operation to thousands of
+//! states whose run sets share most of their runs, so most transitions
+//! below the root are repeats. The memo holds at most [`MEMO_CAP`]
+//! entries, enough for any catalog freeze, and is cleared when it
+//! reaches the cap: results never depend on what it holds.
+//!
+//! Runs inside a run set stay in their derived structural order, never
+//! in hash or pointer order: the order is part of the state's rendering,
+//! which fixes its canonical id.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use lanecert_algebra::{glue_order, Property, Slot};
+use lanecert_algebra::{glue_order, FxBuildHasher, FxHasher, Property, Slot};
 
 use crate::{Formula, Sort, Var};
 
@@ -95,7 +130,9 @@ enum BinOp {
 }
 
 /// The compiled plan: the formula with every variable occurrence
-/// resolved to the dense bit index of its binding quantifier.
+/// resolved to the dense bit index of its binding quantifier. Product
+/// and quantifier nodes carry a dense index `id` in the plan, which keys
+/// their transitions in the memo.
 #[derive(Clone, Debug)]
 enum Node {
     Const(bool),
@@ -124,11 +161,17 @@ enum Node {
         b: u8,
     },
     Not(Box<Node>),
-    Bin(BinOp, Box<Node>, Box<Node>),
+    Bin {
+        op: BinOp,
+        id: u32,
+        a: Box<Node>,
+        b: Box<Node>,
+    },
     Quant {
         sort: Sort,
         forall: bool,
         bit: u8,
+        id: u32,
         body: Box<Node>,
     },
 }
@@ -291,6 +334,85 @@ enum RunData {
     ESet,
 }
 
+/// A shared, immutable sub-state (see the module docs' "Sharing"): an
+/// `Arc` with the value's [`FxHasher`] digest. Hashing writes the
+/// digest; equality and ordering short-cut on a shared pointer, and
+/// equality on differing digests, and otherwise compare the values;
+/// `Debug` renders the value.
+struct Shared<T> {
+    node: Arc<SharedNode<T>>,
+}
+
+struct SharedNode<T> {
+    hash: u64,
+    value: T,
+}
+
+impl<T: Hash> Shared<T> {
+    fn new(value: T) -> Self {
+        let mut h = FxHasher::default();
+        value.hash(&mut h);
+        Self {
+            node: Arc::new(SharedNode {
+                hash: h.finish(),
+                value,
+            }),
+        }
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Self {
+            node: Arc::clone(&self.node),
+        }
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.node.value
+    }
+}
+
+impl<T: PartialEq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.node, &other.node)
+            || (self.node.hash == other.node.hash && self.node.value == other.node.value)
+    }
+}
+
+impl<T: Eq> Eq for Shared<T> {}
+
+impl<T: Ord> PartialOrd for Shared<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: Ord> Ord for Shared<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if Arc::ptr_eq(&self.node, &other.node) {
+            std::cmp::Ordering::Equal
+        } else {
+            self.node.value.cmp(&other.node.value)
+        }
+    }
+}
+
+impl<T> Hash for Shared<T> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(self.node.hash);
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.node.value.fmt(f)
+    }
+}
+
 /// One decoration choice of a quantifier: the choice data plus the body
 /// state under that choice.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -308,8 +430,8 @@ enum CState {
     EqE(EqEState),
     Adj(AdjState),
     Inc(IncState),
-    Pair(Box<(CState, CState)>),
-    Runs(Vec<Run>),
+    Pair(Shared<(CState, CState)>),
+    Runs(Shared<Vec<Run>>),
     /// The node's verdict is fixed under every further operation and
     /// under union with any co-state (see
     /// [`CompiledProperty::normalize`]).
@@ -332,7 +454,7 @@ pub struct CompiledState {
 /// A structural operation as seen by the per-node transition functions
 /// (`add_edge` is pre-filtered: unmarked edges never reach the
 /// recursion).
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 enum Op {
     AddVertex {
         slot: usize,
@@ -365,7 +487,12 @@ enum Op {
 pub struct CompiledProperty {
     plan: Node,
     name: String,
+    /// Unique per compiled property: keys its transitions in the memo.
+    id: u64,
 }
+
+/// Source of [`CompiledProperty`] ids.
+static NEXT_PROPERTY: AtomicU64 = AtomicU64::new(0);
 
 /// Compiles a closed, well-sorted formula.
 ///
@@ -374,109 +501,205 @@ pub struct CompiledProperty {
 /// [`CompileError`] on open formulas, sort mismatches, or more than
 /// [`MAX_QUANTIFIERS`] quantifier occurrences.
 pub fn compile(formula: &Formula) -> Result<CompiledProperty, CompileError> {
-    let mut scopes: Vec<(Var, Sort, u8)> = Vec::new();
-    let mut next_bit = 0usize;
-    let plan = lower(formula, &mut scopes, &mut next_bit)?;
+    let plan = Lowering::default().lower(formula)?;
     Ok(CompiledProperty {
         plan,
         name: format!("compiled{}", crate::sexpr::canonical(formula)),
+        id: NEXT_PROPERTY.fetch_add(1, Ordering::Relaxed),
     })
 }
 
-fn resolve(scopes: &[(Var, Sort, u8)], var: Var, used: Sort) -> Result<u8, CompileError> {
-    let (_, bound, idx) = scopes
-        .iter()
-        .rev()
-        .find(|(v, _, _)| *v == var)
-        .ok_or(CompileError::UnboundVariable(var))?;
-    if *bound != used {
-        return Err(CompileError::SortMismatch {
-            var,
-            bound: *bound,
-            used,
-        });
+/// The lowering pass's context: the quantifiers in scope, innermost
+/// last, with the bit indexes handed out so far, and the number of
+/// product and quantifier nodes built.
+#[derive(Default)]
+struct Lowering {
+    scopes: Vec<(Var, Sort, u8)>,
+    next_bit: usize,
+    nodes: u32,
+}
+
+impl Lowering {
+    fn resolve(&self, var: Var, used: Sort) -> Result<u8, CompileError> {
+        let (_, bound, idx) = self
+            .scopes
+            .iter()
+            .rev()
+            .find(|(v, _, _)| *v == var)
+            .ok_or(CompileError::UnboundVariable(var))?;
+        if *bound != used {
+            return Err(CompileError::SortMismatch {
+                var,
+                bound: *bound,
+                used,
+            });
+        }
+        Ok(*idx)
     }
-    Ok(*idx)
-}
 
-fn lower(
-    f: &Formula,
-    scopes: &mut Vec<(Var, Sort, u8)>,
-    next_bit: &mut usize,
-) -> Result<Node, CompileError> {
-    use Formula as F;
-    Ok(match f {
-        F::True => Node::Const(true),
-        F::False => Node::Const(false),
-        F::InVSet(v, s) => Node::InVSet {
-            v: resolve(scopes, *v, Sort::Vertex)?,
-            set: resolve(scopes, *s, Sort::VertexSet)?,
-        },
-        F::InESet(e, s) => Node::InESet {
-            e: resolve(scopes, *e, Sort::Edge)?,
-            set: resolve(scopes, *s, Sort::EdgeSet)?,
-        },
-        F::Inc(e, v) => Node::Inc {
-            e: resolve(scopes, *e, Sort::Edge)?,
-            v: resolve(scopes, *v, Sort::Vertex)?,
-        },
-        F::Adj(u, v) => Node::Adj {
-            u: resolve(scopes, *u, Sort::Vertex)?,
-            v: resolve(scopes, *v, Sort::Vertex)?,
-        },
-        F::EqV(u, v) => Node::EqV {
-            u: resolve(scopes, *u, Sort::Vertex)?,
-            v: resolve(scopes, *v, Sort::Vertex)?,
-        },
-        F::EqE(a, b) => Node::EqE {
-            a: resolve(scopes, *a, Sort::Edge)?,
-            b: resolve(scopes, *b, Sort::Edge)?,
-        },
-        F::Not(a) => Node::Not(Box::new(lower(a, scopes, next_bit)?)),
-        F::And(a, b) => bin(BinOp::And, a, b, scopes, next_bit)?,
-        F::Or(a, b) => bin(BinOp::Or, a, b, scopes, next_bit)?,
-        F::Implies(a, b) => bin(BinOp::Implies, a, b, scopes, next_bit)?,
-        F::Iff(a, b) => bin(BinOp::Iff, a, b, scopes, next_bit)?,
-        F::Exists(sort, var, body) => quant(*sort, *var, body, false, scopes, next_bit)?,
-        F::Forall(sort, var, body) => quant(*sort, *var, body, true, scopes, next_bit)?,
-    })
-}
-
-fn bin(
-    op: BinOp,
-    a: &Formula,
-    b: &Formula,
-    scopes: &mut Vec<(Var, Sort, u8)>,
-    next_bit: &mut usize,
-) -> Result<Node, CompileError> {
-    let a = lower(a, scopes, next_bit)?;
-    let b = lower(b, scopes, next_bit)?;
-    Ok(Node::Bin(op, Box::new(a), Box::new(b)))
-}
-
-fn quant(
-    sort: Sort,
-    var: Var,
-    body: &Formula,
-    forall: bool,
-    scopes: &mut Vec<(Var, Sort, u8)>,
-    next_bit: &mut usize,
-) -> Result<Node, CompileError> {
-    if *next_bit >= MAX_QUANTIFIERS {
-        return Err(CompileError::TooManyQuantifiers {
-            count: *next_bit + 1,
-        });
+    /// The next dense plan-node index.
+    fn node_id(&mut self) -> u32 {
+        self.nodes += 1;
+        self.nodes - 1
     }
-    let bit = *next_bit as u8;
-    *next_bit += 1;
-    scopes.push((var, sort, bit));
-    let body = lower(body, scopes, next_bit);
-    scopes.pop();
-    Ok(Node::Quant {
-        sort,
-        forall,
-        bit,
-        body: Box::new(body?),
+
+    fn lower(&mut self, f: &Formula) -> Result<Node, CompileError> {
+        use Formula as F;
+        Ok(match f {
+            F::True => Node::Const(true),
+            F::False => Node::Const(false),
+            F::InVSet(v, s) => Node::InVSet {
+                v: self.resolve(*v, Sort::Vertex)?,
+                set: self.resolve(*s, Sort::VertexSet)?,
+            },
+            F::InESet(e, s) => Node::InESet {
+                e: self.resolve(*e, Sort::Edge)?,
+                set: self.resolve(*s, Sort::EdgeSet)?,
+            },
+            F::Inc(e, v) => Node::Inc {
+                e: self.resolve(*e, Sort::Edge)?,
+                v: self.resolve(*v, Sort::Vertex)?,
+            },
+            F::Adj(u, v) => Node::Adj {
+                u: self.resolve(*u, Sort::Vertex)?,
+                v: self.resolve(*v, Sort::Vertex)?,
+            },
+            F::EqV(u, v) => Node::EqV {
+                u: self.resolve(*u, Sort::Vertex)?,
+                v: self.resolve(*v, Sort::Vertex)?,
+            },
+            F::EqE(a, b) => Node::EqE {
+                a: self.resolve(*a, Sort::Edge)?,
+                b: self.resolve(*b, Sort::Edge)?,
+            },
+            F::Not(a) => Node::Not(Box::new(self.lower(a)?)),
+            F::And(a, b) => self.bin(BinOp::And, a, b)?,
+            F::Or(a, b) => self.bin(BinOp::Or, a, b)?,
+            F::Implies(a, b) => self.bin(BinOp::Implies, a, b)?,
+            F::Iff(a, b) => self.bin(BinOp::Iff, a, b)?,
+            F::Exists(sort, var, body) => self.quant(*sort, *var, body, false)?,
+            F::Forall(sort, var, body) => self.quant(*sort, *var, body, true)?,
+        })
+    }
+
+    fn bin(&mut self, op: BinOp, a: &Formula, b: &Formula) -> Result<Node, CompileError> {
+        let id = self.node_id();
+        let a = self.lower(a)?;
+        let b = self.lower(b)?;
+        Ok(Node::Bin {
+            op,
+            id,
+            a: Box::new(a),
+            b: Box::new(b),
+        })
+    }
+
+    fn quant(
+        &mut self,
+        sort: Sort,
+        var: Var,
+        body: &Formula,
+        forall: bool,
+    ) -> Result<Node, CompileError> {
+        if self.next_bit >= MAX_QUANTIFIERS {
+            return Err(CompileError::TooManyQuantifiers {
+                count: self.next_bit + 1,
+            });
+        }
+        let bit = self.next_bit as u8;
+        self.next_bit += 1;
+        let id = self.node_id();
+        self.scopes.push((var, sort, bit));
+        let body = self.lower(body);
+        self.scopes.pop();
+        Ok(Node::Quant {
+            sort,
+            forall,
+            bit,
+            id,
+            body: Box::new(body?),
+        })
+    }
+}
+
+/// What one memoized transition is keyed by (see the module docs'
+/// "Sharing").
+#[derive(PartialEq, Eq, Hash)]
+struct MemoKey {
+    /// [`CompiledProperty::id`].
+    property: u64,
+    /// The plan node's `id`.
+    node: u32,
+    input: Input,
+}
+
+/// The inputs of a memoized transition.
+#[derive(PartialEq, Eq, Hash)]
+enum Input {
+    Step {
+        s: CState,
+        op: Op,
+        deco: u64,
+    },
+    Union {
+        s1: CState,
+        s2: CState,
+        shift: usize,
+    },
+}
+
+/// The per-thread transition memo, with its hit and miss counts since
+/// the last [`take_memo_counts`].
+#[derive(Default)]
+struct Memo {
+    entries: HashMap<MemoKey, CState, FxBuildHasher>,
+    hits: u64,
+    misses: u64,
+}
+
+/// Entry cap per thread; reaching it clears the memo. Distinct memoized
+/// transitions of one catalog freeze at interface arity 4, on a fresh
+/// thread: `independent-set-2` 236,709 and `connected` 98,304 fit;
+/// `max-degree-2` (303,164), `bipartite` (445,724) and `2-colorable`
+/// (800,349) clear it once or more.
+pub const MEMO_CAP: usize = 1 << 18;
+
+thread_local! {
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
+}
+
+/// Looks `key` up in the memo and on a miss computes it with `run`.
+fn memoized(key: MemoKey, run: impl FnOnce() -> CState) -> CState {
+    let hit = MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        let out = m.entries.get(&key).cloned();
+        match out {
+            Some(_) => m.hits += 1,
+            None => m.misses += 1,
+        }
+        out
+    });
+    if let Some(out) = hit {
+        return out;
+    }
+    let out = run();
+    MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        if m.entries.len() >= MEMO_CAP {
+            m.entries.clear();
+        }
+        m.entries.insert(key, out.clone());
+    });
+    out
+}
+
+/// This thread's memo hits and misses since the last call, as `(hits,
+/// misses)`: transitions answered by the memo, and transitions it missed
+/// and so ran. The Theorem 1 scheme adds them to its obs counters.
+pub fn take_memo_counts() -> (u64, u64) {
+    MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        (std::mem::take(&mut m.hits), std::mem::take(&mut m.misses))
     })
 }
 
@@ -511,26 +734,41 @@ impl CompiledProperty {
                 ends: None,
             }),
             Node::Not(a) => Self::init(a),
-            Node::Bin(_, a, b) => CState::Pair(Box::new((Self::init(a), Self::init(b)))),
-            Node::Quant { sort, body, .. } => CState::Runs(vec![Run {
+            Node::Bin { a, b, .. } => CState::Pair(Shared::new((Self::init(a), Self::init(b)))),
+            Node::Quant { sort, body, .. } => CState::Runs(Shared::new(vec![Run {
                 data: RunData::initial(*sort),
                 body: Self::init(body),
-            }]),
+            }])),
         }
     }
 
     /// One structural operation applied to one node's state under the
-    /// enclosing decoration mask. Total and deterministic for every
-    /// well-formed `(node, state)` pair.
-    fn step(node: &Node, s: &CState, op: Op, deco: u64) -> CState {
+    /// enclosing decoration mask, through the memo at product and
+    /// quantifier nodes. Total and deterministic for every well-formed
+    /// `(node, state)` pair.
+    fn step(&self, node: &Node, s: &CState, op: Op, deco: u64) -> CState {
         if let CState::Done(b) = s {
             return CState::Done(*b);
         }
-        let raw = Self::step_raw(node, s, op, deco);
-        Self::normalize(node, raw)
+        let run = || Self::normalize(node, self.step_raw(node, s, op, deco));
+        match node {
+            Node::Bin { id, .. } | Node::Quant { id, .. } => memoized(
+                MemoKey {
+                    property: self.id,
+                    node: *id,
+                    input: Input::Step {
+                        s: s.clone(),
+                        op,
+                        deco,
+                    },
+                },
+                run,
+            ),
+            _ => run(),
+        }
     }
 
-    fn step_raw(node: &Node, s: &CState, op: Op, deco: u64) -> CState {
+    fn step_raw(&self, node: &Node, s: &CState, op: Op, deco: u64) -> CState {
         match (node, s) {
             (Node::InVSet { v, set }, CState::Tri(t)) => CState::Tri(match op {
                 Op::AddVertex { .. } if *t == Tri::Undecided && deco_has(deco, *v) => {
@@ -548,24 +786,37 @@ impl CompiledProperty {
             (Node::EqE { a, b }, CState::EqE(st)) => CState::EqE(step_eqe(*st, op, deco, *a, *b)),
             (Node::Adj { u, v }, CState::Adj(st)) => CState::Adj(step_adj(*st, op, deco, *u, *v)),
             (Node::Inc { e, v }, CState::Inc(st)) => CState::Inc(step_inc(*st, op, deco, *e, *v)),
-            (Node::Not(a), _) => Self::step(a, s, op, deco),
-            (Node::Bin(_, a, b), CState::Pair(p)) => CState::Pair(Box::new((
-                Self::step(a, &p.0, op, deco),
-                Self::step(b, &p.1, op, deco),
-            ))),
+            (Node::Not(a), _) => self.step(a, s, op, deco),
+            (Node::Bin { a, b, .. }, CState::Pair(p)) => {
+                let out = (self.step(a, &p.0, op, deco), self.step(b, &p.1, op, deco));
+                if out == **p {
+                    // Untouched by the operation: keep the shared node.
+                    s.clone()
+                } else {
+                    CState::Pair(Shared::new(out))
+                }
+            }
             (
                 Node::Quant {
                     sort, bit, body, ..
                 },
                 CState::Runs(runs),
-            ) => CState::Runs(step_runs(runs, *sort, *bit, body, op, deco)),
+            ) => {
+                let out = self.step_runs(runs, *sort, *bit, body, op, deco);
+                if out == **runs {
+                    s.clone()
+                } else {
+                    CState::Runs(Shared::new(out))
+                }
+            }
             _ => panic!("compiled state does not match its plan node"),
         }
     }
 
     /// Disjoint union of two states of the same node (`shift` = arity of
-    /// the left operand; right-operand slots are renumbered up by it).
-    fn union_state(node: &Node, s1: &CState, s2: &CState, shift: usize) -> CState {
+    /// the left operand; right-operand slots are renumbered up by it),
+    /// through the memo at product and quantifier nodes.
+    fn union_state(&self, node: &Node, s1: &CState, s2: &CState, shift: usize) -> CState {
         // A decided verdict absorbs (two contradictory decided sides
         // cannot arise: each side's verdict quantifies over all
         // extensions, including their common union).
@@ -575,11 +826,25 @@ impl CompiledProperty {
         if let CState::Done(b) = s2 {
             return CState::Done(*b);
         }
-        let raw = Self::union_raw(node, s1, s2, shift);
-        Self::normalize(node, raw)
+        let run = || Self::normalize(node, self.union_raw(node, s1, s2, shift));
+        match node {
+            Node::Bin { id, .. } | Node::Quant { id, .. } => memoized(
+                MemoKey {
+                    property: self.id,
+                    node: *id,
+                    input: Input::Union {
+                        s1: s1.clone(),
+                        s2: s2.clone(),
+                        shift,
+                    },
+                },
+                run,
+            ),
+            _ => run(),
+        }
     }
 
-    fn union_raw(node: &Node, s1: &CState, s2: &CState, shift: usize) -> CState {
+    fn union_raw(&self, node: &Node, s1: &CState, s2: &CState, shift: usize) -> CState {
         match (node, s1, s2) {
             (Node::InVSet { .. } | Node::InESet { .. }, CState::Tri(a), CState::Tri(b)) => {
                 CState::Tri(a.union(*b))
@@ -594,25 +859,27 @@ impl CompiledProperty {
             (Node::Inc { .. }, CState::Inc(a), CState::Inc(b)) => {
                 CState::Inc(union_inc(*a, *b, shift))
             }
-            (Node::Not(n), _, _) => Self::union_state(n, s1, s2, shift),
-            (Node::Bin(_, na, nb), CState::Pair(p1), CState::Pair(p2)) => CState::Pair(Box::new((
-                Self::union_state(na, &p1.0, &p2.0, shift),
-                Self::union_state(nb, &p1.1, &p2.1, shift),
-            ))),
+            (Node::Not(n), _, _) => self.union_state(n, s1, s2, shift),
+            (Node::Bin { a, b, .. }, CState::Pair(p1), CState::Pair(p2)) => {
+                CState::Pair(Shared::new((
+                    self.union_state(a, &p1.0, &p2.0, shift),
+                    self.union_state(b, &p1.1, &p2.1, shift),
+                )))
+            }
             (Node::Quant { body, .. }, CState::Runs(r1), CState::Runs(r2)) => {
                 let mut out = Vec::with_capacity(r1.len() * r2.len());
-                for a in r1 {
-                    for b in r2 {
+                for a in r1.iter() {
+                    for b in r2.iter() {
                         let Some(data) = a.data.union(&b.data, shift) else {
                             continue;
                         };
                         out.push(Run {
                             data,
-                            body: Self::union_state(body, &a.body, &b.body, shift),
+                            body: self.union_state(body, &a.body, &b.body, shift),
                         });
                     }
                 }
-                CState::Runs(canonical_runs(out))
+                CState::Runs(Shared::new(canonical_runs(out)))
             }
             _ => panic!("compiled state does not match its plan node"),
         }
@@ -627,7 +894,7 @@ impl CompiledProperty {
             (Node::Adj { .. }, CState::Adj(st)) => *st == AdjState::True,
             (Node::Inc { .. }, CState::Inc(st)) => *st == IncState::True,
             (Node::Not(a), _) => !Self::accept_state(a, s),
-            (Node::Bin(op, a, b), CState::Pair(p)) => {
+            (Node::Bin { op, a, b, .. }, CState::Pair(p)) => {
                 let (x, y) = (Self::accept_state(a, &p.0), Self::accept_state(b, &p.1));
                 match op {
                     BinOp::And => x && y,
@@ -702,9 +969,9 @@ impl CompiledProperty {
             | (_, CState::EqE(EqEState::False))
             | (_, CState::Adj(AdjState::False))
             | (_, CState::Inc(IncState::False)) => CState::Done(false),
-            (Node::Bin(op, na, nb), CState::Pair(p)) => {
-                let l = Self::decided(na, &p.0);
-                let r = Self::decided(nb, &p.1);
+            (Node::Bin { op, a, b, .. }, CState::Pair(p)) => {
+                let l = Self::decided(a, &p.0);
+                let r = Self::decided(b, &p.1);
                 match (op, l, r) {
                     (BinOp::And, Some(a), Some(b)) => CState::Done(a && b),
                     (BinOp::Or, Some(a), Some(b)) => CState::Done(a || b),
@@ -730,8 +997,9 @@ impl CompiledProperty {
                 CState::Runs(runs),
             ) => {
                 let witness = !*forall;
-                let mut kept = Vec::with_capacity(runs.len());
-                for r in runs {
+                let neutral = |r: &Run| Self::decided(body, &r.body) == Some(!witness);
+                let mut dropped = 0;
+                for r in runs.iter() {
                     let counts = match &r.data {
                         RunData::Individual { placed } => *placed,
                         _ => true,
@@ -740,20 +1008,21 @@ impl CompiledProperty {
                         Some(b) if b == witness && counts => return CState::Done(witness),
                         // Neutral polarity: the run, its forks, and its
                         // union pairings can never affect acceptance.
-                        Some(b) if b != witness => {}
+                        Some(b) if b != witness => dropped += 1,
                         // Undecided, or an unplaced run of witnessing
                         // polarity (future forks place it).
-                        _ => kept.push(r.clone()),
+                        _ => {}
                     }
                 }
-                if kept.is_empty() {
+                if dropped == runs.len() {
                     // Every run was neutral: `∃` has no candidate left,
                     // `∀` no counterexample source.
                     CState::Done(*forall)
-                } else if kept.len() == runs.len() {
+                } else if dropped == 0 {
                     s
                 } else {
-                    CState::Runs(kept)
+                    let kept = runs.iter().filter(|r| !neutral(r)).cloned().collect();
+                    CState::Runs(Shared::new(kept))
                 }
             }
             _ => s,
@@ -801,87 +1070,97 @@ fn canonical_runs(mut runs: Vec<Run>) -> Vec<Run> {
     runs
 }
 
-/// One quantifier node's transition: fork runs on the ops that decorate
-/// this variable's sort, filter runs whose decoration a glue
-/// contradicts, and keep the set canonical.
-fn step_runs(runs: &[Run], sort: Sort, qbit: u8, body: &Node, op: Op, deco: u64) -> Vec<Run> {
-    let mut out = Vec::with_capacity(runs.len() * 2);
-    let bitmask = 1u64 << qbit;
-    for run in runs {
-        match (&run.data, op, sort) {
-            (RunData::Individual { placed }, Op::AddVertex { .. }, Sort::Vertex)
-            | (RunData::Individual { placed }, Op::AddEdge { .. }, Sort::Edge) => {
-                out.push(Run {
-                    data: run.data.clone(),
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-                if !placed {
+impl CompiledProperty {
+    /// One quantifier node's transition: fork runs on the ops that decorate
+    /// this variable's sort, filter runs whose decoration a glue
+    /// contradicts, and keep the set canonical.
+    fn step_runs(
+        &self,
+        runs: &[Run],
+        sort: Sort,
+        qbit: u8,
+        body: &Node,
+        op: Op,
+        deco: u64,
+    ) -> Vec<Run> {
+        let mut out = Vec::with_capacity(runs.len() * 2);
+        let bitmask = 1u64 << qbit;
+        for run in runs {
+            match (&run.data, op, sort) {
+                (RunData::Individual { placed }, Op::AddVertex { .. }, Sort::Vertex)
+                | (RunData::Individual { placed }, Op::AddEdge { .. }, Sort::Edge) => {
                     out.push(Run {
-                        data: RunData::Individual { placed: true },
-                        body: CompiledProperty::step(body, &run.body, op, deco | bitmask),
+                        data: run.data.clone(),
+                        body: self.step(body, &run.body, op, deco),
+                    });
+                    if !placed {
+                        out.push(Run {
+                            data: RunData::Individual { placed: true },
+                            body: self.step(body, &run.body, op, deco | bitmask),
+                        });
+                    }
+                }
+                (RunData::VSet { bits }, Op::AddVertex { slot }, Sort::VertexSet) => {
+                    out.push(Run {
+                        data: RunData::VSet { bits: *bits },
+                        body: self.step(body, &run.body, op, deco),
+                    });
+                    out.push(Run {
+                        data: RunData::VSet {
+                            bits: bits | bit(slot),
+                        },
+                        body: self.step(body, &run.body, op, deco | bitmask),
+                    });
+                }
+                (RunData::ESet, Op::AddEdge { .. }, Sort::EdgeSet) => {
+                    out.push(Run {
+                        data: RunData::ESet,
+                        body: self.step(body, &run.body, op, deco),
+                    });
+                    out.push(Run {
+                        data: RunData::ESet,
+                        body: self.step(body, &run.body, op, deco | bitmask),
+                    });
+                }
+                (RunData::VSet { bits }, Op::Glue { keep, drop, .. }, _) => {
+                    if has(*bits, keep) != has(*bits, drop) {
+                        // This run decorated the two vertices inconsistently;
+                        // no decoration of the glued graph corresponds to it.
+                        continue;
+                    }
+                    out.push(Run {
+                        data: RunData::VSet {
+                            bits: set_shift_down(*bits, drop),
+                        },
+                        body: self.step(body, &run.body, op, deco),
+                    });
+                }
+                (RunData::VSet { bits }, Op::Forget { slot }, _) => {
+                    out.push(Run {
+                        data: RunData::VSet {
+                            bits: set_shift_down(*bits, slot),
+                        },
+                        body: self.step(body, &run.body, op, deco),
+                    });
+                }
+                (RunData::VSet { bits }, Op::Swap { a, b }, _) => {
+                    out.push(Run {
+                        data: RunData::VSet {
+                            bits: set_swap(*bits, a, b),
+                        },
+                        body: self.step(body, &run.body, op, deco),
+                    });
+                }
+                _ => {
+                    out.push(Run {
+                        data: run.data.clone(),
+                        body: self.step(body, &run.body, op, deco),
                     });
                 }
             }
-            (RunData::VSet { bits }, Op::AddVertex { slot }, Sort::VertexSet) => {
-                out.push(Run {
-                    data: RunData::VSet { bits: *bits },
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-                out.push(Run {
-                    data: RunData::VSet {
-                        bits: bits | bit(slot),
-                    },
-                    body: CompiledProperty::step(body, &run.body, op, deco | bitmask),
-                });
-            }
-            (RunData::ESet, Op::AddEdge { .. }, Sort::EdgeSet) => {
-                out.push(Run {
-                    data: RunData::ESet,
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-                out.push(Run {
-                    data: RunData::ESet,
-                    body: CompiledProperty::step(body, &run.body, op, deco | bitmask),
-                });
-            }
-            (RunData::VSet { bits }, Op::Glue { keep, drop, .. }, _) => {
-                if has(*bits, keep) != has(*bits, drop) {
-                    // This run decorated the two vertices inconsistently;
-                    // no decoration of the glued graph corresponds to it.
-                    continue;
-                }
-                out.push(Run {
-                    data: RunData::VSet {
-                        bits: set_shift_down(*bits, drop),
-                    },
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-            }
-            (RunData::VSet { bits }, Op::Forget { slot }, _) => {
-                out.push(Run {
-                    data: RunData::VSet {
-                        bits: set_shift_down(*bits, slot),
-                    },
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-            }
-            (RunData::VSet { bits }, Op::Swap { a, b }, _) => {
-                out.push(Run {
-                    data: RunData::VSet {
-                        bits: set_swap(*bits, a, b),
-                    },
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-            }
-            _ => {
-                out.push(Run {
-                    data: run.data.clone(),
-                    body: CompiledProperty::step(body, &run.body, op, deco),
-                });
-            }
         }
+        canonical_runs(out)
     }
-    canonical_runs(out)
 }
 
 fn step_eqv(st: EqVState, op: Op, deco: u64, ub: u8, vb: u8) -> EqVState {
@@ -1251,7 +1530,7 @@ impl Property for CompiledProperty {
         CompiledState {
             arity: s.arity + 1,
             adj,
-            root: Self::step(&self.plan, &s.root, op, 0),
+            root: self.step(&self.plan, &s.root, op, 0),
         }
     }
 
@@ -1266,7 +1545,7 @@ impl Property for CompiledProperty {
         CompiledState {
             arity: s.arity,
             adj,
-            root: Self::step(&self.plan, &s.root, Op::AddEdge { a, b }, 0),
+            root: self.step(&self.plan, &s.root, Op::AddEdge { a, b }, 0),
         }
     }
 
@@ -1286,7 +1565,7 @@ impl Property for CompiledProperty {
         CompiledState {
             arity: s.arity.saturating_sub(1),
             adj,
-            root: Self::step(&self.plan, &s.root, Op::Glue { keep, drop, row }, 0),
+            root: self.step(&self.plan, &s.root, Op::Glue { keep, drop, row }, 0),
         }
     }
 
@@ -1299,7 +1578,7 @@ impl Property for CompiledProperty {
         CompiledState {
             arity: s.arity.saturating_sub(1),
             adj,
-            root: Self::step(&self.plan, &s.root, Op::Forget { slot: a }, 0),
+            root: self.step(&self.plan, &s.root, Op::Forget { slot: a }, 0),
         }
     }
 
@@ -1314,7 +1593,7 @@ impl Property for CompiledProperty {
         CompiledState {
             arity: s1.arity + s2.arity,
             adj,
-            root: Self::union_state(&self.plan, &s1.root, &s2.root, shift),
+            root: self.union_state(&self.plan, &s1.root, &s2.root, shift),
         }
     }
 
@@ -1327,7 +1606,7 @@ impl Property for CompiledProperty {
         CompiledState {
             arity: s.arity,
             adj,
-            root: Self::step(&self.plan, &s.root, Op::Swap { a, b }, 0),
+            root: self.step(&self.plan, &s.root, Op::Swap { a, b }, 0),
         }
     }
 
@@ -1855,5 +2134,166 @@ mod tests {
                 .collect();
             assert_eq!(classes, full_closure(&alg, 4));
         }
+    }
+
+    /// Runs `f` on a new thread, whose memo starts empty.
+    fn fresh<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().expect("worker thread"))
+    }
+
+    fn clear_memo() {
+        MEMO.with(|m| m.borrow_mut().entries.clear());
+    }
+
+    fn memo_len() -> usize {
+        MEMO.with(|m| m.borrow().entries.len())
+    }
+
+    /// The rendering of every class `prog` passes through, each followed
+    /// by the swap of its first and last slots (the mirror traces swap
+    /// nothing). Clears the memo before step `clear_at`.
+    fn renderings(a: &Algebra, prog: &Program, clear_at: Option<usize>) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut steps = 0;
+        let mut run = |mut s: Class, seg: &[TraceStep], out: &mut Vec<String>| {
+            for &step in seg {
+                if clear_at == Some(steps) {
+                    assert!(memo_len() > 0, "nothing to clear at step {steps}");
+                    clear_memo();
+                }
+                steps += 1;
+                s = match step {
+                    TraceStep::Vertex => a.add_vertex(s),
+                    TraceStep::Edge(x, y, marked) => a.add_edge(s, x, y, marked),
+                    TraceStep::Glue(x, y) => a.glue(s, x, y),
+                    TraceStep::Forget(x) => a.forget(s, x),
+                };
+                out.push(format!("{s:?}"));
+                if s.arity() >= 2 {
+                    out.push(format!("{:?}", a.swap(s.clone(), 0, s.arity() - 1)));
+                }
+            }
+            s
+        };
+        let mut acc = a.empty();
+        for seg in &prog.segments {
+            let s = run(a.empty(), seg, &mut out);
+            acc = a.union(acc, s);
+            out.push(format!("{acc:?}"));
+        }
+        run(acc, &prog.tail, &mut out);
+        out
+    }
+
+    /// `f` with its outermost quantifier's polarity flipped: the same
+    /// plan shape and state shapes, different transitions wherever a
+    /// run decides.
+    fn polarity_twin(f: Formula) -> Formula {
+        match f {
+            Formula::Forall(sort, v, body) => Formula::Exists(sort, v, body),
+            Formula::Exists(sort, v, body) => Formula::Forall(sort, v, body),
+            other => other,
+        }
+    }
+
+    /// Formulas for the memo tests, with polarity twins side by side
+    /// (only the property id in a memo key tells a twin's transitions
+    /// apart), and random traces for each: `(formula index, program)`,
+    /// the formulas taking turns.
+    fn memo_workload() -> (Vec<Algebra>, Vec<(usize, Program)>) {
+        let formulas = [
+            props::connected(),
+            polarity_twin(props::connected()),
+            props::independent_set_at_least(2),
+            polarity_twin(props::independent_set_at_least(2)),
+            props::bipartite(),
+            props::max_degree_at_most(1),
+        ];
+        let budget = Budget {
+            cap: 4,
+            vmax: 7,
+            emax: 8,
+        };
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut progs = Vec::new();
+        for _ in 0..4 {
+            for i in 0..formulas.len() {
+                progs.push((i, random_capped_program(&mut rng, budget, 24)));
+            }
+        }
+        (formulas.iter().map(alg).collect(), progs)
+    }
+
+    #[test]
+    fn memoized_transitions_match_a_cold_memo() {
+        let (algs, progs) = memo_workload();
+        // Each trace alone on a fresh thread, against all traces on one
+        // thread: the formulas alternate, and each trace starts on a
+        // memo the earlier ones warmed.
+        let cold: Vec<_> = progs
+            .iter()
+            .map(|(i, p)| fresh(|| renderings(&algs[*i], p, None)))
+            .collect();
+        let warm: Vec<_> = fresh(|| {
+            progs
+                .iter()
+                .map(|(i, p)| renderings(&algs[*i], p, None))
+                .collect()
+        });
+        for (n, (c, w)) in cold.iter().zip(&warm).enumerate() {
+            assert_eq!(c, w, "trace {n} of formula {}", progs[n].0);
+        }
+    }
+
+    #[test]
+    fn clearing_the_memo_mid_trace_changes_nothing() {
+        let (algs, progs) = memo_workload();
+        fresh(|| {
+            for (n, (i, p)) in progs.iter().enumerate() {
+                let want = renderings(&algs[*i], p, None);
+                // The memo now holds this trace's transitions; clear it
+                // part-way through a rerun.
+                let got = renderings(&algs[*i], p, Some(n % 5 + 1));
+                assert_eq!(got, want, "trace {n} of formula {i}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_property_compiled_after_another_is_dropped_keeps_its_own_transitions() {
+        let (_, progs) = memo_workload();
+        let f = props::independent_set_at_least(2);
+        let twin = polarity_twin(f.clone());
+        let twin_alg = alg(&twin);
+        let want: Vec<_> = progs
+            .iter()
+            .map(|(_, p)| fresh(|| renderings(&twin_alg, p, None)))
+            .collect();
+        drop(twin_alg);
+        let got: Vec<_> = fresh(|| {
+            let first = alg(&f);
+            for (_, p) in &progs {
+                renderings(&first, p, None);
+            }
+            drop(first);
+            let second = alg(&twin);
+            progs
+                .iter()
+                .map(|(_, p)| renderings(&second, p, None))
+                .collect()
+        });
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn repeated_transitions_return_the_shared_result() {
+        let p = compile(&props::connected()).expect("formula compiles");
+        let s = p.add_vertex(&p.add_vertex(&p.empty()));
+        let (x, y) = (p.add_edge(&s, 0, 1, true), p.add_edge(&s, 0, 1, true));
+        assert_eq!(x, y);
+        let (CState::Runs(rx), CState::Runs(ry)) = (&x.root, &y.root) else {
+            panic!("connected's root is a run set")
+        };
+        assert!(Arc::ptr_eq(&rx.node, &ry.node));
     }
 }

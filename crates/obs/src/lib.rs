@@ -95,6 +95,14 @@ pub mod names {
     /// Counter: slot swaps a total frozen table handed to the algebra
     /// (a class outside the table, or a degenerate slot pair).
     pub const FROZEN_ROW_FALLBACKS: &str = "frozen_row_fallbacks";
+    /// Counter: compiled-automaton transitions (a product or quantifier
+    /// node's step or union) answered by the per-thread memo of
+    /// `lanecert_mso::compile`, flushed with the transition-memo
+    /// counters.
+    pub const COMPILED_MEMO_HITS: &str = "compiled_memo_hits";
+    /// Counter: compiled-automaton transitions the memo missed, so they
+    /// ran.
+    pub const COMPILED_MEMO_MISSES: &str = "compiled_memo_misses";
     /// Counter: classes the algebra freeze pass found, added once per
     /// enumeration (a cached freeze adds nothing).
     pub const FREEZE_STATES: &str = "freeze_states";

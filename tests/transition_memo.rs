@@ -23,6 +23,11 @@
 //!    verification answers every `swap` from the table's transition rows
 //!    (`frozen_row_swaps`), never from the algebra
 //!    (`frozen_row_fallbacks`).
+//! 6. **The compiled automaton's own memo shares transitions cold.** The
+//!    same cold verification answers more than a third of its
+//!    automaton-transition lookups from `lanecert_mso::compile`'s
+//!    per-thread memo (`compiled_memo_hits`), and misses it
+//!    (`compiled_memo_misses`) at most a pinned number of times.
 //!
 //! Obs sessions are process-wide, so the tests take one lock and never
 //! overlap.
@@ -265,5 +270,43 @@ fn cold_verification_swaps_slots_from_transition_rows() {
     assert_eq!(
         fallbacks, 0,
         "{fallbacks} swaps ran the algebra ({rows} from rows)"
+    );
+}
+
+/// Compiled-memo misses when verifying compiled `connected` on a
+/// 256-vertex path from a fresh thread, as measured for id seeds 1–6
+/// (hits 4,462–4,464 on the same runs). A lookup happens only at a
+/// product or quantifier node whose parent missed, so on a cold thread
+/// the distinct transitions outnumber the repeats.
+const PATH_256_COMPILED_MISSES: u64 = 7_989;
+
+#[test]
+fn cold_verification_shares_compiled_transitions() {
+    let _serial = serial();
+    let conn = certifier("connected");
+    let cfg = Configuration::with_random_ids(generators::path_graph(256), 5 << 16);
+    let labels = fresh(|| conn.certify(&cfg)).expect("connected certifies");
+    let session = TraceSession::begin(TraceConfig::new());
+    let report = fresh(|| conn.verify(&cfg, &labels)).expect("label count");
+    let trace = session.end();
+    let counter = |name: &str| {
+        trace
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    assert!(report.accepted(), "honest labels rejected");
+    let (hits, misses) = (
+        counter(names::COMPILED_MEMO_HITS),
+        counter(names::COMPILED_MEMO_MISSES),
+    );
+    assert!(
+        (1..=PATH_256_COMPILED_MISSES + PATH_256_COMPILED_MISSES / 10).contains(&misses),
+        "{misses} compiled memo misses (pinned {PATH_256_COMPILED_MISSES}; {hits} hits)"
+    );
+    assert!(
+        2 * hits > misses,
+        "{hits} compiled memo hits, {misses} misses"
     );
 }
