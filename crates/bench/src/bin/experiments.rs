@@ -156,6 +156,22 @@ fn main() {
         report
     });
 
+    // The compiled-formula series: every standard catalog formula
+    // through the MSO compiler and the engine — part of every full run,
+    // selectable alone via `--table compiled`. The engine-smoke CI job
+    // asserts each formula certifies its witness corpus. It runs before
+    // the label statistics, which freeze some catalog formulas too, so
+    // its per-formula freeze times are never cache hits.
+    let run_compiled = selected.as_deref().is_none_or(|s| s == "compiled");
+    let compiled_report = run_compiled.then(|| {
+        let start = clock.now_ns();
+        let report = compiled::series(scale, ctx.threads);
+        let seconds = clock.seconds_since(start);
+        println!("==== COMPILED ({seconds:.2}s) ====");
+        println!("{}", report.render());
+        report
+    });
+
     // Per-scheme label statistics (histogram + interned-state counts):
     // part of every full run, selectable alone via `--table label-stats`
     // — the CI determinism job diffs this section across thread counts.
@@ -165,20 +181,6 @@ fn main() {
         let report = stats::collect(scale, ctx.threads);
         let seconds = clock.seconds_since(start);
         println!("==== LABEL-STATS ({seconds:.2}s) ====");
-        println!("{}", report.render());
-        report
-    });
-
-    // The compiled-formula series: every standard catalog formula
-    // through the MSO compiler and the engine — part of every full run,
-    // selectable alone via `--table compiled`. The engine-smoke CI job
-    // asserts each formula certifies its witness corpus.
-    let run_compiled = selected.as_deref().is_none_or(|s| s == "compiled");
-    let compiled_report = run_compiled.then(|| {
-        let start = clock.now_ns();
-        let report = compiled::series(scale, ctx.threads);
-        let seconds = clock.seconds_since(start);
-        println!("==== COMPILED ({seconds:.2}s) ====");
         println!("{}", report.render());
         report
     });
@@ -206,7 +208,7 @@ fn main() {
     if !write_json {
         return;
     }
-    let mut json = String::from("{\n  \"schema\": \"lanecert-bench/8\",\n");
+    let mut json = String::from("{\n  \"schema\": \"lanecert-bench/9\",\n");
     let _ = writeln!(json, "  \"threads\": {},", ctx.threads);
     json.push_str("  \"tables\": [\n");
     for (i, (name, seconds, rendered)) in results.iter().enumerate() {

@@ -8,12 +8,16 @@
 //! sealed fallback), certify its `pathwidth ≤ 1` witness family at every
 //! size, and keep labels `O(log n)` bits. The interned state count `|C|`
 //! is recorded per formula so state-space growth across PRs is visible
-//! in the perf trajectory, not just in the README table.
+//! in the perf trajectory, not just in the README table, and so is the
+//! wall-clock time of its freeze.
 
 use std::fmt::Write as _;
 
+use lanecert::compiled::{freeze_options_for, DEFAULT_MAX_LANES};
 use lanecert::{BatchJob, Certifier};
+use lanecert_algebra::{Algebra, FrozenAlgebra};
 use lanecert_engine::{Engine, FormulaCorpus};
+use lanecert_obs::Clock;
 
 use crate::Scale;
 
@@ -24,6 +28,10 @@ pub struct CompiledRun {
     pub formula: String,
     /// Canonically interned states of the frozen compiled algebra.
     pub states: usize,
+    /// Seconds the freeze pass took. The freeze cache is process-wide,
+    /// so this is near 0 when an earlier caller in the same process
+    /// already froze the formula at the same options.
+    pub freeze_s: f64,
     /// Witness jobs streamed through the engine.
     pub jobs: usize,
     /// Whether every witness job accepted.
@@ -72,9 +80,21 @@ pub fn series_for(names: &[&str], scale: Scale, threads: usize) -> CompiledRepor
     let sizes: &[usize] = scale.pick(FULL_SIZES, QUICK_SIZES);
     let corpus = format!("per-formula witness graphs × sizes {sizes:?} × seeds {SEEDS:?}");
     let mut runs = Vec::with_capacity(names.len());
+    let clock = Clock::monotonic();
     for &name in names {
         let entry = lanecert::compiled::standard_formula(name)
             .unwrap_or_else(|| panic!("{name} is not in the standard formula catalog"));
+        // Freeze with the options the certifier uses, so its build below
+        // finds the table in the freeze cache.
+        let formula = entry.formula();
+        let property = lanecert_mso::compile::compile(&formula)
+            .unwrap_or_else(|e| panic!("catalog formula {name} must compile: {e}"));
+        let start = clock.now_ns();
+        FrozenAlgebra::freeze(
+            Algebra::shared(property),
+            &freeze_options_for(&formula, DEFAULT_MAX_LANES),
+        );
+        let freeze_s = clock.seconds_since(start);
         let certifier = Certifier::builder()
             .compiled(entry.formula())
             .build()
@@ -110,6 +130,7 @@ pub fn series_for(names: &[&str], scale: Scale, threads: usize) -> CompiledRepor
         runs.push(CompiledRun {
             formula: name.to_string(),
             states,
+            freeze_s,
             jobs: report.batch.outcomes.len(),
             certified,
             max_label_bits,
@@ -124,15 +145,16 @@ impl CompiledReport {
     /// The human-readable table.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "Compiled formulas: {}\nformula              |C|     jobs  certified  max-bits  largest-n  bits/log2(n)\n",
+            "Compiled formulas: {}\nformula              |C|  freeze(s)    jobs  certified  max-bits  largest-n  bits/log2(n)\n",
             self.corpus
         );
         for r in &self.runs {
             let _ = writeln!(
                 out,
-                "{:<18} {:>6}  {:>6}  {:>9}  {:>8}  {:>9}  {:>12.1}",
+                "{:<18} {:>6}  {:>9.2}  {:>6}  {:>9}  {:>8}  {:>9}  {:>12.1}",
                 r.formula,
                 r.states,
+                r.freeze_s,
                 r.jobs,
                 if r.certified { "yes" } else { "NO" },
                 r.max_label_bits,
@@ -151,11 +173,12 @@ impl CompiledReport {
         for (i, r) in self.runs.iter().enumerate() {
             let _ = writeln!(
                 json,
-                "      {{\"formula\": \"{}\", \"states\": {}, \"jobs\": {}, \
-                 \"certified\": {}, \"max_label_bits\": {}, \"largest_n\": {}, \
-                 \"bits_per_log2_n\": {:.4}}}{}",
+                "      {{\"formula\": \"{}\", \"states\": {}, \"freeze_s\": {:.4}, \
+                 \"jobs\": {}, \"certified\": {}, \"max_label_bits\": {}, \
+                 \"largest_n\": {}, \"bits_per_log2_n\": {:.4}}}{}",
                 escape(&r.formula),
                 r.states,
+                r.freeze_s,
                 r.jobs,
                 r.certified,
                 r.max_label_bits,
@@ -183,6 +206,7 @@ mod tests {
         for r in &report.runs {
             assert!(r.certified, "{} witness corpus must certify", r.formula);
             assert!(r.states > 0);
+            assert!(r.freeze_s >= 0.0);
             assert!(r.jobs > 0);
             assert!(r.max_label_bits > 0);
             assert!(r.largest_n >= 2);
@@ -204,9 +228,11 @@ mod tests {
         let json = report.to_json(|s| s.to_string());
         assert!(json.contains("\"formulas\""));
         assert!(json.contains("\"bits_per_log2_n\""));
+        assert!(json.contains("\"freeze_s\""));
         assert!(json.contains("\"vertex-cover-1\""));
         let rendered = report.render();
         assert!(rendered.contains("bits/log2(n)"));
+        assert!(rendered.contains("freeze(s)"));
     }
 
     #[test]
