@@ -56,9 +56,10 @@
 //! shared result and later comparisons against it are pointer
 //! comparisons. The freeze applies each operation to thousands of
 //! states whose run sets share most of their runs, so most transitions
-//! below the root are repeats. The memo holds at most [`MEMO_CAP`]
-//! entries, enough for any catalog freeze, and is cleared when it
-//! reaches the cap: results never depend on what it holds.
+//! below the root are repeats. The memo holds at most 2^18 entries,
+//! enough for a whole freeze of compiled `independent-set-2`, and is
+//! cleared when it reaches that cap: results never depend on what it
+//! holds.
 //!
 //! Runs inside a run set stay in their derived structural order, never
 //! in hash or pointer order: the order is part of the state's rendering,
@@ -491,7 +492,8 @@ pub struct CompiledProperty {
     id: u64,
 }
 
-/// Source of [`CompiledProperty`] ids.
+/// Source of [`CompiledProperty`] ids. The ids need only be unique, so
+/// the counter publishes nothing and `Relaxed` suffices.
 static NEXT_PROPERTY: AtomicU64 = AtomicU64::new(0);
 
 /// Compiles a closed, well-sorted formula.
@@ -662,7 +664,7 @@ struct Memo {
 /// thread: `independent-set-2` 236,709 and `connected` 98,304 fit;
 /// `max-degree-2` (303,164), `bipartite` (445,724) and `2-colorable`
 /// (800,349) clear it once or more.
-pub const MEMO_CAP: usize = 1 << 18;
+const MEMO_CAP: usize = 1 << 18;
 
 thread_local! {
     static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
