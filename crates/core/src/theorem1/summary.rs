@@ -26,7 +26,9 @@
 //! keyed by the frozen table's fingerprint, the input classes and the
 //! program, so two algebras never see each other's results, and it stores
 //! only finished results: every interface check runs on every call, and a
-//! verdict never depends on what the memo holds.
+//! verdict never depends on what the memo holds. The verifier keeps one
+//! more memo above this one, of whole member folds and bridges, keyed the
+//! same id-free way (see the `verifier` module docs).
 //!
 //! # Shape order
 //!
@@ -248,10 +250,11 @@ fn apply(alg: &FrozenAlgebra, inputs: Inputs<'_>, program: &Program, count: Coun
 /// last call to the obs counters ([`names::TRANSITION_MEMO_HITS`],
 /// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]),
 /// together with the frozen table's row swaps
-/// ([`lanecert_algebra::flush_row_counters`]) and the compiled automaton's
+/// ([`lanecert_algebra::flush_row_counters`]), the compiled automaton's
 /// memo hits and misses ([`names::COMPILED_MEMO_HITS`],
-/// [`names::COMPILED_MEMO_MISSES`]). Called once at the end of each prove
-/// and each verify call.
+/// [`names::COMPILED_MEMO_MISSES`]) and the verifier memo's
+/// ([`names::VERIFIER_MEMO_HITS`], [`names::VERIFIER_MEMO_MISSES`]).
+/// Called once at the end of each prove and each verify call.
 pub(crate) fn flush_memo_counters() {
     if !lanecert_obs::COMPILED {
         return;
@@ -261,6 +264,11 @@ pub(crate) fn flush_memo_counters() {
     if hits + misses > 0 {
         counter_add(names::COMPILED_MEMO_HITS, hits);
         counter_add(names::COMPILED_MEMO_MISSES, misses);
+    }
+    let (hits, misses) = super::verifier::take_memo_counts();
+    if hits + misses > 0 {
+        counter_add(names::VERIFIER_MEMO_HITS, hits);
+        counter_add(names::VERIFIER_MEMO_MISSES, misses);
     }
     let (hits, misses, merges) = TRANSITIONS.with(|m| {
         m.try_borrow_mut()
@@ -289,11 +297,45 @@ fn one_lane(lane: Lane, tin: u64, tout: u64) -> IfaceLbl {
     }
 }
 
-/// One interface side of two lane-disjoint ones, ascending by lane.
+/// One interface side of two lane-disjoint ones, each ascending by lane,
+/// merged ascending by lane.
 fn merged(a: &Terminals, b: &Terminals) -> Terminals {
-    let mut out: Terminals = a.iter().chain(b.iter()).copied().collect();
-    out.sort_unstable_by_key(|&(lane, _)| lane);
-    out
+    let mut out = Terminals::new();
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+            (Some(_), _) => a.next(),
+            _ => b.next(),
+        };
+        let Some(&t) = next else {
+            return out;
+        };
+        out.push(t);
+    }
+}
+
+/// `f_B`'s output interface: both sides' lanes and terminals, merged by
+/// lane.
+pub(super) fn bridge_iface(left: &IfaceLbl, right: &IfaceLbl) -> IfaceLbl {
+    IfaceLbl {
+        lanes: left.lanes.union(right.lanes),
+        tin: merged(&left.tin, &right.tin),
+        tout: merged(&left.tout, &right.tout),
+    }
+}
+
+/// `f_P`'s output interface, built in place on the parent's: the child's
+/// out-terminals replace the parent's on the child's lanes.
+pub(super) fn attach_outs(iface: &mut IfaceLbl, child: &IfaceLbl) -> Result<(), String> {
+    for (lane, id) in iface.tout.iter_mut() {
+        if child.lanes.contains(*lane as Lane) {
+            *id = child
+                .tout_at(*lane as Lane)
+                .ok_or("Parent-merge: child out-terminal missing")?;
+        }
+    }
+    Ok(())
 }
 
 /// The interface's distinct terminal ids in shape order: lane by lane,
@@ -510,11 +552,7 @@ pub fn bridge(
     if ls.iter().any(|x| rs.binary_search(x).is_ok()) {
         return Err("Bridge-merge: sides share a vertex".into());
     }
-    let iface = IfaceLbl {
-        lanes: left.iface.lanes.union(right.iface.lanes),
-        tin: merged(&left.iface.tin, &right.iface.tin),
-        tout: merged(&left.iface.tout, &right.iface.tout),
-    };
+    let iface = bridge_iface(&left.iface, &right.iface);
     let program = bridge_program(&ls, &rs, (u, v), marked, &iface.slot_ids())?;
     let class = merge(alg, left, right, &iface, &program, |lo, ro, oo| {
         bridge_program(lo, ro, (u, v), marked, oo)
@@ -561,17 +599,8 @@ pub fn parent(alg: &FrozenAlgebra, child: &Summary, par: &Summary) -> Result<Sum
             return Err(format!("Parent-merge: junction mismatch on lane {lane}"));
         }
     }
-    // Resulting interface: the child's out-terminals replace the
-    // parent's on the child's lanes.
     let mut iface = par.iface.clone();
-    for (lane, id) in iface.tout.iter_mut() {
-        if child.iface.lanes.contains(*lane as Lane) {
-            *id = child
-                .iface
-                .tout_at(*lane as Lane)
-                .ok_or("Parent-merge: child out-terminal missing")?;
-        }
-    }
+    attach_outs(&mut iface, &child.iface)?;
     let program = parent_program(
         &child.iface.slot_ids(),
         &par.iface.slot_ids(),

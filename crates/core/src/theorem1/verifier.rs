@@ -10,12 +10,47 @@
 //! each claimed node to be one connected subgraph). The vertices of the
 //! outermost root member finally check that the root homomorphism class is
 //! accepting.
+//!
+//! # Memo
+//!
+//! The vertices of one hierarchy member all recompute the same member
+//! fold (`f_P` over its children) and, for a `B`-node, the same bridge
+//! (`f_B`). A per-thread memo stores the class each of them computes,
+//! keyed without any identifier:
+//!
+//! - a **fold** by the member's own class (by value, so classes a sealed
+//!   table has not interned are covered too), each child's wire class id,
+//!   and the *shape* of the own and every child interface;
+//! - a **bridge** by its lanes `i`/`j`, its two V-flags and its mark, both
+//!   sides' wire class ids, and both sides' shapes, ranked together.
+//!
+//! A shape is an interface's lane mask and side lengths, then per
+//! terminal its lane and the rank of its id among the distinct ids of
+//! all the interfaces in the key. Ranks suffice: a class keeps its slots
+//! in ascending id order, and every algebra operation commutes with
+//! renaming slots, so an order-preserving renaming of the ids leaves
+//! every class, every recipe program and so the result unchanged. Every
+//! check of [`fold_children`] and [`bridge_summary`] likewise reads only
+//! lanes, classes and which ids are equal. Two claims with one key
+//! therefore pass or fail those checks alike and give one class, so a hit
+//! skips the checks and rebuilds the output interface from the claims:
+//! the own interface with each child's out-terminals on that child's
+//! lanes, or both sides merged by lane. Only successful computations are
+//! stored, and the checks that read ids themselves — node ids, pointers,
+//! endpoints, junctions present at this vertex — run on every call in
+//! `check_tnode` and `check_bnode`.
+//!
+//! Entries are scoped to one `(algebra fingerprint, lane bound)` pair and
+//! cleared on a switch or at a cap; each is looked up by a digest of its
+//! key and compared in full, so neither a collision nor the memo's
+//! contents can change a verdict. The algebra work underneath is memoized
+//! once more, per recipe, in [`summary`]'s transition memo.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use lanecert_algebra::{FrozenAlgebra, FxBuildHasher, FxHasher, StateId};
+use lanecert_algebra::{Class, FrozenAlgebra, FxBuildHasher, FxHasher, StateId};
 
 use super::labels::*;
 use super::summary::{self, Summary};
@@ -38,35 +73,91 @@ type VResult<T> = Result<T, String>;
 /// keeps the verify path near the decode-side allocation floor.
 type CertList<'a> = ScratchBuf<&'a EdgeCertLbl, 8>;
 
-/// Per-thread memo for the *pure* checks of a member's wire claims.
-///
-/// Neighbouring vertices of the same hierarchy member check identical
-/// claims from identical label bytes: the parse and `f_P` fold of a
-/// member's children, and the parse, lane checks and `f_B` bridge-merge of
-/// a B-node. Both are pure functions of label content given the frozen
-/// algebra, so caching them per OS thread keeps verdicts bit-for-bit
-/// identical (lookups compare full keys — a hash collision can never
-/// substitute a wrong summary) while parsing and checking each claim once
-/// per thread instead of once per vertex. The algebra work underneath is
-/// memoized once more, by class and interface shape, in [`summary`]'s
-/// transition memo, which also serves the base nodes and the prover.
-///
-/// Entries are scoped to one `(algebra fingerprint, lane bound)` pair and
-/// cleared on a switch, so schemes over different properties or widths
-/// never observe each other's summaries. Only successful computations are
-/// cached; rejections (adversarial labels) always re-run the full check.
-type FxMap<V> = HashMap<u64, Vec<V>, FxBuildHasher>;
+/// A fold or bridge key: its digest, the member's own class (folds
+/// only) and the key words.
+struct Key {
+    digest: u64,
+    own: Option<Class>,
+    words: Box<[u64]>,
+}
 
-/// Key of a memoized B-node recomputation: the two side claims and the
-/// bridge parameters, exactly as they appear on the wire.
-type BridgeKey = (BasicInfoLbl, BasicInfoLbl, u8, u8, bool, bool, bool);
+/// Reused buffers for building one key: its words (class ids, flags and
+/// interface shapes; see the module docs), and each terminal's id packed
+/// with the index of the word that takes its rank.
+#[derive(Default)]
+struct KeyScratch {
+    words: Vec<u64>,
+    at: Vec<u128>,
+}
 
+impl KeyScratch {
+    /// The words of a member's fold: its children's wire class ids, then
+    /// the shapes of its own and its children's interfaces.
+    fn fold(&mut self, own: &IfaceLbl, children: &[BasicInfoLbl]) {
+        self.words.push(children.len() as u64);
+        self.words
+            .extend(children.iter().map(|c| u64::from(c.class)));
+        self.shapes(std::iter::once(own).chain(children.iter().map(|c| &c.iface)));
+    }
+
+    /// The words of a B-node's bridge: the bridge lanes, V-flags and mark,
+    /// both sides' wire class ids, then both sides' shapes.
+    fn bridge(&mut self, f: &BFrameLbl) {
+        self.words.push(
+            u64::from(f.i)
+                | u64::from(f.j) << 8
+                | u64::from(f.left_is_v) << 16
+                | u64::from(f.right_is_v) << 17
+                | u64::from(f.bridge_marked) << 18,
+        );
+        self.words.push(u64::from(f.left.class));
+        self.words.push(u64::from(f.right.class));
+        self.shapes([&f.left.iface, &f.right.iface].into_iter());
+    }
+
+    /// Appends the shapes of `ifaces`: per interface its lane mask and
+    /// side lengths, then per terminal (in-terminals, then out-terminals)
+    /// its lane and the rank of its id among the distinct ids of all of
+    /// `ifaces`.
+    fn shapes<'a>(&mut self, ifaces: impl Iterator<Item = &'a IfaceLbl>) {
+        self.at.clear();
+        for iface in ifaces {
+            self.words.push(iface.lanes.0);
+            self.words
+                .push((iface.tin.len() as u64) << 32 | iface.tout.len() as u64);
+            for &(lane, id) in iface.tin.iter().chain(iface.tout.iter()) {
+                // Sorting these sorts the terminals by id.
+                self.at
+                    .push(u128::from(id) << 32 | self.words.len() as u128);
+                self.words.push(u64::from(lane) << 32);
+            }
+        }
+        self.at.sort_unstable();
+        let (mut rank, mut prev) = (0, None);
+        for &x in &self.at {
+            let id = x >> 32;
+            if prev.is_some_and(|p| p != id) {
+                rank += 1;
+            }
+            prev = Some(id);
+            if let Some(w) = self.words.get_mut(x as u32 as usize) {
+                *w |= rank;
+            }
+        }
+    }
+}
+
+/// The per-thread verifier memo (see the module docs): each key and the
+/// class it computed, one per key digest, compared in full on lookup, so
+/// a digest collision only costs a recomputation.
+#[derive(Default)]
 struct Memo {
     fp: u64,
     max_lanes: usize,
-    fold: FxMap<((Summary, Vec<BasicInfoLbl>), Summary)>,
-    bridge: FxMap<(BridgeKey, (Summary, u64, u64))>,
-    entries: usize,
+    entries: HashMap<u64, (Key, Class), FxBuildHasher>,
+    scratch: KeyScratch,
+    hits: u64,
+    misses: u64,
 }
 
 /// Entry cap per thread; reaching it clears the memo (a perf event only —
@@ -74,13 +165,7 @@ struct Memo {
 const MEMO_CAP: usize = 1 << 15;
 
 thread_local! {
-    static MEMO: RefCell<Memo> = RefCell::new(Memo {
-        fp: 0,
-        max_lanes: 0,
-        fold: FxMap::default(),
-        bridge: FxMap::default(),
-        entries: 0,
-    });
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
 }
 
 impl Memo {
@@ -88,20 +173,64 @@ impl Memo {
     /// entries from a different one, and clears on overflow.
     fn sync(&mut self, ctx: &Ctx<'_>) {
         let fp = ctx.alg.fingerprint();
-        if self.fp != fp || self.max_lanes != ctx.max_lanes || self.entries >= MEMO_CAP {
-            self.fold.clear();
-            self.bridge.clear();
-            self.entries = 0;
+        if self.fp != fp || self.max_lanes != ctx.max_lanes || self.entries.len() >= MEMO_CAP {
+            self.entries.clear();
             self.fp = fp;
             self.max_lanes = ctx.max_lanes;
         }
     }
 }
 
-fn hash_key<T: Hash + ?Sized>(t: &T) -> u64 {
-    let mut h = FxHasher::default();
-    t.hash(&mut h);
-    h.finish()
+/// Looks up the key made of `own` and the words `build` writes, counting
+/// a hit or a miss. A miss returns the key, for [`store`].
+fn lookup(
+    ctx: &Ctx<'_>,
+    own: Option<&Class>,
+    build: impl FnOnce(&mut KeyScratch),
+) -> Result<Class, Key> {
+    MEMO.with(|m| {
+        let m = &mut *m.borrow_mut();
+        m.sync(ctx);
+        m.scratch.words.clear();
+        build(&mut m.scratch);
+        let words = &m.scratch.words;
+        let mut h = FxHasher::default();
+        own.hash(&mut h);
+        words.hash(&mut h);
+        let digest = h.finish();
+        let hit = m
+            .entries
+            .get(&digest)
+            .filter(|(key, _)| key.own.as_ref() == own && *key.words == **words);
+        if let Some((_, out)) = hit {
+            m.hits += 1;
+            return Ok(out.clone());
+        }
+        m.misses += 1;
+        Err(Key {
+            digest,
+            own: own.cloned(),
+            words: words.as_slice().into(),
+        })
+    })
+}
+
+/// Stores the class a successful fold or bridge computed under its key.
+fn store(ctx: &Ctx<'_>, key: Key, out: &Class) {
+    MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        m.sync(ctx);
+        m.entries.insert(key.digest, (key, out.clone()));
+    });
+}
+
+/// This thread's verifier-memo hits and misses since the last call,
+/// for [`summary::flush_memo_counters`].
+pub(super) fn take_memo_counts() -> (u64, u64) {
+    MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        (std::mem::take(&mut m.hits), std::mem::take(&mut m.misses))
+    })
 }
 
 /// Entry point: full per-vertex verification.
@@ -124,11 +253,9 @@ fn verify_inner(ctx: &Ctx<'_>, view: &VertexView<EdgeLabel>) -> VResult<()> {
         };
     }
     let mut certs: CertList<'_> = CertList::new();
-    // Flat (key, record) list; groups are recovered below by scanning for
-    // each key's first appearance. Vertex degrees and transit counts are
-    // small, so the linear scans beat hashing — and the first malformation
-    // reported does not depend on a hash map's iteration order.
-    let mut transits: ScratchBuf<((u64, u64), &TransitLbl), 8> = ScratchBuf::new();
+    // Transit records and their endpoint-pair keys, side by side.
+    let mut keys: InlineVec<(u64, u64), 8> = InlineVec::new();
+    let mut transits: ScratchBuf<&TransitLbl, 8> = ScratchBuf::new();
     for label in view.incident {
         let Some(label) = label else {
             return Err("undecodable label".into());
@@ -140,24 +267,23 @@ fn verify_inner(ctx: &Ctx<'_>, view: &VertexView<EdgeLabel>) -> VResult<()> {
         check_cert_shape(ctx, own)?;
         certs.push(own);
         for t in &label.transits {
-            transits.push(((t.cert.a, t.cert.b), t));
+            keys.push((t.cert.a, t.cert.b));
+            transits.push(t);
         }
     }
     // Reconstruct incident virtual edges (Section 6.2, embedding checks),
     // one group per distinct endpoint pair in first-appearance order.
-    for i in 0..transits.len() {
-        let Some(&((a, b), first)) = transits.get(i) else {
-            return Err("transit record out of range".into());
-        };
-        if transits.iter().take(i).any(|&(k, _)| k == (a, b)) {
-            continue; // group already processed at its first appearance
-        }
+    let (order, groups) = group_by_key(&keys);
+    for &(start, end) in groups.iter() {
         let mut entries: ScratchBuf<&TransitLbl, 4> = ScratchBuf::new();
-        for &(k, t) in transits.iter() {
-            if k == (a, b) {
-                entries.push(t);
-            }
+        for &x in order.get(start as usize..end as usize).unwrap_or_default() {
+            let record = transits
+                .get(x as usize)
+                .ok_or("transit record out of range")?;
+            entries.push(*record);
         }
+        let first = *entries.first().ok_or("transit record out of range")?;
+        let (a, b) = (first.cert.a, first.cert.b);
         let cert = &first.cert;
         if cert.marked {
             return Err("virtual edge claims to be marked".into());
@@ -196,6 +322,31 @@ fn verify_inner(ctx: &Ctx<'_>, view: &VertexView<EdgeLabel>) -> VResult<()> {
         }
     }
     check_tnode(ctx, &certs, 0, None, true)
+}
+
+/// Groups equal keys in O(t log t): returns the indexes of `keys` sorted
+/// by `(key, index)`, and the `start..end` runs of that order that hold
+/// one key each, in order of each key's first appearance in `keys`. A
+/// run lists its key's indexes in ascending order, so groups and their
+/// entries come out as a left-to-right scan of `keys` finds them, and
+/// which malformation is reported first does not change.
+fn group_by_key(keys: &[(u64, u64)]) -> (InlineVec<u32, 8>, InlineVec<(u32, u32), 8>) {
+    let mut sorted: InlineVec<((u64, u64), u32), 8> =
+        (keys.iter().copied()).zip(0..keys.len() as u32).collect();
+    sorted.sort_unstable();
+    let order: InlineVec<u32, 8> = sorted.iter().map(|&(_, x)| x).collect();
+    let mut groups: InlineVec<(u32, u32), 8> = InlineVec::new();
+    let mut start = 0;
+    for end in 1..=sorted.len() {
+        let key_at = |y: usize| sorted.get(y).map(|&(key, _)| key);
+        if end == sorted.len() || key_at(end) != key_at(start) {
+            groups.push((start as u32, end as u32));
+            start = end;
+        }
+    }
+    // A run's first index is its key's first appearance.
+    groups.sort_unstable_by_key(|&(start, _)| order.get(start as usize).copied());
+    (order, groups)
 }
 
 fn check_cert_shape_basics(cert: &EdgeCertLbl) -> VResult<()> {
@@ -251,142 +402,112 @@ fn summary_matches_lbl(ctx: &Ctx<'_>, s: &Summary, claim: &BasicInfoLbl) -> bool
 /// disjointness and their junctions against the member's own summary, and
 /// recomputes the subtree fold `f_P` over them in lane-mask order.
 ///
-/// The whole block is a pure function of `(own, frame.children)` given the
-/// frozen algebra, so it is memoized per thread on exactly that key.
-/// Neighbouring vertices of the same member — identical label bytes —
-/// then do the algebra work once per thread instead of once per vertex,
-/// with verdicts bit-for-bit unchanged: lookups compare full keys, and
-/// only *successful* recomputations are cached, so malformed children
-/// reject identically whether or not the cache is warm.
+/// Every check here and the fold's class read only what the key of
+/// [`KeyScratch::fold`] holds, so the class is memoized per thread on
+/// that key (see the module docs); a hit rebuilds the output interface
+/// from the claims. Only successful folds are stored, so malformed
+/// children reject identically whether or not the memo is warm.
 fn fold_children(ctx: &Ctx<'_>, own: &Summary, frame: &TFrameLbl) -> VResult<Summary> {
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        m.sync(ctx);
-        let h = hash_key(&(own, &frame.children));
-        if let Some(bucket) = m.fold.get(&h) {
-            for ((k_own, k_kids), v) in bucket {
-                if k_own == own && k_kids == &frame.children {
-                    return Ok(v.clone());
-                }
+    let key = match lookup(ctx, Some(&own.class), |k| {
+        k.fold(&own.iface, &frame.children)
+    }) {
+        Ok(class) => {
+            let mut iface = own.iface.clone();
+            for kid in &frame.children {
+                summary::attach_outs(&mut iface, &kid.iface)?;
+            }
+            return Ok(Summary { class, iface });
+        }
+        Err(key) => key,
+    };
+    let mut kids: ScratchBuf<Summary, 8> = ScratchBuf::new();
+    for entry in &frame.children {
+        kids.push(parse_info(ctx, entry)?);
+    }
+    for (x, kx) in kids.iter().enumerate() {
+        for ky in kids.iter().skip(x + 1) {
+            if !kx.iface.lanes.is_disjoint(ky.iface.lanes) {
+                return Err("children lanes overlap".into());
             }
         }
-        let mut kids: ScratchBuf<Summary, 8> = ScratchBuf::new();
-        for entry in &frame.children {
-            kids.push(parse_info(ctx, entry)?);
+    }
+    // Children attach to the member's own out-terminals.
+    for kid in kids.iter() {
+        if !kid.iface.lanes.is_subset_of(own.iface.lanes) {
+            return Err("child lanes exceed member lanes".into());
         }
-        for (x, kx) in kids.iter().enumerate() {
-            for ky in kids.iter().skip(x + 1) {
-                if !kx.iface.lanes.is_disjoint(ky.iface.lanes) {
-                    return Err("children lanes overlap".into());
-                }
+        for lane in kid.iface.lanes.iter() {
+            match (kid.iface.tin_at(lane), own.iface.tout_at(lane)) {
+                (Some(x), Some(y)) if x == y => {}
+                _ => return Err("child junction id mismatch".into()),
             }
         }
-        // Children attach to the member's own out-terminals.
-        for kid in kids.iter() {
-            if !kid.iface.lanes.is_subset_of(own.iface.lanes) {
-                return Err("child lanes exceed member lanes".into());
-            }
-            for lane in kid.iface.lanes.iter() {
-                match (kid.iface.tin_at(lane), own.iface.tout_at(lane)) {
-                    (Some(x), Some(y)) if x == y => {}
-                    _ => return Err("child junction id mismatch".into()),
-                }
-            }
-        }
-        let mut acc = own.clone();
-        let mut order: InlineVec<u32, 8> = (0..kids.len() as u32).collect();
-        order
-            .as_mut_slice()
-            .sort_by_key(|&x| kids.get(x as usize).map(|k| k.iface.lanes.0).unwrap_or(0));
-        // The f_P fold itself: pure algebra work over already-parsed
-        // summaries, no per-child heap traffic.
-        // lint: zero-alloc {
-        for &x in order.iter() {
-            let kid = kids.get(x as usize).ok_or("child index out of range")?;
-            acc = summary::parent(ctx.alg, kid, &acc)?;
-        }
-        // lint: }
-        m.fold
-            .entry(h)
-            .or_default()
-            .push(((own.clone(), frame.children.clone()), acc.clone()));
-        m.entries += 1;
-        Ok(acc)
-    })
+    }
+    let mut acc = own.clone();
+    let mut order: InlineVec<u32, 8> = (0..kids.len() as u32).collect();
+    order
+        .as_mut_slice()
+        .sort_by_key(|&x| kids.get(x as usize).map(|k| k.iface.lanes.0).unwrap_or(0));
+    // The f_P fold itself: pure algebra work over already-parsed
+    // summaries, no per-child heap traffic.
+    // lint: zero-alloc {
+    for &x in order.iter() {
+        let kid = kids.get(x as usize).ok_or("child index out of range")?;
+        acc = summary::parent(ctx.alg, kid, &acc)?;
+    }
+    // lint: }
+    store(ctx, key, &acc.class);
+    Ok(acc)
 }
 
 /// The pure half of a B-node check: parses both side claims, validates the
 /// bridge lanes and V-node sides, and recomputes `f_B`. Returns the merged
 /// summary plus the two bridge endpoint ids. Memoized per thread on the
-/// frame's wire content (same regime as [`fold_children`]: full-key
-/// comparison, successful results only).
+/// key of [`KeyScratch::bridge`], in the same regime as
+/// [`fold_children`]; a hit merges both sides' interfaces by lane and
+/// reads the endpoints from the claims.
 fn bridge_summary(ctx: &Ctx<'_>, f0: &BFrameLbl) -> VResult<(Summary, u64, u64)> {
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        m.sync(ctx);
-        let h = hash_key(&(
-            &f0.left,
-            &f0.right,
-            f0.i,
-            f0.j,
-            f0.left_is_v,
-            f0.right_is_v,
-            f0.bridge_marked,
-        ));
-        if let Some(bucket) = m.bridge.get(&h) {
-            for ((kl, kr, ki, kj, klv, krv, km), v) in bucket {
-                if (*ki, *kj, *klv, *krv, *km)
-                    == (f0.i, f0.j, f0.left_is_v, f0.right_is_v, f0.bridge_marked)
-                    && kl == &f0.left
-                    && kr == &f0.right
-                {
-                    return Ok(v.clone());
-                }
+    let (i, j) = (f0.i as usize, f0.j as usize);
+    let key = match lookup(ctx, None, |k| k.bridge(f0)) {
+        Ok(class) => {
+            let (left, right) = (&f0.left.iface, &f0.right.iface);
+            let (Some(u), Some(w)) = (left.tout_at(i), right.tout_at(j)) else {
+                return Err("bridge lane without an out-terminal".into());
+            };
+            let iface = summary::bridge_iface(left, right);
+            return Ok((Summary { class, iface }, u, w));
+        }
+        Err(key) => key,
+    };
+    let left = parse_info(ctx, &f0.left)?;
+    let right = parse_info(ctx, &f0.right)?;
+    if !left.iface.lanes.contains(i) || !right.iface.lanes.contains(j) {
+        return Err("bridge lane not in the respective side".into());
+    }
+    if !left.iface.lanes.is_disjoint(right.iface.lanes) {
+        return Err("B sides share lanes".into());
+    }
+    for (is_v, info, lane) in [(f0.left_is_v, &left, i), (f0.right_is_v, &right, j)] {
+        if is_v {
+            if info.iface.lanes.len() != 1 || info.iface.tin != info.iface.tout {
+                return Err("V-node side with a non-V interface".into());
+            }
+            let id = info
+                .iface
+                .tin_at(lane)
+                .ok_or("V-node side without a terminal")?;
+            let recomputed = summary::base_v(ctx.alg, lane, id);
+            if recomputed.class != info.class {
+                return Err("V-node class mismatch".into());
             }
         }
-        let left = parse_info(ctx, &f0.left)?;
-        let right = parse_info(ctx, &f0.right)?;
-        let (i, j) = (f0.i as usize, f0.j as usize);
-        if !left.iface.lanes.contains(i) || !right.iface.lanes.contains(j) {
-            return Err("bridge lane not in the respective side".into());
-        }
-        if !left.iface.lanes.is_disjoint(right.iface.lanes) {
-            return Err("B sides share lanes".into());
-        }
-        for (is_v, info, lane) in [(f0.left_is_v, &left, i), (f0.right_is_v, &right, j)] {
-            if is_v {
-                if info.iface.lanes.len() != 1 || info.iface.tin != info.iface.tout {
-                    return Err("V-node side with a non-V interface".into());
-                }
-                let id = info
-                    .iface
-                    .tin_at(lane)
-                    .ok_or("V-node side without a terminal")?;
-                let recomputed = summary::base_v(ctx.alg, lane, id);
-                if recomputed.class != info.class {
-                    return Err("V-node class mismatch".into());
-                }
-            }
-        }
-        let (Some(u), Some(w)) = (left.iface.tout_at(i), right.iface.tout_at(j)) else {
-            return Err("bridge lane without an out-terminal".into());
-        };
-        let s = summary::bridge(ctx.alg, &left, &right, i, j, f0.bridge_marked)?;
-        m.bridge.entry(h).or_default().push((
-            (
-                f0.left.clone(),
-                f0.right.clone(),
-                f0.i,
-                f0.j,
-                f0.left_is_v,
-                f0.right_is_v,
-                f0.bridge_marked,
-            ),
-            (s.clone(), u, w),
-        ));
-        m.entries += 1;
-        Ok((s, u, w))
-    })
+    }
+    let (Some(u), Some(w)) = (left.iface.tout_at(i), right.iface.tout_at(j)) else {
+        return Err("bridge lane without an out-terminal".into());
+    };
+    let s = summary::bridge(ctx.alg, &left, &right, i, j, f0.bridge_marked)?;
+    store(ctx, key, &s.class);
+    Ok((s, u, w))
 }
 
 /// Per-member bookkeeping inside one T-node group.
@@ -686,7 +807,7 @@ fn check_bnode(ctx: &Ctx<'_>, group: &CertList<'_>, depth: usize, member: u32) -
         }
     }
     // The pure half — side parsing, lane/V-node validation, `f_B` — is
-    // memoized on the frame's wire content.
+    // memoized on the frame's classes and shape.
     let (merged, u, w) = bridge_summary(ctx, f0)?;
     // Partition into sides.
     let mut sides: [CertList<'_>; 3] = [CertList::new(), CertList::new(), CertList::new()];
@@ -735,4 +856,48 @@ fn check_bnode(ctx: &Ctx<'_>, group: &CertList<'_>, depth: usize, member: u32) -
         }
     }
     Ok(merged)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The grouping `verify_inner` used before [`group_by_key`]: for each
+    /// record, a rescan for its key's earlier appearance and another for
+    /// the key's records (quadratic in the records).
+    fn rescan_groups(keys: &[(u64, u64)]) -> Vec<Vec<u32>> {
+        let mut groups = Vec::new();
+        for (i, k) in keys.iter().enumerate() {
+            if keys[..i].contains(k) {
+                continue;
+            }
+            groups.push(
+                (0..keys.len() as u32)
+                    .filter(|&x| keys[x as usize] == *k)
+                    .collect(),
+            );
+        }
+        groups
+    }
+
+    #[test]
+    fn grouping_by_sort_matches_the_rescan() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for round in 0..2_000 {
+            let len = rng.random_range(0..40usize);
+            // Few distinct endpoints, so keys repeat often.
+            let span = 1 + round as u64 % 6;
+            let keys: Vec<(u64, u64)> = (0..len)
+                .map(|_| (rng.random_range(0..span), rng.random_range(0..span)))
+                .collect();
+            let (order, groups) = group_by_key(&keys);
+            let sorted: Vec<Vec<u32>> = groups
+                .iter()
+                .map(|&(start, end)| order[start as usize..end as usize].to_vec())
+                .collect();
+            assert_eq!(sorted, rescan_groups(&keys), "{keys:?}");
+        }
+    }
 }

@@ -88,6 +88,13 @@ pub mod names {
     /// Counter: shape-order merges (`f_B`, `f_P` on slots in shape
     /// order) the transition memo ran, each once per thread and shape.
     pub const TRANSITION_MEMO_MERGES: &str = "transition_memo_merges";
+    /// Counter: Theorem 1 member folds (`f_P`) and bridges (`f_B`) the
+    /// verifier answered from its per-thread, id-free memo, flushed with
+    /// the transition-memo counters.
+    pub const VERIFIER_MEMO_HITS: &str = "verifier_memo_hits";
+    /// Counter: verifier folds and bridges the memo missed, so they were
+    /// checked and computed.
+    pub const VERIFIER_MEMO_MISSES: &str = "verifier_memo_misses";
     /// Counter: slot swaps a total frozen table answered from its
     /// transition rows (`FrozenAlgebra::swap`), flushed with the
     /// transition-memo counters.

@@ -29,20 +29,34 @@
 //!    per-thread memo (`compiled_memo_hits`), and misses it
 //!    (`compiled_memo_misses`) at most a pinned number of times.
 //!
+//! 7. **The verifier's own memo is id-free.** It keys member folds and
+//!    bridges by classes and interface shape, so a labeling whose ids
+//!    were renamed in an order-preserving way (`x` to `2x + 1`) verifies
+//!    on a thread that verified the original without one verifier-memo
+//!    miss (`verifier_memo_misses`); every corruption and bit flip of it
+//!    rejects there at the same vertices, with the same reasons, as on a
+//!    fresh thread; and verifying the `prove-large` corpus at n = 2,048
+//!    from a fresh thread misses that memo at most a pinned number of
+//!    times.
+//!
 //! Obs sessions are process-wide, so the tests take one lock and never
 //! overlap.
 
 use std::sync::{Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
-use lanecert_suite::graph::{generators, Graph};
-use lanecert_suite::obs::{names, TraceConfig, TraceSession};
+use lanecert_suite::algebra::props::Connected;
+use lanecert_suite::algebra::Algebra;
+use lanecert_suite::graph::{generators, Graph, VertexId};
+use lanecert_suite::obs::{names, RunTrace, TraceConfig, TraceSession};
 use lanecert_suite::pls::attacks::{self, Corruption};
 use lanecert_suite::pls::compiled;
+use lanecert_suite::pls::{PathwidthScheme, SchemeOptions};
 use lanecert_suite::{
-    CertError, Certifier, Configuration, EncodedLabeling, ProverHint, Scheme, Verdict,
+    CertError, Certifier, Configuration, CorpusFamily, DynScheme, EncodedLabeling, ProverHint,
+    Scheme, Verdict,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -309,4 +323,159 @@ fn cold_verification_shares_compiled_transitions() {
         2 * hits > misses,
         "{hits} compiled memo hits, {misses} misses"
     );
+}
+
+fn counter(trace: &RunTrace, name: &str) -> u64 {
+    trace
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// The Theorem 1 `connected` scheme at pathwidth 2, as lanebench's
+/// `prove-large` workload certifies it. Call its encoded-label methods
+/// through `&dyn DynScheme`.
+fn connected_pw2() -> PathwidthScheme {
+    PathwidthScheme::new(
+        Algebra::shared(Connected),
+        SchemeOptions::exact_pathwidth(2),
+    )
+}
+
+/// A hinted corpus instance under the ids `ids(x)`, where `x` are the
+/// random ids of `id_seed`.
+fn relabeled(
+    family: &CorpusFamily,
+    n: usize,
+    id_seed: u64,
+    ids: impl Fn(u64) -> u64,
+) -> (Configuration, ProverHint) {
+    let (graph, rep) = family.instance(n, 7);
+    let random = Configuration::with_random_ids(graph.clone(), id_seed);
+    let ids = (0..graph.vertex_count())
+        .map(|v| ids(random.id_of(VertexId::new(v))))
+        .collect();
+    let hint = ProverHint::with_representation(rep.expect("a hinted family"));
+    (Configuration::new(graph, ids), hint)
+}
+
+#[test]
+fn relabeled_ids_verify_without_verifier_memo_misses() {
+    let _serial = serial();
+    let typed = connected_pw2();
+    let scheme: &dyn DynScheme = &typed;
+    let family = CorpusFamily::RandomPathwidth { k: 2, density: 0.4 };
+    let (cfg_x, hint) = relabeled(&family, 256, 3, |x| x);
+    let (cfg_y, _) = relabeled(&family, 256, 3, |x| 2 * x + 1);
+    let labels_x = scheme.prove_encoded(&cfg_x, &hint).expect("x certifies");
+    let labels_y = scheme.prove_encoded(&cfg_y, &hint).expect("2x+1 certifies");
+    let typed_y = typed.prove(&cfg_y, &hint).expect("2x+1 certifies");
+
+    // Every typed corruption and a batch of bit flips of the relabeled
+    // labeling, as encoded labelings.
+    let mut tampered: Vec<(String, EncodedLabeling)> = Vec::new();
+    let kinds = [
+        Corruption::SwapLabels,
+        Corruption::CloneLabel,
+        Corruption::FlipMark,
+        Corruption::BumpClass,
+        Corruption::HugeClass,
+        Corruption::DropTransits,
+    ];
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let Some(bad) = attacks::corrupt(&typed_y, kind, &mut rng) else {
+            continue;
+        };
+        let bad = EncodedLabeling::encode(&bad).with_fingerprint(scheme.fingerprint());
+        tampered.push((format!("{kind:?}"), bad));
+    }
+    let mut rng = StdRng::seed_from_u64(24);
+    for flip in 0..32 {
+        let mut bad = labels_y.clone();
+        let pick = rng.random_range(0..bad.len());
+        let bits = bad.get(pick).bits;
+        bad.flip_bit(pick, rng.random_range(0..bits));
+        tampered.push((format!("bit flip {flip}"), bad));
+    }
+
+    let (trace, warm) = fresh(|| {
+        let verify = |labels: &EncodedLabeling, cfg: &Configuration| {
+            scheme.verify_encoded(cfg, labels).expect("label count")
+        };
+        assert!(verify(&labels_x, &cfg_x).accepted(), "x labels rejected");
+        let session = TraceSession::begin(TraceConfig::new());
+        assert!(verify(&labels_y, &cfg_y).accepted(), "2x+1 labels rejected");
+        let trace = session.end();
+        let tampered: Vec<_> = tampered
+            .iter()
+            .map(|(_, bad)| verify(bad, &cfg_y))
+            .collect();
+        (trace, tampered)
+    });
+    let (hits, misses) = (
+        counter(&trace, names::VERIFIER_MEMO_HITS),
+        counter(&trace, names::VERIFIER_MEMO_MISSES),
+    );
+    assert!(hits > 0, "the relabeled labeling never hit the memo");
+    assert_eq!(
+        misses, 0,
+        "the relabeled labeling missed the memo ({hits} hits)"
+    );
+
+    let mut rejected = 0;
+    for ((what, bad), warm) in tampered.iter().zip(&warm) {
+        let cold = fresh(|| scheme.verify_encoded(&cfg_y, bad).expect("label count"));
+        assert_eq!(cold.verdicts, warm.verdicts, "{what}");
+        if !cold.accepted() {
+            rejected += 1;
+        }
+    }
+    assert!(rejected > tampered.len() / 2, "{rejected} rejections");
+}
+
+/// Verifier-memo misses when verifying the `prove-large` corpus (hinted
+/// path, ladder and random pathwidth-2 at n = 2,048) from a fresh
+/// thread: the most measured over id seeds 1–4 (3,965–4,099, against
+/// 64.7k–64.8k hits). Keys hold the ids' order pattern, so the count
+/// still moves a little with the ids.
+const PROVE_LARGE_2048_MISSES: u64 = 4_099;
+
+#[test]
+fn verifying_the_prove_large_corpus_misses_a_pinned_number_of_times() {
+    let _serial = serial();
+    let typed = connected_pw2();
+    let scheme: &dyn DynScheme = &typed;
+    let families = [
+        CorpusFamily::Path,
+        CorpusFamily::Ladder,
+        CorpusFamily::RandomPathwidth { k: 2, density: 0.4 },
+    ];
+    for seed in 1..=4u64 {
+        let corpus: Vec<_> = families
+            .iter()
+            .map(|family| {
+                let (cfg, hint) = relabeled(family, 2048, seed, |x| x);
+                let labels = scheme.prove_encoded(&cfg, &hint).expect("certifies");
+                (cfg, labels)
+            })
+            .collect();
+        let session = TraceSession::begin(TraceConfig::new());
+        fresh(|| {
+            for (cfg, labels) in &corpus {
+                let report = scheme.verify_encoded(cfg, labels).expect("label count");
+                assert!(report.accepted(), "seed {seed}: honest labels rejected");
+            }
+        });
+        let trace = session.end();
+        let (hits, misses) = (
+            counter(&trace, names::VERIFIER_MEMO_HITS),
+            counter(&trace, names::VERIFIER_MEMO_MISSES),
+        );
+        assert!(
+            (1..=PROVE_LARGE_2048_MISSES + PROVE_LARGE_2048_MISSES / 10).contains(&misses),
+            "seed {seed}: {misses} verifier memo misses (pinned {PROVE_LARGE_2048_MISSES}; {hits} hits)"
+        );
+    }
 }
