@@ -5,7 +5,7 @@
 //! | `forbid-unsafe`| every crate forbids `unsafe_code` (attr or workspace lints)        |
 //! | `determinism`  | no wall clock / random hash state in determinism-critical crates   |
 //! | `zero-alloc`   | no allocating calls inside `// lint: zero-alloc { … }` regions     |
-//! | `no-panic`     | no `unwrap`/`expect`/`panic!` in adversarial-wire modules          |
+//! | `no-panic`     | no `unwrap`/`expect`/`panic!`/`RefCell` borrow in wire modules     |
 //! | `interior-mut` | no interior mutability in `crates/algebra` outside the sealed tail |
 //! | `obs-clock`    | raw `Instant::now`/`SystemTime` only inside `crates/obs`           |
 //!
@@ -366,15 +366,19 @@ pub fn lint_source(file: &str, src: &str, ctx: FileCtx) -> Vec<Finding> {
         }
 
         if ctx.no_panic {
-            if punct(i, '.')
-                && matches!(ident(i + 1), Some("unwrap" | "expect"))
-                && punct(i + 2, '(')
-            {
+            let why = match ident(i + 1) {
+                Some("unwrap" | "expect") => "malformed input must reject, not panic",
+                Some("borrow" | "borrow_mut") => {
+                    "a `RefCell` borrow panics on a conflict: use `try_borrow_mut`"
+                }
+                _ => "",
+            };
+            if punct(i, '.') && !why.is_empty() && punct(i + 2, '(') {
                 push(
                     "no-panic",
                     toks[i + 1].line,
                     format!(
-                        "`.{}()` in an adversarial-wire module (malformed input must reject, not panic)",
+                        "`.{}()` in an adversarial-wire module ({why})",
                         ident(i + 1).unwrap_or_default()
                     ),
                     &mut findings,

@@ -46,6 +46,16 @@ fn no_panic_fixture_fails_with_its_rule() {
 }
 
 #[test]
+fn refcell_borrow_fixture_fails_the_no_panic_rule() {
+    let ctx = FileCtx {
+        no_panic: true,
+        ..FileCtx::default()
+    };
+    let findings = lint_source("no_panic_borrow.rs", &fixture("no_panic_borrow.rs"), ctx);
+    assert_eq!(rule_counts(&findings), [("no-panic".to_string(), 2)]);
+}
+
+#[test]
 fn zero_alloc_fixture_fails_with_its_rule() {
     let findings = lint_source(
         "zero_alloc.rs",

@@ -12,7 +12,7 @@
 //! verifier — who run the same deterministic recipes below — always agree
 //! on interned class ids.
 //!
-//! # The transition memo
+//! # The memo
 //!
 //! Each recipe checks and builds the interface on every call, and records
 //! the algebra work as a *program*: slot-level operations applied to the
@@ -21,14 +21,25 @@
 //! terminal's rank among the distinct ids involved, bridge lanes and
 //! marks — never on the ids themselves. The class space is finite for
 //! each `(ϕ, k)` (Proposition 2.4), so a certification runs the same few
-//! `(inputs, program)` pairs over and over. A per-thread memo, shared by
-//! the prover and the verifier, runs each pair once per thread. It is
-//! keyed by the frozen table's fingerprint, the input classes and the
-//! program, so two algebras never see each other's results, and it stores
-//! only finished results: every interface check runs on every call, and a
-//! verdict never depends on what the memo holds. The verifier keeps one
-//! more memo above this one, of whole member folds and bridges, keyed the
-//! same id-free way (see the `verifier` module docs).
+//! `(inputs, program)` pairs over and over.
+//!
+//! One per-thread memo, shared by the prover and the verifier, runs each
+//! of them once per thread. Every entry has one shape: the frozen table's
+//! fingerprint, up to two classes by value, a string of words, and the
+//! result class. The words are either
+//!
+//! - a recipe's program, one word per operation, with the recipe's input
+//!   classes; or
+//! - a verifier *claim*, a member fold or a bridge (see the `verifier`
+//!   module docs): its kind and lane bound, its wire class ids, and the
+//!   shapes of its interfaces (`KeyScratch::shapes`), with a fold's own
+//!   class.
+//!
+//! The fingerprint keeps two algebras apart, so the memo never needs
+//! clearing on a switch. Each entry is looked up by a digest of its key and
+//! compared in full, so a digest collision only costs a recomputation. The
+//! memo stores only finished results: every interface check runs on every
+//! call, and a verdict never depends on what the memo holds.
 //!
 //! # Shape order
 //!
@@ -44,11 +55,13 @@
 //! the shape alone, so the expensive part of a merge — the union's
 //! product of states and the glues and forgets after it — runs once per
 //! thread and shape whatever the ids are; only the permutations, a few
-//! swaps each, are paid per ordering. On a total table a permutation is a
-//! row walk: [`FrozenAlgebra::swap`] reads each swap from the transition
-//! rows the freeze recorded, so it never rebuilds a state. The algebra
-//! operations commute with renaming slots, so the result is the class the
-//! id-order program gives.
+//! swaps each, are paid per ordering. The permutations are not memoized:
+//! on a total table each swap is a row walk, since
+//! [`FrozenAlgebra::swap`] reads it from the transition rows the freeze
+//! recorded, so a permutation costs a few table reads and never rebuilds a
+//! state (a sealed table has no rows and swaps through the algebra). The
+//! algebra operations commute with renaming slots, so the result is the
+//! class the id-order program gives.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -73,104 +86,158 @@ pub struct Summary {
     pub iface: IfaceLbl,
 }
 
-/// One slot-level algebra operation of a recipe.
-#[derive(Copy, Clone, Default, PartialEq, Eq, Hash)]
-enum Op {
-    #[default]
-    AddVertex,
-    AddEdge(u8, u8, bool),
-    Glue(u8, u8),
-    Forget(u8),
-    Swap(u8, u8),
+/// The slot-level algebra operations of a recipe, by code. A [`Program`]
+/// holds each operation as one key word ([`op`]).
+const VERTEX: u64 = 0;
+const EDGE: u64 = 1;
+const MARKED_EDGE: u64 = 2;
+const GLUE: u64 = 3;
+const FORGET: u64 = 4;
+const SWAP: u64 = 5;
+
+/// The key word of operation `code` on the slots `a` and `b`: the code in
+/// the low byte, then the operands. Op words stay below 2^24, so none
+/// equals a claim's first word.
+fn op(code: u64, a: u8, b: u8) -> u64 {
+    code | u64::from(a) << 8 | u64::from(b) << 16
 }
 
-/// A slot index as an [`Op`] operand. Indexes stay below 256: an
+/// The key word of an edge between the slots `a` and `b`.
+fn edge(a: u8, b: u8, marked: bool) -> u64 {
+    op(if marked { MARKED_EDGE } else { EDGE }, a, b)
+}
+
+/// A slot index as an [`op`] operand. Indexes stay below 256: an
 /// interface has at most 128 distinct ids (64 lanes, two terminals each)
 /// and a recipe unites at most two interfaces.
 fn slot(x: usize) -> Result<u8, String> {
     u8::try_from(x).map_err(|_| "summary recipe past 256 slots".to_string())
 }
 
-/// The input classes of a memoized program: none (base nodes, which
-/// start from the empty class), one (a slot permutation), or two (a
-/// merge, which starts from their disjoint union).
+/// The input classes of a program: none (base nodes, which start from the
+/// empty class), one (a slot permutation), or two (a merge, which starts
+/// from their disjoint union).
 type Inputs<'a> = [Option<&'a Class>; 2];
 
-/// The algebra operations of one recipe, in order, applied to its
-/// [`Inputs`].
-#[derive(Default, Hash)]
-struct Program(InlineVec<Op, 24>);
+/// The algebra operations of one recipe, in order, as their key words,
+/// applied to its [`Inputs`]. A memo lookup reads the words as they are.
+#[derive(Default)]
+struct Program(InlineVec<u64, 24>);
 
 impl Program {
-    fn push(&mut self, op: Op) {
-        self.0.push(op);
-    }
-
     fn run(&self, alg: &FrozenAlgebra, inputs: Inputs<'_>) -> Class {
         let mut s = match inputs {
             [Some(a), Some(b)] => alg.union(a.clone(), b.clone()),
             [Some(a), None] => a.clone(),
             _ => alg.empty(),
         };
-        for &op in self.0.iter() {
-            s = match op {
-                Op::AddVertex => alg.add_vertex(s),
-                Op::AddEdge(a, b, marked) => alg.add_edge(s, a.into(), b.into(), marked),
-                Op::Glue(a, b) => alg.glue(s, a.into(), b.into()),
-                Op::Forget(a) => alg.forget(s, a.into()),
-                Op::Swap(a, b) => alg.swap(s, a.into(), b.into()),
+        for &w in self.0.iter() {
+            let (a, b) = (usize::from((w >> 8) as u8), usize::from((w >> 16) as u8));
+            s = match w & 0xff {
+                VERTEX => alg.add_vertex(s),
+                GLUE => alg.glue(s, a, b),
+                FORGET => alg.forget(s, a),
+                SWAP => alg.swap(s, a, b),
+                code => alg.add_edge(s, a, b, code == MARKED_EDGE),
             };
         }
         s
     }
 }
 
-/// One memoized program run: its key, then its result. The program is
-/// stored at its exact length, since thousands of entries per thread are
-/// common.
-struct Entry {
+/// A memo key (see the module docs). The words are stored at their exact
+/// length, since thousands of entries per thread are common.
+struct Key {
     fingerprint: u64,
-    inputs: [Option<Class>; 2],
-    program: Box<[Op]>,
-    out: Class,
+    classes: [Option<Class>; 2],
+    words: Box<[u64]>,
 }
 
-/// The per-thread transition memo (see the module docs). Entries are
-/// indexed by the key's [`FxHasher`] digest and compared in full, so a
-/// digest collision only costs a recomputation.
+/// A key that missed the memo, with the digest it is stored under, for
+/// [`store`].
+pub(super) struct Miss {
+    digest: u64,
+    key: Key,
+}
+
+/// The per-thread memo (see the module docs): each key with its result,
+/// a reused buffer for claim keys, and the hits and misses since the last
+/// [`flush_memo_counters`], by [`Count`], misses first.
 #[derive(Default)]
 struct Memo {
-    entries: HashMap<u64, Entry, FxBuildHasher>,
-    hits: u64,
-    misses: u64,
-    merges: u64,
+    entries: HashMap<u64, (Key, Class), FxBuildHasher>,
+    scratch: KeyScratch,
+    counts: [[u64; 2]; 3],
 }
 
 /// Entry cap per thread; reaching it clears the memo (a perf event only —
 /// results never depend on the memo's contents).
-const MEMO_CAP: usize = 1 << 14;
+const MEMO_CAP: usize = 1 << 15;
 
 thread_local! {
-    // The verifier's own memo is borrowed while it calls the recipes, so
-    // this one lives in a separate thread-local.
-    static TRANSITIONS: RefCell<Memo> = RefCell::new(Memo::default());
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
 }
 
-/// Which memo counter a lookup feeds.
-#[derive(Copy, Clone, PartialEq, Eq)]
+/// Which memo counters a lookup feeds.
+#[derive(Copy, Clone)]
 enum Count {
-    /// A recipe call: a hit or a miss.
+    /// A recipe call.
     Recipe,
-    /// A shape-order merge: counted when it runs.
+    /// A shape-order merge: only its misses, the merges run, are reported.
     Merge,
-    /// A slot permutation: not counted.
-    Quiet,
+    /// A verifier claim.
+    Claim,
 }
 
-/// Looks `(inputs, program)` up in the transition memo and on a miss
-/// computes it with `run`. The result is the canonical table's copy of
-/// the class when it has one, so later comparisons against it are pointer
-/// comparisons.
+/// Looks `(fingerprint, classes, words)` up, comparing the key in full,
+/// so a digest collision only costs a recomputation.
+fn lookup(
+    fingerprint: u64,
+    classes: Inputs<'_>,
+    words: &[u64],
+    count: Count,
+) -> Result<Class, Miss> {
+    let mut h = FxHasher::default();
+    (fingerprint, classes, words).hash(&mut h);
+    let digest = h.finish();
+    let hit = MEMO.with(|m| {
+        let mut m = m.try_borrow_mut().ok()?;
+        let out = (m.entries.get(&digest))
+            .filter(|(k, _)| {
+                k.fingerprint == fingerprint
+                    && *k.words == *words
+                    && k.classes[0].as_ref() == classes[0]
+                    && k.classes[1].as_ref() == classes[1]
+            })
+            .map(|(_, out)| out.clone());
+        m.counts[count as usize][usize::from(out.is_some())] += 1;
+        out
+    });
+    hit.ok_or_else(|| Miss {
+        digest,
+        key: Key {
+            fingerprint,
+            classes: classes.map(|c| c.cloned()),
+            words: words.into(),
+        },
+    })
+}
+
+/// Stores the finished result of a key that missed.
+pub(super) fn store(miss: Miss, out: &Class) {
+    MEMO.with(|m| {
+        if let Ok(mut m) = m.try_borrow_mut() {
+            if m.entries.len() >= MEMO_CAP {
+                m.entries.clear();
+            }
+            m.entries.insert(miss.digest, (miss.key, out.clone()));
+        }
+    });
+}
+
+/// Runs `program` on `inputs` through the memo, with `run` on a miss. The
+/// result is the canonical table's copy of the class when it has one, so
+/// later comparisons against it are pointer comparisons.
 fn memoized(
     alg: &FrozenAlgebra,
     inputs: Inputs<'_>,
@@ -178,82 +245,101 @@ fn memoized(
     count: Count,
     run: impl FnOnce() -> Class,
 ) -> Class {
-    let fingerprint = alg.fingerprint();
-    let key = key_of(fingerprint, inputs, program);
-    let hit = TRANSITIONS.with(|m| {
-        let mut m = m.try_borrow_mut().ok()?;
-        let out = m
-            .entries
-            .get(&key)
-            .filter(|e| {
-                e.fingerprint == fingerprint
-                    && *e.program == *program.0
-                    && e.inputs[0].as_ref() == inputs[0]
-                    && e.inputs[1].as_ref() == inputs[1]
-            })
-            .map(|e| e.out.clone());
-        match (count, out.is_some()) {
-            (Count::Recipe, true) => m.hits += 1,
-            (Count::Recipe, false) => m.misses += 1,
-            (Count::Merge, false) => m.merges += 1,
-            _ => {}
-        }
-        out
-    });
-    if let Some(out) = hit {
-        return out;
-    }
+    let miss = match lookup(alg.fingerprint(), inputs, &program.0, count) {
+        Ok(out) => return out,
+        Err(miss) => miss,
+    };
     let out = run();
     let out = alg
         .id_of(&out)
         .and_then(|id| alg.class_of(id))
         .unwrap_or(out);
-    store(key, fingerprint, inputs, program, &out);
+    store(miss, &out);
     out
 }
 
-/// The memo key digest of `(fingerprint, inputs, program)`.
-fn key_of(fingerprint: u64, inputs: Inputs<'_>, program: &Program) -> u64 {
-    let mut h = FxHasher::default();
-    fingerprint.hash(&mut h);
-    inputs.hash(&mut h);
-    program.hash(&mut h);
-    h.finish()
-}
-
-/// Stores a finished result under its key.
-fn store(key: u64, fingerprint: u64, inputs: Inputs<'_>, program: &Program, out: &Class) {
-    TRANSITIONS.with(|m| {
-        if let Ok(mut m) = m.try_borrow_mut() {
-            if m.entries.len() >= MEMO_CAP {
-                m.entries.clear();
-            }
-            m.entries.insert(
-                key,
-                Entry {
-                    fingerprint,
-                    inputs: inputs.map(|c| c.cloned()),
-                    program: program.0.as_slice().into(),
-                    out: out.clone(),
-                },
-            );
-        }
-    });
-}
-
-/// Runs `program` on `inputs` through the transition memo.
+/// Runs `program` on `inputs` through the memo.
 fn apply(alg: &FrozenAlgebra, inputs: Inputs<'_>, program: &Program, count: Count) -> Class {
     memoized(alg, inputs, program, count, || program.run(alg, inputs))
 }
 
+/// Reused buffers for building a claim's key: its words, and each
+/// terminal's id packed with the index of the word that takes its rank.
+#[derive(Default)]
+pub(super) struct KeyScratch {
+    pub(super) words: Vec<u64>,
+    at: Vec<u128>,
+}
+
+impl KeyScratch {
+    /// Appends the shapes of `ifaces`: per interface its lane mask and
+    /// side lengths, then per terminal (in-terminals, then out-terminals)
+    /// its lane and the rank of its id among the distinct ids of all of
+    /// `ifaces`.
+    pub(super) fn shapes<'a>(&mut self, ifaces: impl Iterator<Item = &'a IfaceLbl>) {
+        self.at.clear();
+        for iface in ifaces {
+            self.words.push(iface.lanes.0);
+            self.words
+                .push((iface.tin.len() as u64) << 32 | iface.tout.len() as u64);
+            for &(lane, id) in iface.tin.iter().chain(iface.tout.iter()) {
+                // Sorting these sorts the terminals by id.
+                self.at
+                    .push(u128::from(id) << 32 | self.words.len() as u128);
+                self.words.push(u64::from(lane) << 32);
+            }
+        }
+        self.at.sort_unstable();
+        let (mut rank, mut prev) = (0, None);
+        for &x in &self.at {
+            let id = x >> 32;
+            if prev.is_some_and(|p| p != id) {
+                rank += 1;
+            }
+            prev = Some(id);
+            if let Some(w) = self.words.get_mut(x as u32 as usize) {
+                *w |= rank;
+            }
+        }
+    }
+}
+
+/// Looks up a verifier claim: `own`, a fold's own class (`None` for a
+/// bridge), and the words `build` writes after the claim's kind and lane
+/// bound.
+pub(super) fn claim(
+    alg: &FrozenAlgebra,
+    max_lanes: usize,
+    own: Option<&Class>,
+    build: impl FnOnce(&mut KeyScratch),
+) -> Result<Class, Miss> {
+    let take = |m: &RefCell<Memo>| {
+        m.try_borrow_mut()
+            .map(|mut m| std::mem::take(&mut m.scratch))
+    };
+    let mut k = MEMO.with(take).unwrap_or_default();
+    k.words.clear();
+    // The top bit keeps a claim apart from every program.
+    k.words
+        .push(1 << 63 | u64::from(own.is_some()) << 62 | max_lanes as u64);
+    build(&mut k);
+    let out = lookup(alg.fingerprint(), [own, None], &k.words, Count::Claim);
+    MEMO.with(|m| {
+        if let Ok(mut m) = m.try_borrow_mut() {
+            m.scratch = k;
+        }
+    });
+    out
+}
+
 /// Adds this thread's memo hits, misses and shape-order merges since the
 /// last call to the obs counters ([`names::TRANSITION_MEMO_HITS`],
-/// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]),
-/// together with the frozen table's row swaps
-/// ([`lanecert_algebra::flush_row_counters`]), the compiled automaton's
-/// memo hits and misses ([`names::COMPILED_MEMO_HITS`],
-/// [`names::COMPILED_MEMO_MISSES`]) and the verifier memo's
-/// ([`names::VERIFIER_MEMO_HITS`], [`names::VERIFIER_MEMO_MISSES`]).
+/// [`names::TRANSITION_MEMO_MISSES`], [`names::TRANSITION_MEMO_MERGES`]
+/// for recipes, [`names::VERIFIER_MEMO_HITS`] and
+/// [`names::VERIFIER_MEMO_MISSES`] for claims), together with the frozen
+/// table's row swaps ([`lanecert_algebra::flush_row_counters`]) and the
+/// compiled automaton's memo hits and misses
+/// ([`names::COMPILED_MEMO_HITS`], [`names::COMPILED_MEMO_MISSES`]).
 /// Called once at the end of each prove and each verify call.
 pub(crate) fn flush_memo_counters() {
     if !lanecert_obs::COMPILED {
@@ -265,22 +351,15 @@ pub(crate) fn flush_memo_counters() {
         counter_add(names::COMPILED_MEMO_HITS, hits);
         counter_add(names::COMPILED_MEMO_MISSES, misses);
     }
-    let (hits, misses) = super::verifier::take_memo_counts();
-    if hits + misses > 0 {
-        counter_add(names::VERIFIER_MEMO_HITS, hits);
-        counter_add(names::VERIFIER_MEMO_MISSES, misses);
-    }
-    let (hits, misses, merges) = TRANSITIONS.with(|m| {
+    let counts = MEMO.with(|m| {
         m.try_borrow_mut()
-            .map(|mut m| {
-                (
-                    std::mem::take(&mut m.hits),
-                    std::mem::take(&mut m.misses),
-                    std::mem::take(&mut m.merges),
-                )
-            })
-            .unwrap_or((0, 0, 0))
+            .map(|mut m| std::mem::take(&mut m.counts))
     });
+    let [[misses, hits], [merges, _], [claim_misses, claim_hits]] = counts.unwrap_or_default();
+    if claim_hits + claim_misses > 0 {
+        counter_add(names::VERIFIER_MEMO_HITS, claim_hits);
+        counter_add(names::VERIFIER_MEMO_MISSES, claim_misses);
+    }
     if hits + misses > 0 {
         counter_add(names::TRANSITION_MEMO_HITS, hits);
         counter_add(names::TRANSITION_MEMO_MISSES, misses);
@@ -380,50 +459,27 @@ fn sort_slots(
         }
         if min != i {
             slots.swap(i, min);
-            program.push(Op::Swap(slot(i)?, slot(min)?));
+            program.0.push(op(SWAP, slot(i)?, slot(min)?));
         }
     }
     Ok(())
 }
 
 /// `class`, whose slots hold the ids `from` in that order, with its slots
-/// rearranged into the order `to` (the same ids), through the memo. Also
-/// stores the way back, so that a merge taking the result in shape order
-/// (or a summary built in shape order, back in id order) finds it.
+/// rearranged into the order `to` (the same ids). Not memoized: each swap
+/// reads the frozen table's transition rows (see the module docs).
 fn permute(alg: &FrozenAlgebra, class: &Class, from: &[u64], to: &[u64]) -> Result<Class, String> {
     let mut program = Program::default();
     sort_slots(&mut program, &mut SlotIds::from(from), |id| rank(to, id))?;
-    if program.0.is_empty() {
-        return Ok(class.clone());
-    }
-    let out = apply(alg, [Some(class), None], &program, Count::Quiet);
-    let mut back = Program::default();
-    sort_slots(&mut back, &mut SlotIds::from(to), |id| rank(from, id))?;
-    let fingerprint = alg.fingerprint();
-    let inputs = [Some(&out), None];
-    store(
-        key_of(fingerprint, inputs, &back),
-        fingerprint,
-        inputs,
-        &back,
-        class,
-    );
-    Ok(out)
+    Ok(program.run(alg, [Some(class), None]))
 }
 
-/// Runs a base recipe through the memo. `core` builds the node with its
-/// slots holding the ids `shape` in that order (the node's shape order);
-/// the memo key is the recipe in id order, `core` followed by the swaps
-/// that sort the slots by id. On a miss the node is built in shape order
-/// and permuted, which stores the way back for the merges that take it.
-fn base(alg: &FrozenAlgebra, core: &Program, shape: &[u64]) -> Result<Class, String> {
-    let mut ids = SlotIds::from(shape);
-    let mut program = Program(core.0.clone());
-    sort_slots(&mut program, &mut ids, |id| id)?;
-    Ok(memoized(alg, [None, None], &program, Count::Recipe, || {
-        let built = apply(alg, [None, None], core, Count::Quiet);
-        permute(alg, &built, shape, &ids).unwrap_or_else(|_| program.run(alg, [None, None]))
-    }))
+/// Runs a base recipe through the memo. `program` builds the node with
+/// its slots holding the ids `shape` in that order; the swaps that sort
+/// the slots by id complete the recipe in id order, one memo entry.
+fn base(alg: &FrozenAlgebra, mut program: Program, shape: &[u64]) -> Result<Class, String> {
+    sort_slots(&mut program, &mut SlotIds::from(shape), |id| id)?;
+    Ok(apply(alg, [None, None], &program, Count::Recipe))
 }
 
 /// Runs a merge recipe on the classes of `a` and `b` through the memo.
@@ -464,7 +520,7 @@ pub fn base_v(alg: &FrozenAlgebra, lane: Lane, id: u64) -> Summary {
         class: apply(
             alg,
             [None, None],
-            &Program([Op::AddVertex].into()),
+            &Program([op(VERTEX, 0, 0)].into()),
             Count::Recipe,
         ),
         iface: one_lane(lane, id, id),
@@ -485,9 +541,9 @@ pub fn base_e(
     if lane >= 64 {
         return Err("E-node lane out of range".into());
     }
-    let core = Program([Op::AddVertex, Op::AddVertex, Op::AddEdge(0, 1, marked)].into());
+    let core = Program([op(VERTEX, 0, 0), op(VERTEX, 0, 0), edge(0, 1, marked)].into());
     Ok(Summary {
-        class: base(alg, &core, &[tin, tout])?,
+        class: base(alg, core, &[tin, tout])?,
         iface: one_lane(lane, tin, tout),
     })
 }
@@ -510,12 +566,12 @@ pub fn base_p(alg: &FrozenAlgebra, ids: &[u64], marks: &[bool]) -> Result<Summar
     }
     let mut core = Program::default();
     for _ in ids {
-        core.push(Op::AddVertex);
+        core.0.push(op(VERTEX, 0, 0));
     }
     for (pos, &m) in marks.iter().enumerate() {
-        core.push(Op::AddEdge(slot(pos)?, slot(pos + 1)?, m));
+        core.0.push(edge(slot(pos)?, slot(pos + 1)?, m));
     }
-    let class = base(alg, &core, ids)?;
+    let class = base(alg, core, ids)?;
     let path: Terminals = ids
         .iter()
         .enumerate()
@@ -579,7 +635,7 @@ fn bridge_program(
         .iter()
         .position(|&x| x == v)
         .ok_or("Bridge-merge: right bridge slot missing")?;
-    let mut program = Program([Op::AddEdge(slot(pa)?, slot(pb)?, marked)].into());
+    let mut program = Program([edge(slot(pa)?, slot(pb)?, marked)].into());
     sort_slots(&mut program, &mut slots, |id| rank(out, id))?;
     Ok(program)
 }
@@ -643,13 +699,13 @@ fn parent_program(
             .position(|&(id, c)| id == x && !c)
             .ok_or("Parent-merge: parent junction slot missing")?;
         let (keep, drop) = if pa < pb { (pa, pb) } else { (pb, pa) };
-        program.push(Op::Glue(slot(keep)?, slot(drop)?));
+        program.0.push(op(GLUE, slot(keep)?, slot(drop)?));
         slots.remove(drop);
     }
     // Retire slots that are no longer terminals (descending index).
     for idx in (0..slots.len()).rev() {
         if !out.contains(&slots[idx].0) {
-            program.push(Op::Forget(slot(idx)?));
+            program.0.push(op(FORGET, slot(idx)?, 0));
             slots.remove(idx);
         }
     }
@@ -729,11 +785,11 @@ mod tests {
     }
 
     fn clear_memo() {
-        TRANSITIONS.with(|m| *m.borrow_mut() = Memo::default());
+        MEMO.with(|m| *m.borrow_mut() = Memo::default());
     }
 
     fn merges_run() -> u64 {
-        TRANSITIONS.with(|m| m.borrow().merges)
+        MEMO.with(|m| m.borrow().counts[Count::Merge as usize][0])
     }
 
     /// The id-order program of `f_B`/`f_P`, run directly: what a merge
@@ -869,5 +925,25 @@ mod tests {
             first,
             "a reordering of the ids ran a merge again"
         );
+    }
+
+    #[test]
+    fn the_memo_stores_recipes_and_merges_but_no_permutations() {
+        let alg = frozen(Connected);
+        for ids in id_orders(8) {
+            clear_memo();
+            fragment(&alg, ids);
+            MEMO.with(|m| {
+                let m = m.borrow();
+                let [[misses, _], [merges, _], _] = m.counts;
+                assert!(merges > 0, "{ids:?}");
+                assert_eq!(m.entries.len() as u64, misses + merges, "{ids:?}");
+                // A permutation would be an entry with one input class.
+                assert!(m
+                    .entries
+                    .values()
+                    .all(|(key, _)| key.classes[0].is_some() == key.classes[1].is_some()));
+            });
+        }
     }
 }

@@ -15,45 +15,23 @@
 //!
 //! The vertices of one hierarchy member all recompute the same member
 //! fold (`f_P` over its children) and, for a `B`-node, the same bridge
-//! (`f_B`). A per-thread memo stores the class each of them computes,
-//! keyed without any identifier:
-//!
-//! - a **fold** by the member's own class (by value, so classes a sealed
-//!   table has not interned are covered too), each child's wire class id,
-//!   and the *shape* of the own and every child interface;
-//! - a **bridge** by its lanes `i`/`j`, its two V-flags and its mark, both
-//!   sides' wire class ids, and both sides' shapes, ranked together.
-//!
-//! A shape is an interface's lane mask and side lengths, then per
-//! terminal its lane and the rank of its id among the distinct ids of
-//! all the interfaces in the key. Ranks suffice: a class keeps its slots
-//! in ascending id order, and every algebra operation commutes with
-//! renaming slots, so an order-preserving renaming of the ids leaves
-//! every class, every recipe program and so the result unchanged. Every
-//! check of [`fold_children`] and [`bridge_summary`] likewise reads only
-//! lanes, classes and which ids are equal. Two claims with one key
-//! therefore pass or fail those checks alike and give one class, so a hit
-//! skips the checks and rebuilds the output interface from the claims:
-//! the own interface with each child's out-terminals on that child's
-//! lanes, or both sides merged by lane. Only successful computations are
-//! stored, and the checks that read ids themselves — node ids, pointers,
-//! endpoints, junctions present at this vertex — run on every call in
-//! `check_tnode` and `check_bnode`.
-//!
-//! Entries are scoped to one `(algebra fingerprint, lane bound)` pair and
-//! cleared on a switch or at a cap; each is looked up by a digest of its
-//! key and compared in full, so neither a collision nor the memo's
-//! contents can change a verdict. The algebra work underneath is memoized
-//! once more, per recipe, in [`summary`]'s transition memo.
+//! (`f_B`). Each is a *claim* in [`summary`]'s per-thread memo, keyed by
+//! classes and interface shape, never by ids ([`fold_words`],
+//! [`bridge_words`]). Ranks of ids suffice: a class keeps its slots in
+//! ascending id order, and every algebra operation commutes with renaming
+//! slots, so an order-preserving renaming of the ids leaves every class
+//! and so the result unchanged. Every check of [`fold_children`] and
+//! [`bridge_summary`] likewise reads only lanes, classes and which ids are
+//! equal, so a hit skips those checks and rebuilds the output interface
+//! from the claims. Only successful computations are stored, and the
+//! checks that read ids themselves — node ids, pointers, endpoints,
+//! junctions present at this vertex — run on every call in `check_tnode`
+//! and `check_bnode`.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-
-use lanecert_algebra::{Class, FrozenAlgebra, FxBuildHasher, FxHasher, StateId};
+use lanecert_algebra::{FrozenAlgebra, StateId};
 
 use super::labels::*;
-use super::summary::{self, Summary};
+use super::summary::{self, KeyScratch, Summary};
 use crate::inline::{InlineVec, ScratchBuf};
 use crate::pointer;
 use crate::scheme::{Verdict, VertexView};
@@ -73,164 +51,27 @@ type VResult<T> = Result<T, String>;
 /// keeps the verify path near the decode-side allocation floor.
 type CertList<'a> = ScratchBuf<&'a EdgeCertLbl, 8>;
 
-/// A fold or bridge key: its digest, the member's own class (folds
-/// only) and the key words.
-struct Key {
-    digest: u64,
-    own: Option<Class>,
-    words: Box<[u64]>,
+/// Writes a member fold's claim words: its children's wire class ids,
+/// then the shapes of its own and its children's interfaces.
+fn fold_words(k: &mut KeyScratch, own: &IfaceLbl, children: &[BasicInfoLbl]) {
+    k.words.push(children.len() as u64);
+    k.words.extend(children.iter().map(|c| u64::from(c.class)));
+    k.shapes(std::iter::once(own).chain(children.iter().map(|c| &c.iface)));
 }
 
-/// Reused buffers for building one key: its words (class ids, flags and
-/// interface shapes; see the module docs), and each terminal's id packed
-/// with the index of the word that takes its rank.
-#[derive(Default)]
-struct KeyScratch {
-    words: Vec<u64>,
-    at: Vec<u128>,
-}
-
-impl KeyScratch {
-    /// The words of a member's fold: its children's wire class ids, then
-    /// the shapes of its own and its children's interfaces.
-    fn fold(&mut self, own: &IfaceLbl, children: &[BasicInfoLbl]) {
-        self.words.push(children.len() as u64);
-        self.words
-            .extend(children.iter().map(|c| u64::from(c.class)));
-        self.shapes(std::iter::once(own).chain(children.iter().map(|c| &c.iface)));
-    }
-
-    /// The words of a B-node's bridge: the bridge lanes, V-flags and mark,
-    /// both sides' wire class ids, then both sides' shapes.
-    fn bridge(&mut self, f: &BFrameLbl) {
-        self.words.push(
-            u64::from(f.i)
-                | u64::from(f.j) << 8
-                | u64::from(f.left_is_v) << 16
-                | u64::from(f.right_is_v) << 17
-                | u64::from(f.bridge_marked) << 18,
-        );
-        self.words.push(u64::from(f.left.class));
-        self.words.push(u64::from(f.right.class));
-        self.shapes([&f.left.iface, &f.right.iface].into_iter());
-    }
-
-    /// Appends the shapes of `ifaces`: per interface its lane mask and
-    /// side lengths, then per terminal (in-terminals, then out-terminals)
-    /// its lane and the rank of its id among the distinct ids of all of
-    /// `ifaces`.
-    fn shapes<'a>(&mut self, ifaces: impl Iterator<Item = &'a IfaceLbl>) {
-        self.at.clear();
-        for iface in ifaces {
-            self.words.push(iface.lanes.0);
-            self.words
-                .push((iface.tin.len() as u64) << 32 | iface.tout.len() as u64);
-            for &(lane, id) in iface.tin.iter().chain(iface.tout.iter()) {
-                // Sorting these sorts the terminals by id.
-                self.at
-                    .push(u128::from(id) << 32 | self.words.len() as u128);
-                self.words.push(u64::from(lane) << 32);
-            }
-        }
-        self.at.sort_unstable();
-        let (mut rank, mut prev) = (0, None);
-        for &x in &self.at {
-            let id = x >> 32;
-            if prev.is_some_and(|p| p != id) {
-                rank += 1;
-            }
-            prev = Some(id);
-            if let Some(w) = self.words.get_mut(x as u32 as usize) {
-                *w |= rank;
-            }
-        }
-    }
-}
-
-/// The per-thread verifier memo (see the module docs): each key and the
-/// class it computed, one per key digest, compared in full on lookup, so
-/// a digest collision only costs a recomputation.
-#[derive(Default)]
-struct Memo {
-    fp: u64,
-    max_lanes: usize,
-    entries: HashMap<u64, (Key, Class), FxBuildHasher>,
-    scratch: KeyScratch,
-    hits: u64,
-    misses: u64,
-}
-
-/// Entry cap per thread; reaching it clears the memo (a perf event only —
-/// verdicts never depend on cache state).
-const MEMO_CAP: usize = 1 << 15;
-
-thread_local! {
-    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
-}
-
-impl Memo {
-    /// Rebinds the memo to the context's algebra/lane bound, clearing any
-    /// entries from a different one, and clears on overflow.
-    fn sync(&mut self, ctx: &Ctx<'_>) {
-        let fp = ctx.alg.fingerprint();
-        if self.fp != fp || self.max_lanes != ctx.max_lanes || self.entries.len() >= MEMO_CAP {
-            self.entries.clear();
-            self.fp = fp;
-            self.max_lanes = ctx.max_lanes;
-        }
-    }
-}
-
-/// Looks up the key made of `own` and the words `build` writes, counting
-/// a hit or a miss. A miss returns the key, for [`store`].
-fn lookup(
-    ctx: &Ctx<'_>,
-    own: Option<&Class>,
-    build: impl FnOnce(&mut KeyScratch),
-) -> Result<Class, Key> {
-    MEMO.with(|m| {
-        let m = &mut *m.borrow_mut();
-        m.sync(ctx);
-        m.scratch.words.clear();
-        build(&mut m.scratch);
-        let words = &m.scratch.words;
-        let mut h = FxHasher::default();
-        own.hash(&mut h);
-        words.hash(&mut h);
-        let digest = h.finish();
-        let hit = m
-            .entries
-            .get(&digest)
-            .filter(|(key, _)| key.own.as_ref() == own && *key.words == **words);
-        if let Some((_, out)) = hit {
-            m.hits += 1;
-            return Ok(out.clone());
-        }
-        m.misses += 1;
-        Err(Key {
-            digest,
-            own: own.cloned(),
-            words: words.as_slice().into(),
-        })
-    })
-}
-
-/// Stores the class a successful fold or bridge computed under its key.
-fn store(ctx: &Ctx<'_>, key: Key, out: &Class) {
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        m.sync(ctx);
-        m.entries.insert(key.digest, (key, out.clone()));
-    });
-}
-
-/// This thread's verifier-memo hits and misses since the last call,
-/// for [`summary::flush_memo_counters`].
-pub(super) fn take_memo_counts() -> (u64, u64) {
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        (std::mem::take(&mut m.hits), std::mem::take(&mut m.misses))
-    })
+/// Writes a B-node bridge's claim words: the bridge lanes, V-flags and
+/// mark, both sides' wire class ids, then both sides' shapes.
+fn bridge_words(k: &mut KeyScratch, f: &BFrameLbl) {
+    k.words.push(
+        u64::from(f.i)
+            | u64::from(f.j) << 8
+            | u64::from(f.left_is_v) << 16
+            | u64::from(f.right_is_v) << 17
+            | u64::from(f.bridge_marked) << 18,
+    );
+    k.words.push(u64::from(f.left.class));
+    k.words.push(u64::from(f.right.class));
+    k.shapes([&f.left.iface, &f.right.iface].into_iter());
 }
 
 /// Entry point: full per-vertex verification.
@@ -330,8 +171,10 @@ fn verify_inner(ctx: &Ctx<'_>, view: &VertexView<EdgeLabel>) -> VResult<()> {
 /// run lists its key's indexes in ascending order, so groups and their
 /// entries come out as a left-to-right scan of `keys` finds them, and
 /// which malformation is reported first does not change.
-fn group_by_key(keys: &[(u64, u64)]) -> (InlineVec<u32, 8>, InlineVec<(u32, u32), 8>) {
-    let mut sorted: InlineVec<((u64, u64), u32), 8> =
+fn group_by_key<K: Copy + Default + Ord>(
+    keys: &[K],
+) -> (InlineVec<u32, 8>, InlineVec<(u32, u32), 8>) {
+    let mut sorted: InlineVec<(K, u32), 8> =
         (keys.iter().copied()).zip(0..keys.len() as u32).collect();
     sorted.sort_unstable();
     let order: InlineVec<u32, 8> = sorted.iter().map(|&(_, x)| x).collect();
@@ -402,14 +245,14 @@ fn summary_matches_lbl(ctx: &Ctx<'_>, s: &Summary, claim: &BasicInfoLbl) -> bool
 /// disjointness and their junctions against the member's own summary, and
 /// recomputes the subtree fold `f_P` over them in lane-mask order.
 ///
-/// Every check here and the fold's class read only what the key of
-/// [`KeyScratch::fold`] holds, so the class is memoized per thread on
-/// that key (see the module docs); a hit rebuilds the output interface
-/// from the claims. Only successful folds are stored, so malformed
-/// children reject identically whether or not the memo is warm.
+/// Every check here and the fold's class read only what the claim of
+/// [`fold_words`] holds, so the class is memoized per thread on that
+/// claim (see the module docs); a hit rebuilds the output interface from
+/// the claims. Only successful folds are stored, so malformed children
+/// reject identically whether or not the memo is warm.
 fn fold_children(ctx: &Ctx<'_>, own: &Summary, frame: &TFrameLbl) -> VResult<Summary> {
-    let key = match lookup(ctx, Some(&own.class), |k| {
-        k.fold(&own.iface, &frame.children)
+    let miss = match summary::claim(ctx.alg, ctx.max_lanes, Some(&own.class), |k| {
+        fold_words(k, &own.iface, &frame.children)
     }) {
         Ok(class) => {
             let mut iface = own.iface.clone();
@@ -418,7 +261,7 @@ fn fold_children(ctx: &Ctx<'_>, own: &Summary, frame: &TFrameLbl) -> VResult<Sum
             }
             return Ok(Summary { class, iface });
         }
-        Err(key) => key,
+        Err(miss) => miss,
     };
     let mut kids: ScratchBuf<Summary, 8> = ScratchBuf::new();
     for entry in &frame.children {
@@ -456,19 +299,19 @@ fn fold_children(ctx: &Ctx<'_>, own: &Summary, frame: &TFrameLbl) -> VResult<Sum
         acc = summary::parent(ctx.alg, kid, &acc)?;
     }
     // lint: }
-    store(ctx, key, &acc.class);
+    summary::store(miss, &acc.class);
     Ok(acc)
 }
 
 /// The pure half of a B-node check: parses both side claims, validates the
 /// bridge lanes and V-node sides, and recomputes `f_B`. Returns the merged
 /// summary plus the two bridge endpoint ids. Memoized per thread on the
-/// key of [`KeyScratch::bridge`], in the same regime as
+/// claim of [`bridge_words`], in the same regime as
 /// [`fold_children`]; a hit merges both sides' interfaces by lane and
 /// reads the endpoints from the claims.
 fn bridge_summary(ctx: &Ctx<'_>, f0: &BFrameLbl) -> VResult<(Summary, u64, u64)> {
     let (i, j) = (f0.i as usize, f0.j as usize);
-    let key = match lookup(ctx, None, |k| k.bridge(f0)) {
+    let miss = match summary::claim(ctx.alg, ctx.max_lanes, None, |k| bridge_words(k, f0)) {
         Ok(class) => {
             let (left, right) = (&f0.left.iface, &f0.right.iface);
             let (Some(u), Some(w)) = (left.tout_at(i), right.tout_at(j)) else {
@@ -477,7 +320,7 @@ fn bridge_summary(ctx: &Ctx<'_>, f0: &BFrameLbl) -> VResult<(Summary, u64, u64)>
             let iface = summary::bridge_iface(left, right);
             return Ok((Summary { class, iface }, u, w));
         }
-        Err(key) => key,
+        Err(miss) => miss,
     };
     let left = parse_info(ctx, &f0.left)?;
     let right = parse_info(ctx, &f0.right)?;
@@ -506,7 +349,7 @@ fn bridge_summary(ctx: &Ctx<'_>, f0: &BFrameLbl) -> VResult<(Summary, u64, u64)>
         return Err("bridge lane without an out-terminal".into());
     };
     let s = summary::bridge(ctx.alg, &left, &right, i, j, f0.bridge_marked)?;
-    store(ctx, key, &s.class);
+    summary::store(miss, &s.class);
     Ok((s, u, w))
 }
 
@@ -548,24 +391,20 @@ fn check_tnode(
     });
     pointer::check_distances(distances, ctx.my_id == root_vertex)?;
 
-    // Distinct members in first-appearance order (few members per vertex,
-    // so the rescans below stay cheap and allocation-free).
-    let mut members: InlineVec<u32, 8> = InlineVec::new();
+    // The certificates of each member, members in first-appearance order.
+    let mut keys: InlineVec<u32, 8> = InlineVec::new();
     for &c in certs.iter() {
-        let m = tf_at(c, depth)?.member;
-        if !members.iter().any(|&x| x == m) {
-            members.push(m);
-        }
+        keys.push(tf_at(c, depth)?.member);
     }
+    let (order, groups) = group_by_key(&keys);
     let mut checked: ScratchBuf<(u32, MemberCheck<'_>), 8> = ScratchBuf::new();
-    for &member in members.iter() {
+    for &(start, end) in groups.iter() {
         let mut group: CertList<'_> = CertList::new();
-        for &c in certs.iter() {
-            if tf_at(c, depth)?.member == member {
-                group.push(c);
-            }
+        for &x in order.get(start as usize..end as usize).unwrap_or_default() {
+            group.push(*certs.get(x as usize).ok_or("certificate out of range")?);
         }
         let frame = tf_at(group.first().ok_or("empty member group")?, depth)?;
+        let member = frame.member;
         for &c in group.iter().skip(1) {
             let t = tf_at(c, depth)?;
             if t.subtree != frame.subtree
@@ -618,18 +457,32 @@ fn check_tnode(
     if ctx.my_id == root_vertex && roots == 0 {
         return Err("pointer root vertex is not in the root member".into());
     }
+    // R1 and R2 look members and listed children up by node id: each
+    // entry holds a node id and its place in `checked` (and, for a child,
+    // in its parent's list).
+    let mut members: InlineVec<(u32, u32), 8> = InlineVec::new();
+    let mut listed: InlineVec<(u32, u32, u32), 8> = InlineVec::new();
+    for (x, (member, mc)) in checked.iter().enumerate() {
+        members.push((*member, x as u32));
+        for (y, e) in mc.frame.children.iter().enumerate() {
+            listed.push((e.node, x as u32, y as u32));
+        }
+    }
+    members.sort_unstable();
+    listed.sort_unstable();
+    let child = |x: u32, y: u32| {
+        let (_, parent) = checked.get(x as usize)?;
+        parent.frame.children.get(y as usize)
+    };
     for &(member, ref mc) in checked.iter() {
         // R2: if I am a glue point (an in-terminal) of a non-root member,
         // my parent member must be present and list this member.
         let is_tin = mc.own.iface.tin.iter().any(|&(_, x)| x == ctx.my_id);
         if is_tin && !mc.frame.is_root_member {
-            let listed = checked.iter().any(|(_, p)| {
-                p.frame
-                    .children
-                    .iter()
-                    .any(|e| e.node == member && *e == mc.frame.subtree)
-            });
-            if !listed {
+            let from = listed.partition_point(|&(node, ..)| node < member);
+            let mut same = (listed.get(from..).unwrap_or_default().iter())
+                .take_while(|&&(node, ..)| node == member);
+            if !same.any(|&(_, x, y)| child(x, y) == Some(&mc.frame.subtree)) {
                 return Err("dangling member: no parent lists it here".into());
             }
         }
@@ -642,11 +495,10 @@ fn check_tnode(
                 .iter()
                 .any(|l| mc.own.iface.tout_at(l) == Some(ctx.my_id));
             if attaches_here {
-                let present = checked
-                    .iter()
-                    .find(|(m, _)| *m == entry.node)
-                    .map(|(_, c)| c.frame.subtree == *entry)
-                    .unwrap_or(false);
+                let present = (members.binary_search_by_key(&entry.node, |&(m, _)| m).ok())
+                    .and_then(|i| members.get(i))
+                    .and_then(|&(_, x)| checked.get(x as usize))
+                    .is_some_and(|(_, c)| c.frame.subtree == *entry);
                 if !present {
                     return Err("listed child member is absent at its junction".into());
                 }

@@ -89,8 +89,8 @@ pub mod names {
     /// order) the transition memo ran, each once per thread and shape.
     pub const TRANSITION_MEMO_MERGES: &str = "transition_memo_merges";
     /// Counter: Theorem 1 member folds (`f_P`) and bridges (`f_B`) the
-    /// verifier answered from its per-thread, id-free memo, flushed with
-    /// the transition-memo counters.
+    /// verifier answered as claims from the same per-thread, id-free
+    /// memo as the recipes, flushed with the transition-memo counters.
     pub const VERIFIER_MEMO_HITS: &str = "verifier_memo_hits";
     /// Counter: verifier folds and bridges the memo missed, so they were
     /// checked and computed.

@@ -4,9 +4,12 @@
 //! panics.
 
 use lanecert_suite::algebra::{props, Algebra};
-use lanecert_suite::graph::generators;
-use lanecert_suite::pathwidth::{solver, IntervalRep};
-use lanecert_suite::pls::attacks;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use lanecert_suite::graph::{generators, Graph, VertexId};
+use lanecert_suite::pathwidth::{solver, Interval, IntervalRep};
+use lanecert_suite::pls::attacks::{self, Corruption};
 use lanecert_suite::pls::theorem1::{PathwidthScheme, SchemeOptions};
 use lanecert_suite::{CertError, Configuration, ProverHint, Scheme};
 
@@ -113,4 +116,50 @@ fn splice_attack_threshold_tracks_log_n() {
     let t40 = (2..=9u8).find(|&b| attacks::splice_attack(40, b).is_none());
     let t200 = (2..=9u8).find(|&b| attacks::splice_attack(200, b).is_none());
     assert!(t40.unwrap() < t200.unwrap());
+}
+
+/// A double star with `m` leaves per hub under a width-3 hint that
+/// alternates the two hubs' leaves: every virtual completion edge of the
+/// default lane strategy then crosses the hub-hub edge, whose endpoints
+/// each see about `2m` incident certificates in as many members.
+fn double_star(m: usize) -> (Graph, IntervalRep) {
+    let mut g = Graph::new(2 + 2 * m);
+    let v = VertexId::new;
+    g.add_edge(v(0), v(1)).unwrap();
+    let mut intervals = vec![Interval::new(0, 2 * m as u32); 2];
+    for i in 0..m {
+        g.add_edge(v(0), v(2 + 2 * i)).unwrap();
+        g.add_edge(v(1), v(3 + 2 * i)).unwrap();
+        intervals.push(Interval::new(2 * i as u32, 2 * i as u32));
+        intervals.push(Interval::new(2 * i as u32 + 1, 2 * i as u32 + 1));
+    }
+    (g, IntervalRep::new(intervals))
+}
+
+#[test]
+fn congested_double_star_verifies_and_rejects_every_corruption() {
+    let (g, rep) = double_star(1024);
+    let cfg = Configuration::with_random_ids(g, 11);
+    let scheme = PathwidthScheme::new(
+        Algebra::shared(props::Connected),
+        SchemeOptions::exact_pathwidth(2),
+    );
+    let labels = scheme
+        .prove(&cfg, &ProverHint::with_representation(rep))
+        .unwrap();
+    assert!(scheme.run(&cfg, &labels).unwrap().accepted());
+    let kinds = [
+        Corruption::SwapLabels,
+        Corruption::CloneLabel,
+        Corruption::FlipMark,
+        Corruption::BumpClass,
+        Corruption::HugeClass,
+        Corruption::DropTransits,
+    ];
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let bad = attacks::corrupt(&labels, kind, &mut rng).unwrap();
+        let report = scheme.run(&cfg, &bad).unwrap();
+        assert!(!report.accepted(), "{kind:?} accepted");
+    }
 }

@@ -29,8 +29,8 @@
 //!    per-thread memo (`compiled_memo_hits`), and misses it
 //!    (`compiled_memo_misses`) at most a pinned number of times.
 //!
-//! 7. **The verifier's own memo is id-free.** It keys member folds and
-//!    bridges by classes and interface shape, so a labeling whose ids
+//! 7. **The verifier's claims are id-free.** The memo keys member folds
+//!    and bridges by classes and interface shape, so a labeling whose ids
 //!    were renamed in an order-preserving way (`x` to `2x + 1`) verifies
 //!    on a thread that verified the original without one verifier-memo
 //!    miss (`verifier_memo_misses`); every corruption and bit flip of it
@@ -38,6 +38,12 @@
 //!    fresh thread; and verifying the `prove-large` corpus at n = 2,048
 //!    from a fresh thread misses that memo at most a pinned number of
 //!    times.
+//! 8. **Lane bounds never share claims.** The verifier's folds and
+//!    bridges live in the same memo, keyed by the table fingerprint and
+//!    the lane bound. `connected` at lane bounds 2 and 3 freezes two
+//!    tables with distinct fingerprints, and alternating both schemes'
+//!    honest, corrupted and each other's labelings on one thread gives
+//!    the verdicts, reasons included, of fresh threads.
 //!
 //! Obs sessions are process-wide, so the tests take one lock and never
 //! overlap.
@@ -478,4 +484,91 @@ fn verifying_the_prove_large_corpus_misses_a_pinned_number_of_times() {
             "seed {seed}: {misses} verifier memo misses (pinned {PROVE_LARGE_2048_MISSES}; {hits} hits)"
         );
     }
+}
+
+#[test]
+fn alternating_lane_bounds_on_one_thread_match_fresh_threads() {
+    let _serial = serial();
+    let typed = [1, 2].map(|k| {
+        PathwidthScheme::new(
+            Algebra::shared(Connected),
+            SchemeOptions::exact_pathwidth(k),
+        )
+    });
+    assert_ne!(
+        typed[0].frozen_algebra().fingerprint(),
+        typed[1].frozen_algebra().fingerprint(),
+        "lane bounds 2 and 3 share a table"
+    );
+    let cfg = Configuration::with_random_ids(generators::caterpillar(8, 2), 5);
+    let hint = ProverHint::auto();
+    let honest: Vec<EncodedLabeling> = typed
+        .iter()
+        .map(|s| {
+            let s: &dyn DynScheme = s;
+            s.prove_encoded(&cfg, &hint).expect("connected certifies")
+        })
+        .collect();
+    // Per scheme: its honest labels, each corruption of them, and the
+    // other scheme's labels, all stamped with its own fingerprint.
+    let labelings: Vec<Vec<EncodedLabeling>> = (0..2)
+        .map(|x| {
+            let fp = DynScheme::fingerprint(&typed[x]);
+            let labels = typed[x].prove(&cfg, &hint).expect("connected certifies");
+            let mut out = vec![honest[x].clone()];
+            let kinds = [
+                Corruption::SwapLabels,
+                Corruption::CloneLabel,
+                Corruption::FlipMark,
+                Corruption::BumpClass,
+                Corruption::HugeClass,
+                Corruption::DropTransits,
+            ];
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(i as u64);
+                if let Some(bad) = attacks::corrupt(&labels, kind, &mut rng) {
+                    out.push(EncodedLabeling::encode(&bad).with_fingerprint(fp));
+                }
+            }
+            out.push(honest[1 - x].clone().with_fingerprint(fp));
+            out
+        })
+        .collect();
+    let verify = |x: usize, labels: &EncodedLabeling| {
+        let s: &dyn DynScheme = &typed[x];
+        s.verify_encoded(&cfg, labels)
+            .expect("label count")
+            .verdicts
+    };
+    let cold: Vec<Vec<Vec<Verdict>>> = (0..2)
+        .map(|x| {
+            (labelings[x].iter())
+                .map(|l| fresh(|| verify(x, l)))
+                .collect()
+        })
+        .collect();
+    assert!(cold
+        .iter()
+        .all(|c| c[0].iter().all(|v| *v == Verdict::Accept)));
+    assert!(
+        cold.iter()
+            .flatten()
+            .any(|c| c.iter().any(|v| *v != Verdict::Accept)),
+        "no labeling was rejected"
+    );
+    // Two rounds on one thread, so the second round runs fully warm.
+    fresh(|| {
+        for round in 0..2 {
+            for x in 0..2 {
+                for (i, labels) in labelings[x].iter().enumerate() {
+                    assert_eq!(
+                        verify(x, labels),
+                        cold[x][i],
+                        "lane bound {}, labeling {i}, round {round}",
+                        x + 2
+                    );
+                }
+            }
+        }
+    });
 }
