@@ -603,8 +603,9 @@ pub fn table_t9(ctx: &RunCtx) -> String {
 ///
 /// The corpus is sized for scheduling visibility, not speed: enough jobs
 /// and a low shard threshold so every worker proves, verifies shards,
-/// steals, and parks — the pool counters in the JSONL summary line are
-/// what CI asserts nonzero. With the `obs` feature off the recorder is
+/// runs shards another worker spawned (a steal), and parks. CI asserts
+/// the JSONL summary line's steals, parks and every worker's task count
+/// nonzero (`lanecert-trace/2`). With the `obs` feature off the recorder is
 /// compiled out; the files are still written (header + summary), and a
 /// warning goes to stderr.
 pub fn write_trace(path: &str, threads: usize) -> std::io::Result<()> {

@@ -7,7 +7,7 @@
 //! tail. This crate walks every `crates/**/*.rs` file with a hand-rolled
 //! lexer (no crates.io, so no `syn`) and enforces them mechanically; see
 //! [`rules`] for the rule table and suppression syntax, and the README's
-//! "Static analysis & model checking" section for usage.
+//! "Static analysis" section for usage.
 //!
 //! Run as `cargo run -p check -- lint`.
 

@@ -1,4 +1,4 @@
-//! The streaming certification pipeline on top of the work-stealing pool.
+//! The streaming certification pipeline on top of the engine's [`Pool`].
 //!
 //! [`Engine::run`] pulls [`BatchJob`]s from any job source (an iterator —
 //! e.g. [`CorpusSpec::jobs`](crate::CorpusSpec::jobs) — is one), keeps a
@@ -45,7 +45,7 @@ use lanecert::{
 };
 use lanecert_obs::{names, Clock, ObsReport, TraceConfig, TraceLog, TraceSession};
 
-use crate::pool::{Spawner, WorkStealingPool};
+use crate::pool::{Pool, Spawner};
 
 /// In-flight jobs per worker that [`Engine::run`]'s streaming window
 /// admits.
@@ -124,7 +124,7 @@ pub struct EngineReport {
     pub trace: Option<TraceLog>,
 }
 
-/// The parallel certification engine: a work-stealing pool plus one
+/// The parallel certification engine: a thread pool plus one
 /// certifier, streaming jobs through prove → encode → verify.
 ///
 /// ```
@@ -152,7 +152,7 @@ pub struct EngineReport {
 /// assert_eq!(report.throughput.jobs, spec.len());
 /// ```
 pub struct Engine {
-    pool: WorkStealingPool,
+    pool: Pool,
     certifier: Arc<Certifier>,
     shard_threshold: usize,
     /// Derived from `DynScheme::canonical_labels` at build time: `false`
@@ -664,7 +664,7 @@ impl EngineBuilder {
             .map(|t| t.clock.clone())
             .unwrap_or_default();
         Ok(Engine {
-            pool: WorkStealingPool::new(workers),
+            pool: Pool::new(workers),
             certifier: Arc::new(certifier),
             shard_threshold: self.shard_threshold,
             prove_on_pool,

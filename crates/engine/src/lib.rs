@@ -4,10 +4,10 @@
 //! vertex accepts or rejects from its local view alone. This crate turns
 //! that into throughput. It has three layers:
 //!
-//! * [`pool`] — a hand-rolled work-stealing executor on `std::thread`
-//!   (no crates.io in the build environment): per-worker chunked deques,
-//!   parker-based idle handling, and deterministic result ordering via
-//!   submission-indexed slots.
+//! * [`pool`] — a thread pool on `std::thread` (no crates.io in the
+//!   build environment): one shared task queue under one mutex, tasks
+//!   spawned by a worker run first, and each submission wakes the most
+//!   recently idle worker.
 //! * [`corpus`] — declarative streaming corpora: a [`CorpusSpec`]
 //!   (families × sizes × seeds over the `lanecert_graph` generators)
 //!   lazily streams [`BatchJob`](lanecert::BatchJob)s, attaching
@@ -50,10 +50,7 @@
 //! ```
 
 pub mod pool;
-pub use pool::{ChunkedDeque, Parker, Spawner, WorkStealingPool};
-
-#[cfg(loom)]
-pub mod loom_model;
+pub use pool::{Pool, Spawner};
 
 pub mod corpus;
 pub use corpus::{CorpusFamily, CorpusSpec, FormulaCorpus};

@@ -1,210 +1,51 @@
-//! A hand-rolled work-stealing thread pool on `std::thread`.
+//! A thread pool on `std::thread` with one shared task queue.
 //!
-//! The build environment has no crates.io access, so the executor itself
-//! is part of the subsystem: per-worker [`ChunkedDeque`]s (LIFO for the
-//! owner, FIFO for thieves), an external injector queue, and
-//! [`Parker`]-based idle handling (no spinning — an idle worker sleeps on
-//! its own condvar until a submission unparks it).
+//! Workers pop one `VecDeque` under one mutex. A task spawned by a worker
+//! goes to the front, so a continuation runs next while its inputs are
+//! hot; a task from any other thread goes to the back. A worker that
+//! finds the queue empty joins the idle stack and waits on its own
+//! condvar under that same lock, so no submission can be missed. Each
+//! submission wakes the most recently idle worker, whose caches and
+//! per-thread memos are the warmest (one condvar shared by all workers
+//! would wake the longest idle one instead).
 //!
-//! Scheduling is intentionally *non*-deterministic — whichever worker is
-//! free takes the next task. The certification pipeline
-//! ([`crate::Engine`]) keeps its output deterministic by writing each job
-//! and shard result into a submission-indexed slot.
-//!
-//! Tasks must not block on other pool tasks (a blocked worker is a lost
-//! execution slot, and every-worker-blocked is a deadlock). The engine
-//! obeys this by running its pipeline in continuation style: a job that
-//! fans out per-vertex shards never waits for them — the last shard to
-//! finish assembles the report.
+//! Scheduling is non-deterministic; [`crate::Engine`] keeps its output
+//! deterministic through submission-indexed result slots. Tasks must not
+//! block on other pool tasks (every worker blocked is a deadlock), so the
+//! engine runs in continuation style: a fan-out's last shard reports.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-/// Number of items per segment of a [`ChunkedDeque`].
-const SEGMENT_CAPACITY: usize = 32;
-
-/// A double-ended queue of fixed-capacity segments.
-///
-/// Pushing allocates at most one small segment; popping never shifts
-/// items. Compared to one flat growable ring this keeps each allocation
-/// small and recycles memory segment-by-segment as thieves drain the
-/// front — the classic chunked layout of work-stealing deques.
-#[derive(Debug)]
-pub struct ChunkedDeque<T> {
-    segments: VecDeque<VecDeque<T>>,
-    len: usize,
-}
-
-impl<T> Default for ChunkedDeque<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ChunkedDeque<T> {
-    /// An empty deque (no segments allocated yet).
-    pub fn new() -> Self {
-        Self {
-            segments: VecDeque::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Enqueues at the back (the owner's end).
-    pub fn push_back(&mut self, item: T) {
-        let needs_segment = self
-            .segments
-            .back()
-            .is_none_or(|s| s.len() >= SEGMENT_CAPACITY);
-        if needs_segment {
-            self.segments
-                .push_back(VecDeque::with_capacity(SEGMENT_CAPACITY));
-        }
-        self.segments
-            .back_mut()
-            .expect("segment exists")
-            .push_back(item);
-        self.len += 1;
-    }
-
-    /// Dequeues from the back — the owner's LIFO end (freshly spawned
-    /// subtasks run first, while their inputs are hot).
-    pub fn pop_back(&mut self) -> Option<T> {
-        loop {
-            let seg = self.segments.back_mut()?;
-            if let Some(item) = seg.pop_back() {
-                self.len -= 1;
-                return Some(item);
-            }
-            self.segments.pop_back();
-        }
-    }
-
-    /// Dequeues from the front — the thieves' FIFO end (stealing the
-    /// oldest work minimizes contention with the owner).
-    pub fn pop_front(&mut self) -> Option<T> {
-        loop {
-            let seg = self.segments.front_mut()?;
-            if let Some(item) = seg.pop_front() {
-                self.len -= 1;
-                return Some(item);
-            }
-            self.segments.pop_front();
-        }
-    }
-}
-
-/// One worker's sleep/wake switch: a boolean token under a mutex plus a
-/// condvar. `unpark` before `park` is remembered (the token), so the
-/// submit/sleep race cannot lose a wakeup.
-#[derive(Debug, Default)]
-pub struct Parker {
-    notified: Mutex<bool>,
-    cvar: Condvar,
-}
-
-impl Parker {
-    /// Blocks until [`Parker::unpark`] is (or has been) called, then
-    /// consumes the token.
-    pub fn park(&self) {
-        let mut notified = self.notified.lock().expect("parker poisoned");
-        while !*notified {
-            notified = self.cvar.wait(notified).expect("parker poisoned");
-        }
-        *notified = false;
-    }
-
-    /// Sets the token and wakes the parked thread, if any.
-    pub fn unpark(&self) {
-        *self.notified.lock().expect("parker poisoned") = true;
-        self.cvar.notify_one();
-    }
-}
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Always-on pool instrumentation: relaxed atomics bumped at the
-/// scheduling decision points, snapshotted into a
-/// [`lanecert_obs::PoolStats`] by [`WorkStealingPool::stats`]. The
-/// counters ride the locks already taken at each site, so keeping them
-/// unconditional costs a handful of uncontended atomic adds per task.
-#[derive(Debug)]
-struct PoolCounters {
-    /// Tasks lifted from another worker's deque.
-    steals: AtomicU64,
-    /// Tasks pushed to the injector (submissions from outside the pool).
-    injector_pushes: AtomicU64,
-    /// Tasks a worker popped from the injector.
-    injector_pops: AtomicU64,
-    /// Park transitions (a worker went to sleep).
-    parks: AtomicU64,
-    /// Unpark transitions (a sleeping worker was woken by a submission).
-    unparks: AtomicU64,
+/// Everything the queue lock guards, scheduling counters included.
+#[derive(Default)]
+struct State {
+    /// Each task with the worker that spawned it (`None` from outside).
+    queue: VecDeque<(Task, Option<usize>)>,
+    shutdown: bool,
+    /// Waiting workers, the most recently idle last.
+    idle: Vec<usize>,
+    /// Tasks run by a worker other than the one that spawned them.
+    steals: u64,
+    /// Times a worker found the queue empty and waited.
+    parks: u64,
     /// Tasks executed, per worker.
-    tasks: Vec<AtomicU64>,
-    /// High-water mark of each worker's own deque depth.
-    queue_hwm: Vec<AtomicU64>,
-    /// High-water mark of the injector depth.
-    injector_hwm: AtomicU64,
+    tasks: Vec<u64>,
 }
 
-impl PoolCounters {
-    fn new(workers: usize) -> Self {
-        Self {
-            steals: AtomicU64::new(0),
-            injector_pushes: AtomicU64::new(0),
-            injector_pops: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
-            tasks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            queue_hwm: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            injector_hwm: AtomicU64::new(0),
-        }
-    }
+struct Shared {
+    state: Mutex<State>,
+    /// One per worker, each waited on with `state`'s guard.
+    wake: Vec<Condvar>,
 }
 
-struct PoolShared {
-    /// Per-worker deques: owner pops the back, thieves pop the front.
-    queues: Vec<Mutex<ChunkedDeque<Task>>>,
-    /// Tasks submitted from outside the pool.
-    injector: Mutex<ChunkedDeque<Task>>,
-    /// One parker per worker.
-    parkers: Vec<Parker>,
-    /// Stack of currently-parked worker ids.
-    sleepers: Mutex<Vec<usize>>,
-    shutdown: AtomicBool,
-    /// Scheduling counters (see [`PoolCounters`]).
-    counters: PoolCounters,
-}
-
-impl PoolShared {
-    fn has_visible_task(&self) -> bool {
-        if !self.injector.lock().expect("injector poisoned").is_empty() {
-            return true;
-        }
-        self.queues
-            .iter()
-            .any(|q| !q.lock().expect("queue poisoned").is_empty())
-    }
-
-    fn wake_one(&self) {
-        let popped = self.sleepers.lock().expect("sleepers poisoned").pop();
-        if let Some(id) = popped {
-            self.counters.unparks.fetch_add(1, Ordering::Relaxed);
-            self.parkers[id].unpark();
-        }
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("pool queue poisoned")
     }
 }
 
@@ -216,28 +57,24 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
-/// The executor: `workers` OS threads cooperating over per-worker chunked
-/// deques with work stealing, parking when idle.
-pub struct WorkStealingPool {
-    id: u64,
-    shared: Arc<PoolShared>,
+/// The executor: `workers` OS threads sharing one task queue, each
+/// sleeping on its own condvar when the queue is empty.
+pub struct Pool {
+    spawner: Spawner,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl WorkStealingPool {
+impl Pool {
     /// Spawns `workers` worker threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(PoolShared {
-            queues: (0..workers)
-                .map(|_| Mutex::new(ChunkedDeque::new()))
-                .collect(),
-            injector: Mutex::new(ChunkedDeque::new()),
-            parkers: (0..workers).map(|_| Parker::default()).collect(),
-            sleepers: Mutex::new(Vec::with_capacity(workers)),
-            shutdown: AtomicBool::new(false),
-            counters: PoolCounters::new(workers),
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                tasks: vec![0; workers],
+                ..State::default()
+            }),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -249,8 +86,7 @@ impl WorkStealingPool {
             })
             .collect();
         Self {
-            id,
-            shared,
+            spawner: Spawner { id, shared },
             handles,
         }
     }
@@ -260,268 +96,132 @@ impl WorkStealingPool {
         self.handles.len()
     }
 
-    /// Snapshot of the pool's lifetime scheduling counters. Counters
-    /// are cumulative since construction; scope them to one run with
-    /// [`lanecert_obs::PoolStats::delta_since`].
+    /// The pool's scheduling counters since construction; scope them to
+    /// one run with [`lanecert_obs::PoolStats::delta_since`].
     pub fn stats(&self) -> lanecert_obs::PoolStats {
-        let c = &self.shared.counters;
-        let load = |v: &[AtomicU64]| v.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+        let state = self.spawner.shared.lock();
         lanecert_obs::PoolStats {
             workers: self.workers(),
-            steals: c.steals.load(Ordering::Relaxed),
-            injector_pushes: c.injector_pushes.load(Ordering::Relaxed),
-            injector_pops: c.injector_pops.load(Ordering::Relaxed),
-            parks: c.parks.load(Ordering::Relaxed),
-            unparks: c.unparks.load(Ordering::Relaxed),
-            tasks_per_worker: load(&c.tasks),
-            queue_hwm_per_worker: load(&c.queue_hwm),
-            injector_hwm: c.injector_hwm.load(Ordering::Relaxed),
+            steals: state.steals,
+            parks: state.parks,
+            tasks_per_worker: state.tasks.clone(),
         }
     }
 
-    /// Submits a task. From a worker thread of this pool the task lands on
-    /// that worker's own deque (LIFO, cache-warm); from any other thread
-    /// it goes through the injector. Either way one idle worker is woken.
+    /// Submits a task; see [`Spawner::spawn`].
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        spawn_task(self.id, &self.shared, Box::new(task));
+        self.spawner.spawn(task);
     }
 
-    /// A cheap, cloneable submission handle: pipeline continuations hold
-    /// one so in-flight tasks can fan out further work without borrowing
-    /// the pool itself.
+    /// A cloneable submission handle, so in-flight tasks can fan out
+    /// further work without borrowing the pool.
     pub fn spawner(&self) -> Spawner {
-        Spawner {
-            id: self.id,
-            shared: Arc::clone(&self.shared),
-        }
+        self.spawner.clone()
     }
 }
 
-/// Submission handle returned by [`WorkStealingPool::spawner`].
+/// Submission handle returned by [`Pool::spawner`].
 ///
-/// Holds the pool's shared queues alive; tasks submitted after the pool
-/// itself is dropped are silently discarded with them (the engine always
-/// outlives its runs, so its continuations never hit that window).
+/// Holds the pool's queue alive; tasks submitted after the pool is
+/// dropped are discarded (the engine outlives its runs, so none are).
 #[derive(Clone)]
 pub struct Spawner {
     id: u64,
-    shared: Arc<PoolShared>,
+    shared: Arc<Shared>,
 }
 
 impl Spawner {
-    /// Submits a task; same routing as [`WorkStealingPool::spawn`].
+    /// Submits a task: from a worker of this pool to the queue's front (it
+    /// runs next, cache-warm), from any other thread to the back. Either
+    /// way it wakes the most recently idle worker, if any.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        spawn_task(self.id, &self.shared, Box::new(task));
+        let worker = CURRENT_WORKER
+            .get()
+            .and_then(|(pool, w)| (pool == self.id).then_some(w));
+        let mut state = self.shared.lock();
+        if state.shutdown {
+            // Discarded: `task` drops after the guard, outside the lock.
+            return;
+        }
+        let queued: (Task, _) = (Box::new(task), worker);
+        match worker {
+            Some(_) => state.queue.push_front(queued),
+            None => state.queue.push_back(queued),
+        }
+        let idle = state.idle.pop();
+        drop(state);
+        if let Some(w) = idle {
+            self.shared.wake[w].notify_one();
+        }
     }
 }
 
-fn spawn_task(pool_id: u64, shared: &PoolShared, task: Task) {
-    match CURRENT_WORKER.get() {
-        Some((pool, w)) if pool == pool_id => {
-            let depth = {
-                let mut queue = shared.queues[w].lock().expect("queue poisoned");
-                queue.push_back(task);
-                queue.len() as u64
-            };
-            shared.counters.queue_hwm[w].fetch_max(depth, Ordering::Relaxed);
-        }
-        _ => {
-            let depth = {
-                let mut injector = shared.injector.lock().expect("injector poisoned");
-                injector.push_back(task);
-                injector.len() as u64
-            };
-            shared
-                .counters
-                .injector_pushes
-                .fetch_add(1, Ordering::Relaxed);
-            shared
-                .counters
-                .injector_hwm
-                .fetch_max(depth, Ordering::Relaxed);
-        }
-    }
-    shared.wake_one();
-}
-
-impl Drop for WorkStealingPool {
+impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for parker in &self.shared.parkers {
-            parker.unpark();
-        }
+        let shared = &self.spawner.shared;
+        shared.lock().shutdown = true;
+        shared.wake.iter().for_each(Condvar::notify_one);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+        // Tasks still queued are discarded here, outside the lock: one
+        // that holds a `Spawner` would otherwise keep the queue alive.
+        let discarded = std::mem::take(&mut shared.lock().queue);
+        drop(discarded);
     }
 }
 
-fn worker_loop(pool_id: u64, worker: usize, shared: &PoolShared) {
+fn worker_loop(pool_id: u64, worker: usize, shared: &Shared) {
     CURRENT_WORKER.set(Some((pool_id, worker)));
-    let workers = shared.queues.len();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(task) = find_task(worker, workers, shared) {
-            shared.counters.tasks[worker].fetch_add(1, Ordering::Relaxed);
-            // A panicking task must not take the worker thread (and its
-            // execution slot) down with it; the engine pipeline catches
-            // and surfaces its own panics, so a payload reaching here
-            // carries no result.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+    let mut state = shared.lock();
+    while !state.shutdown {
+        let Some((task, spawned_by)) = state.queue.pop_front() else {
+            state.parks += 1;
+            state.idle.push(worker);
+            state = shared.wake[worker]
+                .wait(state)
+                .expect("pool queue poisoned");
+            // A submission popped this worker; a spurious wakeup did not.
+            state.idle.retain(|&w| w != worker);
             continue;
+        };
+        state.tasks[worker] += 1;
+        if spawned_by.is_some_and(|w| w != worker) {
+            state.steals += 1;
         }
-        // Register as a sleeper, then re-check: a task submitted between
-        // the failed search and the registration would otherwise be
-        // stranded until the next submission.
-        shared
-            .sleepers
-            .lock()
-            .expect("sleepers poisoned")
-            .push(worker);
-        if shared.shutdown.load(Ordering::SeqCst) || shared.has_visible_task() {
-            shared
-                .sleepers
-                .lock()
-                .expect("sleepers poisoned")
-                .retain(|&s| s != worker);
-            continue;
-        }
-        shared.counters.parks.fetch_add(1, Ordering::Relaxed);
-        shared.parkers[worker].park();
-        // Deregister on wake. Normally `wake_one` already popped this
-        // entry (no-op); but when the park consumed a *stale* token — an
-        // unpark that raced an earlier re-check-and-continue — the entry
-        // is still listed, and leaving it would accumulate duplicates
-        // whose pops burn wakeups on a busy thread while genuinely parked
-        // workers sleep on.
-        shared
-            .sleepers
-            .lock()
-            .expect("sleepers poisoned")
-            .retain(|&s| s != worker);
+        drop(state);
+        // A panicking task must not take its worker down with it; the
+        // engine catches and surfaces its own panics, so a payload
+        // reaching here carries no result.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+        state = shared.lock();
     }
-}
-
-fn find_task(worker: usize, workers: usize, shared: &PoolShared) -> Option<Task> {
-    // Own deque first (LIFO end), then the injector, then steal the FIFO
-    // end of the other workers' deques, round-robin from our right-hand
-    // neighbour so thieves spread out.
-    if let Some(task) = shared.queues[worker]
-        .lock()
-        .expect("queue poisoned")
-        .pop_back()
-    {
-        return Some(task);
-    }
-    if let Some(task) = shared
-        .injector
-        .lock()
-        .expect("injector poisoned")
-        .pop_front()
-    {
-        shared
-            .counters
-            .injector_pops
-            .fetch_add(1, Ordering::Relaxed);
-        return Some(task);
-    }
-    for offset in 1..workers {
-        let victim = (worker + offset) % workers;
-        if let Some(task) = shared.queues[victim]
-            .lock()
-            .expect("queue poisoned")
-            .pop_front()
-        {
-            shared.counters.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(task);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
-    #[test]
-    fn chunked_deque_spans_segments() {
-        let mut d = ChunkedDeque::new();
-        assert!(d.is_empty());
-        assert_eq!(d.pop_back(), None);
-        assert_eq!(d.pop_front(), None);
-        let n = SEGMENT_CAPACITY * 3 + 7;
-        for i in 0..n {
-            d.push_back(i);
-        }
-        assert_eq!(d.len(), n);
-        // FIFO from the front...
-        assert_eq!(d.pop_front(), Some(0));
-        assert_eq!(d.pop_front(), Some(1));
-        // ...LIFO from the back...
-        assert_eq!(d.pop_back(), Some(n - 1));
-        // ...and both ends drain to exactly the remaining items.
-        let mut remaining = Vec::new();
-        while let Some(x) = d.pop_front() {
-            remaining.push(x);
-        }
-        assert_eq!(remaining, (2..n - 1).collect::<Vec<_>>());
-        assert!(d.is_empty());
-    }
+    const TIMEOUT: Duration = Duration::from_secs(10);
 
-    #[test]
-    fn parker_remembers_early_unpark() {
-        let p = Parker::default();
-        p.unpark();
-        p.park(); // returns immediately: the token was set
-    }
-
-    #[test]
-    fn worker_spawned_subtasks_run_and_are_stealable() {
-        // A task fans out subtasks from inside the pool (they land on the
-        // spawning worker's own deque) and the continuation-style counter
-        // sees all of them — exercised across several workers so thieves
-        // get a chance to lift from the owner's FIFO end.
-        let pool = Arc::new(WorkStealingPool::new(3));
-        let count = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let fanout = 40;
-        {
-            let pool2 = Arc::clone(&pool);
-            let count = Arc::clone(&count);
-            let done = Arc::clone(&done);
-            pool.spawn(move || {
-                for _ in 0..fanout {
-                    let count = Arc::clone(&count);
-                    let done = Arc::clone(&done);
-                    pool2.spawn(move || {
-                        if count.fetch_add(1, Ordering::SeqCst) + 1 == fanout {
-                            let (lock, cvar) = &*done;
-                            *lock.lock().unwrap() = true;
-                            cvar.notify_all();
-                        }
-                    });
-                }
-            });
+    /// Waits (up to about [`TIMEOUT`]) until the pool has recorded at
+    /// least `parks` parks.
+    fn wait_for_parks(pool: &Pool, parks: u64) {
+        for _ in 0..TIMEOUT.as_millis() {
+            if pool.stats().parks >= parks {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let (lock, cvar) = &*done;
-        let mut finished = lock.lock().unwrap();
-        while !*finished {
-            let (next, timeout) = cvar
-                .wait_timeout(finished, std::time::Duration::from_secs(10))
-                .unwrap();
-            finished = next;
-            assert!(!timeout.timed_out(), "fan-out never completed");
-        }
-        assert_eq!(count.load(Ordering::SeqCst), fanout);
+        panic!("workers never parked");
     }
 
     /// Spawns one task per input from outside the pool, each sending its
     /// input back, and returns what arrived, sorted (arrival order is
     /// scheduling's).
-    fn echo_batch(pool: &WorkStealingPool, inputs: std::ops::Range<u64>) -> Vec<u64> {
+    fn echo_batch(pool: &Pool, inputs: std::ops::Range<u64>) -> Vec<u64> {
         let (tx, rx) = std::sync::mpsc::channel();
         for i in inputs {
             let tx = tx.clone();
@@ -533,9 +233,64 @@ mod tests {
         results
     }
 
+    /// From inside `pool`, spawns a task that fans out `fanout` subtasks,
+    /// and returns once all of them have run.
+    fn fan_out(pool: &Arc<Pool>, fanout: usize) {
+        let count = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(pool);
+        pool.spawn(move || {
+            for _ in 0..fanout {
+                let count = Arc::clone(&count);
+                let tx = tx.clone();
+                inner.spawn(move || {
+                    if count.fetch_add(1, Ordering::SeqCst) + 1 == fanout {
+                        tx.send(()).unwrap();
+                    }
+                });
+            }
+        });
+        rx.recv_timeout(TIMEOUT).expect("fan-out never completed");
+    }
+
+    #[test]
+    fn worker_spawned_subtasks_all_run() {
+        // Subtasks spawned inside the pool go to the queue's front and
+        // every one of them runs, across several workers.
+        let pool = Arc::new(Pool::new(3));
+        fan_out(&pool, 40);
+        assert_eq!(pool.stats().total_tasks(), 41);
+    }
+
+    #[test]
+    fn a_worker_runs_its_newest_spawn_first_and_outside_tasks_in_order() {
+        let pool = Arc::new(Pool::new(1));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let log = |name: &'static str| {
+            let order = Arc::clone(&order);
+            move || order.lock().unwrap().push(name)
+        };
+        // Hold the one worker until every outside task is queued.
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        pool.spawn(move || gate.recv().unwrap());
+        let inner = Arc::clone(&pool);
+        let (a, b, x) = (log("a"), log("b"), log("x"));
+        pool.spawn(move || {
+            x();
+            inner.spawn(a);
+            inner.spawn(b);
+        });
+        pool.spawn(log("y"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(move || tx.send(()).unwrap());
+        open.send(()).unwrap();
+        rx.recv_timeout(TIMEOUT).expect("tasks never ran");
+        assert_eq!(*order.lock().unwrap(), ["x", "b", "a", "y"]);
+    }
+
     #[test]
     fn panicking_task_spares_the_workers() {
-        let pool = WorkStealingPool::new(2);
+        let pool = Pool::new(2);
         // `worker_loop` catches the unwind of a task nobody waits on.
         for _ in 0..4 {
             pool.spawn(|| panic!("boom"));
@@ -545,35 +300,66 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_scheduling_transitions() {
-        let pool = WorkStealingPool::new(2);
-        // Let both workers go idle so parks are observable.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let base = pool.stats();
-        assert_eq!(base.workers, 2);
-        assert!(base.parks >= 2, "both idle workers parked: {base:?}");
-        let n = 32u64;
-        assert_eq!(echo_batch(&pool, 0..n).len(), n as usize);
-        let run = pool.stats().delta_since(&base);
-        // Driver-side submissions all route through the injector...
-        assert_eq!(run.injector_pushes, n);
-        // ...and every task was executed by some worker, arriving either
-        // straight off the injector or via a steal of nothing (workers
-        // cannot steal the injector), so the pops account for all of it.
-        assert_eq!(run.injector_pops, n);
-        assert_eq!(run.total_tasks(), n);
-        assert_eq!(run.steals, 0);
-        assert!(run.unparks >= 1, "a parked worker must have been woken");
-        assert!(run.injector_hwm >= 1);
+    fn submissions_after_parking_run_on_the_last_idle_worker() {
+        // Both workers park on startup. Each round one of them wakes for
+        // the submitted task, runs it and parks again, so after round `r`
+        // the pool has recorded at least 2 + r parks exactly when both
+        // workers are back asleep (a spurious wakeup only adds parks).
+        // The worker that ran a round parked last, so it runs the next.
+        let pool = Pool::new(2);
+        let rounds = if cfg!(miri) { 20 } else { 200 };
+        let mut ran_on = Vec::new();
+        for round in 0..rounds {
+            wait_for_parks(&pool, 2 + round);
+            let (tx, rx) = std::sync::mpsc::channel();
+            pool.spawn(move || {
+                let worker = std::thread::current().name().map(str::to_owned);
+                tx.send((round, worker)).unwrap();
+            });
+            let (got, worker) = rx
+                .recv_timeout(TIMEOUT)
+                .unwrap_or_else(|_| panic!("round {round} lost"));
+            assert_eq!(got, round);
+            ran_on.push(worker);
+        }
+        ran_on.dedup();
+        assert_eq!(
+            ran_on.len(),
+            1,
+            "rounds switched workers {} times",
+            ran_on.len() - 1
+        );
     }
 
     #[test]
-    fn idle_pool_parks_and_wakes() {
-        let pool = WorkStealingPool::new(2);
-        // Let workers go idle, then submit again: parked workers must wake.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(echo_batch(&pool, 1..3), [1, 2]);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(echo_batch(&pool, 3..4), [3]);
+    fn dropping_a_parked_pool_returns() {
+        let pool = Pool::new(2);
+        wait_for_parks(&pool, 2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(TIMEOUT).expect("drop never returned");
+    }
+
+    #[test]
+    fn steals_count_only_tasks_run_away_from_their_spawner() {
+        // Submissions from outside the pool have no spawning worker.
+        let pool = Pool::new(2);
+        let n = 32u64;
+        assert_eq!(echo_batch(&pool, 0..n).len(), n as usize);
+        let stats = pool.stats();
+        assert_eq!(stats.workers, 2);
+        assert_eq!(stats.steals, 0);
+        assert_eq!(stats.total_tasks(), n);
+
+        // With one worker every subtask runs where it was spawned.
+        let pool = Arc::new(Pool::new(1));
+        let fanout = 40;
+        fan_out(&pool, fanout);
+        let stats = pool.stats();
+        assert_eq!(stats.steals, 0);
+        assert_eq!(stats.total_tasks(), fanout as u64 + 1);
     }
 }

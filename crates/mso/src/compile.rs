@@ -51,7 +51,9 @@
 //! process-wide counter when [`compile`] runs, never a plan address,
 //! which a later property may reuse after a drop), the node's dense
 //! index in the plan, the input sub-state(s), and the operation with its
-//! decoration mask; for a union, both operands and the slot shift. A hit
+//! decoration mask; for a union, both operands and the slot shift. A
+//! glue's neighbour row is part of its operation only when the formula
+//! has an `adj` atom, the one reader of the row. A hit
 //! returns the stored node, so a transition computed twice yields one
 //! shared result and later comparisons against it are pointer
 //! comparisons. The freeze applies each operation to thousands of
@@ -490,6 +492,10 @@ pub struct CompiledProperty {
     name: String,
     /// Unique per compiled property: keys its transitions in the memo.
     id: u64,
+    /// Whether the plan has an `Adj` leaf, the only reader of a glue's
+    /// `row`; without one, `glue` passes `row = 0`, so glues that differ
+    /// only in the merged vertex's neighbours share one memo entry.
+    has_adj: bool,
 }
 
 /// Source of [`CompiledProperty`] ids. The ids need only be unique, so
@@ -505,10 +511,23 @@ static NEXT_PROPERTY: AtomicU64 = AtomicU64::new(0);
 pub fn compile(formula: &Formula) -> Result<CompiledProperty, CompileError> {
     let plan = Lowering::default().lower(formula)?;
     Ok(CompiledProperty {
+        has_adj: plan.has_adj(),
         plan,
         name: format!("compiled{}", crate::sexpr::canonical(formula)),
         id: NEXT_PROPERTY.fetch_add(1, Ordering::Relaxed),
     })
+}
+
+impl Node {
+    /// Whether an `Adj` leaf occurs in this subtree.
+    fn has_adj(&self) -> bool {
+        match self {
+            Node::Adj { .. } => true,
+            Node::Not(a) | Node::Quant { body: a, .. } => a.has_adj(),
+            Node::Bin { a, b, .. } => a.has_adj() || b.has_adj(),
+            _ => false,
+        }
+    }
 }
 
 /// The lowering pass's context: the quantifiers in scope, innermost
@@ -1563,7 +1582,7 @@ impl Property for CompiledProperty {
             }
             *r = set_shift_down(*r, drop);
         }
-        let row = adj[keep];
+        let row = if self.has_adj { adj[keep] } else { 0 };
         CompiledState {
             arity: s.arity.saturating_sub(1),
             adj,

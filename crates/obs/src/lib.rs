@@ -38,7 +38,7 @@
 //! }
 //! let run = session.end();
 //! let jsonl = run.log.to_jsonl(None);
-//! assert!(jsonl.starts_with("{\"schema\":\"lanecert-trace/1\""));
+//! assert!(jsonl.starts_with("{\"schema\":\"lanecert-trace/2\""));
 //! ```
 
 pub mod clock;
@@ -202,7 +202,7 @@ mod tests {
         let t = this_thread();
         let expected = format!(
             concat!(
-                "{{\"schema\":\"lanecert-trace/1\",\"clock\":\"manual\",\"threads\":1,\"events\":4}}\n",
+                "{{\"schema\":\"lanecert-trace/2\",\"clock\":\"manual\",\"threads\":1,\"events\":4}}\n",
                 "{{\"thread\":\"{t}\",\"seq\":0,\"ev\":\"enter\",\"span\":\"run\",\"ts_ns\":0}}\n",
                 "{{\"thread\":\"{t}\",\"seq\":1,\"ev\":\"enter\",\"span\":\"prove\",\"ts_ns\":10,\"job\":3}}\n",
                 "{{\"thread\":\"{t}\",\"seq\":2,\"ev\":\"exit\",\"span\":\"prove\",\"ts_ns\":15}}\n",

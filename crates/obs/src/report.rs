@@ -20,33 +20,21 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A snapshot of the work-stealing pool's lifetime counters.
+/// A snapshot of the engine pool's lifetime counters.
 ///
 /// All counters are cumulative since pool construction; subtract two
 /// snapshots with [`PoolStats::delta_since`] to scope them to one run.
-/// High-water marks are lifetime maxima and survive the subtraction
-/// unchanged (a per-run high-water mark is not recoverable from two
-/// snapshots).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Number of worker threads.
     pub workers: usize,
-    /// Tasks taken from another worker's deque.
+    /// Tasks run by a worker other than the one that spawned them
+    /// (tasks submitted from outside the pool never count).
     pub steals: u64,
-    /// Tasks pushed to the shared injector (driver-side submissions).
-    pub injector_pushes: u64,
-    /// Tasks a worker popped from the shared injector.
-    pub injector_pops: u64,
-    /// Times a worker parked (found no work and slept).
+    /// Times a worker found the task queue empty and slept.
     pub parks: u64,
-    /// Times a parked worker was woken by a submission.
-    pub unparks: u64,
     /// Tasks executed, per worker.
     pub tasks_per_worker: Vec<u64>,
-    /// Deepest each worker's own deque has been, per worker.
-    pub queue_hwm_per_worker: Vec<u64>,
-    /// Deepest the shared injector queue has been.
-    pub injector_hwm: u64,
 }
 
 impl PoolStats {
@@ -55,50 +43,30 @@ impl PoolStats {
         self.tasks_per_worker.iter().sum()
     }
 
-    /// Counters accrued since `base` was snapshotted (high-water marks
-    /// are carried over from `self` as lifetime maxima).
+    /// Counters accrued since `base` was snapshotted.
     pub fn delta_since(&self, base: &PoolStats) -> PoolStats {
-        let per_worker = |now: &[u64], then: &[u64]| {
-            now.iter()
-                .enumerate()
-                .map(|(i, v)| v.saturating_sub(then.get(i).copied().unwrap_or(0)))
-                .collect()
-        };
         PoolStats {
             workers: self.workers,
             steals: self.steals.saturating_sub(base.steals),
-            injector_pushes: self.injector_pushes.saturating_sub(base.injector_pushes),
-            injector_pops: self.injector_pops.saturating_sub(base.injector_pops),
             parks: self.parks.saturating_sub(base.parks),
-            unparks: self.unparks.saturating_sub(base.unparks),
-            tasks_per_worker: per_worker(&self.tasks_per_worker, &base.tasks_per_worker),
-            queue_hwm_per_worker: self.queue_hwm_per_worker.clone(),
-            injector_hwm: self.injector_hwm,
+            tasks_per_worker: self
+                .tasks_per_worker
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v.saturating_sub(base.tasks_per_worker.get(i).copied().unwrap_or(0)))
+                .collect(),
         }
     }
 
     /// JSON object rendering (stable key order).
     pub fn to_json(&self) -> String {
-        let list = |v: &[u64]| {
-            let items: Vec<String> = v.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(","))
-        };
+        let tasks: Vec<String> = self.tasks_per_worker.iter().map(u64::to_string).collect();
         format!(
-            concat!(
-                "{{\"workers\":{},\"steals\":{},\"injector_pushes\":{},",
-                "\"injector_pops\":{},\"parks\":{},\"unparks\":{},",
-                "\"tasks_per_worker\":{},\"queue_hwm_per_worker\":{},",
-                "\"injector_hwm\":{}}}"
-            ),
+            "{{\"workers\":{},\"steals\":{},\"parks\":{},\"tasks_per_worker\":[{}]}}",
             self.workers,
             self.steals,
-            self.injector_pushes,
-            self.injector_pops,
             self.parks,
-            self.unparks,
-            list(&self.tasks_per_worker),
-            list(&self.queue_hwm_per_worker),
-            self.injector_hwm,
+            tasks.join(","),
         )
     }
 }
@@ -201,15 +169,11 @@ impl ObsReport {
         }
         if let Some(p) = &self.pool {
             out.push_str(&format!(
-                "  pool    workers={} tasks={} steals={} inj_push={} inj_pop={} parks={} unparks={} hwm={:?}\n",
+                "  pool    workers={} tasks={} steals={} parks={}\n",
                 p.workers,
                 p.total_tasks(),
                 p.steals,
-                p.injector_pushes,
-                p.injector_pops,
                 p.parks,
-                p.unparks,
-                p.queue_hwm_per_worker,
             ));
         }
         out
@@ -227,37 +191,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_delta_subtracts_counters_and_keeps_hwm() {
+    fn pool_stats_delta_subtracts_counters() {
         let base = PoolStats {
             workers: 2,
             steals: 3,
-            injector_pushes: 10,
-            injector_pops: 9,
             parks: 4,
-            unparks: 4,
             tasks_per_worker: vec![5, 6],
-            queue_hwm_per_worker: vec![2, 2],
-            injector_hwm: 4,
         };
         let now = PoolStats {
             steals: 8,
-            injector_pushes: 25,
-            injector_pops: 24,
             parks: 9,
-            unparks: 8,
             tasks_per_worker: vec![15, 18],
-            queue_hwm_per_worker: vec![3, 2],
-            injector_hwm: 6,
             ..base.clone()
         };
         let d = now.delta_since(&base);
+        assert_eq!(d.workers, 2);
         assert_eq!(d.steals, 5);
-        assert_eq!(d.injector_pushes, 15);
+        assert_eq!(d.parks, 5);
         assert_eq!(d.tasks_per_worker, vec![10, 12]);
         assert_eq!(d.total_tasks(), 22);
-        // High-water marks are lifetime maxima, not differences.
-        assert_eq!(d.queue_hwm_per_worker, vec![3, 2]);
-        assert_eq!(d.injector_hwm, 6);
+        assert_eq!(
+            d.to_json(),
+            "{\"workers\":2,\"steals\":5,\"parks\":5,\"tasks_per_worker\":[10,12]}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! nothing at all.
 //!
 //! [`TraceSession::end`] drains every buffer into a [`TraceLog`], which
-//! exports as JSONL (`lanecert-trace/1`, one event per line) and as
+//! exports as JSONL (`lanecert-trace/2`, one event per line) and as
 //! collapsed stacks (`thread;span;… ns`) for standard flamegraph
 //! tooling.
 
@@ -65,14 +65,14 @@ impl TraceLog {
         self.threads.iter().map(|t| t.events.len()).sum()
     }
 
-    /// Serializes the trace as JSONL (`lanecert-trace/1`): a header
+    /// Serializes the trace as JSONL (`lanecert-trace/2`): a header
     /// line, one line per event with a per-thread `seq`, and — when
     /// `summary` is given — a final `{"summary": …}` line carrying the
     /// run's [`ObsReport`].
     pub fn to_jsonl(&self, summary: Option<&ObsReport>) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"schema\":\"lanecert-trace/1\",\"clock\":\"{}\",\"threads\":{},\"events\":{}}}\n",
+            "{{\"schema\":\"lanecert-trace/2\",\"clock\":\"{}\",\"threads\":{},\"events\":{}}}\n",
             self.clock_kind,
             self.threads.len(),
             self.event_count()

@@ -13,8 +13,8 @@
 //!   function of the job (`algebra::FrozenAlgebra`).
 //! * [`pls`] — the proof labeling schemes themselves (Theorem 1 scheme,
 //!   baselines, attacks, harness).
-//! * [`engine`] — the parallel certification engine: a work-stealing
-//!   executor plus a streaming corpus pipeline ([`Engine`],
+//! * [`engine`] — the parallel certification engine: a thread pool over
+//!   one shared task queue plus a streaming corpus pipeline ([`Engine`],
 //!   [`CorpusSpec`]).
 //! * [`obs`] — structured tracing, metrics, and the blessed [`obs::Clock`]
 //!   timing source; zero-cost unless the `obs` feature enables recording.
