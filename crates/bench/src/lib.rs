@@ -1,5 +1,6 @@
 //! Experiment harness regenerating the paper's quantitative claims
-//! (tables T1–T9 of DESIGN.md / EXPERIMENTS.md).
+//! (tables T1–T9 of DESIGN.md / EXPERIMENTS.md, and T10's per-field
+//! label accounting).
 //!
 //! Every table that certifies or verifies goes through the unified
 //! certification API — [`Certifier`] builders selecting schemes by the
@@ -20,13 +21,13 @@
 
 use std::sync::Arc;
 
-use lanecert::theorem1::PathwidthScheme;
+use lanecert::theorem1::{labels, EdgeLabel, PathwidthScheme};
 use lanecert::{
     attacks, registry, BatchJob, Certifier, Configuration, ProverHint, Scheme, SchemeOptions,
 };
 use lanecert_algebra::props::{Bipartite, Connected, Forest, HamiltonianCycle, PerfectMatching};
 use lanecert_algebra::{mirror::oracles, Algebra, SharedAlgebra};
-use lanecert_engine::Engine;
+use lanecert_engine::{CorpusFamily, Engine};
 use lanecert_graph::{generators, Graph};
 use lanecert_lanes::{bounds, pipeline::LaneStrategy, recursive, Completion, Layout};
 use lanecert_pathwidth::{Interval, IntervalRep};
@@ -597,6 +598,62 @@ pub fn table_t9(ctx: &RunCtx) -> String {
     out
 }
 
+/// T10: Theorem 1 label bits by field. Certifies `connected` at
+/// pathwidth 2 (prove-large's lane bound) on hinted path, ladder and
+/// random pathwidth-2 graphs (graph seed 7, identifier seed `n`), decodes
+/// every honest label, and prints the mean bits per label each wire
+/// field takes ([`labels::Field`]; the row sums to `total`).
+pub fn table_t10(ctx: &RunCtx) -> String {
+    let sizes: &[usize] = ctx.scale.pick(&[512usize, 2048], &[64usize, 256]);
+    let certifier = Certifier::builder()
+        .property(Algebra::shared(Connected))
+        .pathwidth(2)
+        .build()
+        .expect("theorem1 connected certifier");
+    let mut out = String::from(
+        "T10: mean Theorem 1 label bits by field (connected, w <= 3)
+",
+    );
+    out += &format!("{:<16} {:>5} {:>6}", "family", "n", "total");
+    for field in labels::Field::ALL {
+        out += &format!(" {:>7}", field.name());
+    }
+    out.push('\n');
+    let families = [
+        CorpusFamily::Path,
+        CorpusFamily::Ladder,
+        CorpusFamily::RandomPathwidth { k: 2, density: 0.4 },
+    ];
+    for family in families {
+        for &n in sizes {
+            let (graph, rep) = family.instance(n, 7);
+            let cfg = Configuration::with_random_ids(graph, n as u64);
+            let hint = ProverHint::with_representation(rep.expect("hinted family"));
+            let encoded = certifier
+                .certify_with(&cfg, &hint)
+                .unwrap_or_else(|e| panic!("{}/n{n}: {e}", family.name()));
+            let mut tally = labels::FieldBits::default();
+            let mut total = 0;
+            for label in encoded.iter() {
+                let label: EdgeLabel = label.decode().expect("honest labels decode");
+                total += labels::field_bits(&label, &mut tally);
+            }
+            let count = encoded.len().max(1) as f64;
+            out += &format!(
+                "{:<16} {:>5} {:>6.0}",
+                family.name(),
+                cfg.n(),
+                total as f64 / count
+            );
+            for bits in tally {
+                out += &format!(" {:>7.1}", bits as f64 / count);
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
 /// Runs a dedicated traced engine sweep and writes the span log as JSONL
 /// to `path` plus a collapsed-stack profile (flamegraph input) to
 /// `path.collapsed`.
@@ -675,6 +732,7 @@ pub fn all_tables() -> Vec<Table> {
         ("t7", table_t7),
         ("t8", table_t8),
         ("t9", table_t9),
+        ("t10", table_t10),
     ]
 }
 
@@ -711,7 +769,7 @@ mod tests {
         // The cheap tables execute end to end (their asserts are the test).
         let ctx = RunCtx::new(Scale::Quick).with_threads(2);
         for (name, f) in all_tables() {
-            if ["t2", "t3", "t4", "t7"].contains(&name) {
+            if ["t2", "t3", "t4", "t7", "t10"].contains(&name) {
                 let s = f(&ctx);
                 assert!(!s.is_empty());
             }

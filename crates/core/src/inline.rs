@@ -105,6 +105,15 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         value
     }
 
+    /// Shortens the vector to its first `len` elements (no-op if it is
+    /// not longer).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.spill.truncate(len);
+            self.len = len as u32;
+        }
+    }
+
     /// Iterates the elements.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.as_slice().iter()

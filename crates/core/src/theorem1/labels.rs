@@ -266,197 +266,356 @@ pub struct EdgeLabel {
     pub transits: Vec<TransitLbl>,
 }
 
-impl Enc for IfaceLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.lanes.0.enc(w);
-        self.tin.enc(w);
-        self.tout.enc(w);
-    }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
-        Some(Self {
-            lanes: LaneSet(Enc::dec(r)?),
-            tin: Enc::dec(r)?,
-            tout: Enc::dec(r)?,
-        })
+/// What a run of wire bits encodes, for the per-field accounting of
+/// [`field_bits`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Field {
+    /// A certificate's endpoint ids `a` and `b`.
+    EndpointId,
+    /// Interface terminal ids.
+    TerminalId,
+    /// A `T` frame's pointer root id.
+    RootId,
+    /// A `P` frame's path vertex ids.
+    PathId,
+    /// An `E` frame's terminals.
+    EdgeTerminals,
+    /// Hierarchy node ids.
+    NodeId,
+    /// Homomorphism class ids.
+    ClassId,
+    /// Interface lane masks.
+    LaneMask,
+    /// Interface terminal lanes and side lengths.
+    TerminalLanes,
+    /// `B` bridge lanes and `E` lanes.
+    Lane,
+    /// `T` pointer distances.
+    Distance,
+    /// Transit ranks.
+    Rank,
+    /// Frame tags.
+    Tag,
+    /// Lengths of frame stacks, child lists, transit lists and `P` lists.
+    Length,
+    /// One-bit flags, `P` marks, `B` sides and `P` positions.
+    Flags,
+}
+
+impl Field {
+    /// Every field, in tally order.
+    pub const ALL: [Field; 15] = [
+        Field::EndpointId,
+        Field::TerminalId,
+        Field::RootId,
+        Field::PathId,
+        Field::EdgeTerminals,
+        Field::NodeId,
+        Field::ClassId,
+        Field::LaneMask,
+        Field::TerminalLanes,
+        Field::Lane,
+        Field::Distance,
+        Field::Rank,
+        Field::Tag,
+        Field::Length,
+        Field::Flags,
+    ];
+
+    /// A short column name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Field::EndpointId => "id.end",
+            Field::TerminalId => "id.term",
+            Field::RootId => "id.root",
+            Field::PathId => "id.path",
+            Field::EdgeTerminals => "id.edge",
+            Field::NodeId => "node",
+            Field::ClassId => "class",
+            Field::LaneMask => "mask",
+            Field::TerminalLanes => "tlanes",
+            Field::Lane => "lane",
+            Field::Distance => "dist",
+            Field::Rank => "rank",
+            Field::Tag => "tag",
+            Field::Length => "len",
+            Field::Flags => "flags",
+        }
     }
 }
 
-impl Enc for BasicInfoLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.node.enc(w);
-        self.class.enc(w);
-        self.iface.enc(w);
-    }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
-        Some(Self {
-            node: Enc::dec(r)?,
-            class: Enc::dec(r)?,
-            iface: Enc::dec(r)?,
-        })
-    }
+/// Wire bits per [`Field`], indexed by `Field as usize`.
+pub type FieldBits = [u64; Field::ALL.len()];
+
+/// Encodes `label` as [`Enc`] does, adding the bits of each field to
+/// `tally`; returns the label's total bits (the sum of what was added).
+pub fn field_bits(label: &EdgeLabel, tally: &mut FieldBits) -> usize {
+    let mut w = BitWriter::new();
+    label.enc_tallied(&mut w, Some(tally));
+    w.bit_len()
 }
 
-impl TFrameLbl {
-    /// Writes every field but the trailing pointer distances `d_a`, `d_b`:
-    /// the part shared by all edges below one member.
-    fn enc_template(&self, w: &mut BitWriter) {
-        self.t_node.enc(w);
-        self.member.enc(w);
-        self.subtree.enc(w);
-        self.children.enc(w);
-        self.is_root_member.enc(w);
-        self.root_vertex.enc(w);
-    }
+/// Writes the fields of one certificate's frames, remembering the ids
+/// written so far, and optionally adds each field's bits to a tally.
+pub(super) struct CertWriter<'t> {
+    tally: Option<&'t mut FieldBits>,
 }
 
-impl Enc for TFrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.enc_template(w);
-        self.d_a.enc(w);
-        self.d_b.enc(w);
+impl<'t> CertWriter<'t> {
+    pub(super) fn new(tally: Option<&'t mut FieldBits>) -> Self {
+        Self { tally }
     }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
-        Some(Self {
-            t_node: Enc::dec(r)?,
-            member: Enc::dec(r)?,
-            subtree: Enc::dec(r)?,
-            children: Enc::dec(r)?,
-            is_root_member: Enc::dec(r)?,
-            root_vertex: Enc::dec(r)?,
-            d_a: Enc::dec(r)?,
-            d_b: Enc::dec(r)?,
-        })
-    }
-}
 
-impl Enc for BFrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.node.enc(w);
-        self.i.enc(w);
-        self.j.enc(w);
-        self.left_is_v.enc(w);
-        self.right_is_v.enc(w);
-        self.left.enc(w);
-        self.right.enc(w);
-        self.bridge_marked.enc(w);
-        self.side.enc(w);
+    /// Runs `write` and tallies the bits it wrote under `field`.
+    fn put(&mut self, w: &mut BitWriter, field: Field, write: impl FnOnce(&mut BitWriter)) {
+        let before = w.bit_len();
+        write(w);
+        if let Some(tally) = self.tally.as_deref_mut() {
+            tally[field as usize] += (w.bit_len() - before) as u64;
+        }
     }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
-        Some(Self {
-            node: Enc::dec(r)?,
-            i: Enc::dec(r)?,
-            j: Enc::dec(r)?,
-            left_is_v: Enc::dec(r)?,
-            right_is_v: Enc::dec(r)?,
-            left: Enc::dec(r)?,
-            right: Enc::dec(r)?,
-            bridge_marked: Enc::dec(r)?,
-            side: Enc::dec(r)?,
-        })
-    }
-}
 
-impl Enc for EFrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.node.enc(w);
-        self.lane.enc(w);
-        self.tin.enc(w);
-        self.tout.enc(w);
+    fn varint(&mut self, w: &mut BitWriter, field: Field, value: u64) {
+        self.put(w, field, |w| w.put_varint(value));
     }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
-        Some(Self {
-            node: Enc::dec(r)?,
-            lane: Enc::dec(r)?,
-            tin: Enc::dec(r)?,
-            tout: Enc::dec(r)?,
-        })
-    }
-}
 
-impl Enc for PFrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.node.enc(w);
-        self.ids.enc(w);
-        self.marks.enc(w);
-        self.pos.enc(w);
+    fn flag(&mut self, w: &mut BitWriter, field: Field, bit: bool) {
+        self.put(w, field, |w| w.put_bit(bit));
     }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
-        Some(Self {
-            node: Enc::dec(r)?,
-            ids: Enc::dec(r)?,
-            marks: Enc::dec(r)?,
-            pos: Enc::dec(r)?,
-        })
-    }
-}
 
-impl FrameLbl {
-    /// Writes the frame's tag and fields, stopping before a `T` frame's
+    fn id(&mut self, w: &mut BitWriter, field: Field, id: u64) {
+        self.varint(w, field, id);
+    }
+
+    fn iface(&mut self, w: &mut BitWriter, iface: &IfaceLbl) {
+        self.varint(w, Field::LaneMask, iface.lanes.0);
+        for side in [&iface.tin, &iface.tout] {
+            self.varint(w, Field::TerminalLanes, side.len() as u64);
+            for &(lane, id) in side.iter() {
+                self.varint(w, Field::TerminalLanes, u64::from(lane));
+                self.id(w, Field::TerminalId, id);
+            }
+        }
+    }
+
+    fn info(&mut self, w: &mut BitWriter, info: &BasicInfoLbl) {
+        self.varint(w, Field::NodeId, u64::from(info.node));
+        self.varint(w, Field::ClassId, u64::from(info.class));
+        self.iface(w, &info.iface);
+    }
+
+    /// Writes `frame`'s tag and fields, stopping before a `T` frame's
     /// `d_a`/`d_b` (the whole frame for the other kinds). The prover
     /// encodes each frame template once this way and completes `T`
     /// frames per certificate.
-    pub(super) fn enc_template(&self, w: &mut BitWriter) {
-        match self {
+    pub(super) fn template(&mut self, w: &mut BitWriter, frame: &FrameLbl) {
+        let tag = match frame {
+            FrameLbl::T(_) => 0,
+            FrameLbl::B(_) => 1,
+            FrameLbl::E(_) => 2,
+            FrameLbl::P(_) => 3,
+        };
+        self.put(w, Field::Tag, |w| w.put_bits(tag, 2));
+        match frame {
             FrameLbl::T(f) => {
-                w.put_bits(0, 2);
-                f.enc_template(w);
+                self.varint(w, Field::NodeId, u64::from(f.t_node));
+                self.varint(w, Field::NodeId, u64::from(f.member));
+                self.info(w, &f.subtree);
+                self.varint(w, Field::Length, f.children.len() as u64);
+                for child in &f.children {
+                    self.info(w, child);
+                }
+                self.flag(w, Field::Flags, f.is_root_member);
+                self.id(w, Field::RootId, f.root_vertex);
             }
             FrameLbl::B(f) => {
-                w.put_bits(1, 2);
-                f.enc(w);
+                self.varint(w, Field::NodeId, u64::from(f.node));
+                self.varint(w, Field::Lane, u64::from(f.i));
+                self.varint(w, Field::Lane, u64::from(f.j));
+                self.flag(w, Field::Flags, f.left_is_v);
+                self.flag(w, Field::Flags, f.right_is_v);
+                self.info(w, &f.left);
+                self.info(w, &f.right);
+                self.flag(w, Field::Flags, f.bridge_marked);
+                self.varint(w, Field::Flags, u64::from(f.side));
             }
             FrameLbl::E(f) => {
-                w.put_bits(2, 2);
-                f.enc(w);
+                self.varint(w, Field::NodeId, u64::from(f.node));
+                self.varint(w, Field::Lane, u64::from(f.lane));
+                self.varint(w, Field::EdgeTerminals, f.tin);
+                self.varint(w, Field::EdgeTerminals, f.tout);
             }
             FrameLbl::P(f) => {
-                w.put_bits(3, 2);
-                f.enc(w);
+                self.varint(w, Field::NodeId, u64::from(f.node));
+                self.varint(w, Field::Length, f.ids.len() as u64);
+                for &id in f.ids.iter() {
+                    self.id(w, Field::PathId, id);
+                }
+                self.varint(w, Field::Length, f.marks.len() as u64);
+                for &mark in f.marks.iter() {
+                    self.flag(w, Field::Flags, mark);
+                }
+                self.varint(w, Field::Flags, u64::from(f.pos));
+            }
+        }
+    }
+
+    /// Writes a `T` frame's pointer distances, which complete its
+    /// template per certificate.
+    pub(super) fn distances(&mut self, w: &mut BitWriter, d_a: u32, d_b: u32) {
+        self.varint(w, Field::Distance, u64::from(d_a));
+        self.varint(w, Field::Distance, u64::from(d_b));
+    }
+
+    /// Writes a whole certificate.
+    fn cert(&mut self, w: &mut BitWriter, cert: &EdgeCertLbl) {
+        self.varint(w, Field::EndpointId, cert.a);
+        self.varint(w, Field::EndpointId, cert.b);
+        self.flag(w, Field::Flags, cert.marked);
+        self.varint(w, Field::Length, cert.frames.len() as u64);
+        for frame in &cert.frames {
+            self.template(w, frame);
+            if let FrameLbl::T(f) = frame {
+                self.distances(w, f.d_a, f.d_b);
             }
         }
     }
 }
 
-impl Enc for FrameLbl {
-    fn enc(&self, w: &mut BitWriter) {
-        self.enc_template(w);
-        if let FrameLbl::T(f) = self {
-            f.d_a.enc(w);
-            f.d_b.enc(w);
-        }
+/// Reads one certificate's fields back.
+struct CertReader;
+
+impl CertReader {
+    fn id(&mut self, r: &mut BitReader<'_>) -> Option<u64> {
+        r.get_varint()
     }
-    fn dec(r: &mut BitReader<'_>) -> Option<Self> {
+
+    fn iface(&mut self, r: &mut BitReader<'_>) -> Option<IfaceLbl> {
+        let lanes = LaneSet(Enc::dec(r)?);
+        let mut sides = [Terminals::new(), Terminals::new()];
+        for side in &mut sides {
+            let len: usize = Enc::dec(r)?;
+            if len > 1 << 24 {
+                return None;
+            }
+            for _ in 0..len {
+                let lane = Enc::dec(r)?;
+                side.push((lane, self.id(r)?));
+            }
+        }
+        let [tin, tout] = sides;
+        Some(IfaceLbl { lanes, tin, tout })
+    }
+
+    fn info(&mut self, r: &mut BitReader<'_>) -> Option<BasicInfoLbl> {
+        Some(BasicInfoLbl {
+            node: Enc::dec(r)?,
+            class: Enc::dec(r)?,
+            iface: self.iface(r)?,
+        })
+    }
+
+    fn frame(&mut self, r: &mut BitReader<'_>) -> Option<FrameLbl> {
         Some(match r.get_bits(2)? {
-            0 => FrameLbl::T(Enc::dec(r)?),
-            1 => FrameLbl::B(Enc::dec(r)?),
-            2 => FrameLbl::E(Enc::dec(r)?),
-            _ => FrameLbl::P(Enc::dec(r)?),
+            0 => {
+                let t_node = Enc::dec(r)?;
+                let member = Enc::dec(r)?;
+                let subtree = self.info(r)?;
+                let len: usize = Enc::dec(r)?;
+                if len > 1 << 24 {
+                    return None;
+                }
+                let mut children = Vec::with_capacity(len.min(1 << 12));
+                for _ in 0..len {
+                    children.push(self.info(r)?);
+                }
+                FrameLbl::T(TFrameLbl {
+                    t_node,
+                    member,
+                    subtree,
+                    children,
+                    is_root_member: Enc::dec(r)?,
+                    root_vertex: self.id(r)?,
+                    d_a: Enc::dec(r)?,
+                    d_b: Enc::dec(r)?,
+                })
+            }
+            1 => FrameLbl::B(BFrameLbl {
+                node: Enc::dec(r)?,
+                i: Enc::dec(r)?,
+                j: Enc::dec(r)?,
+                left_is_v: Enc::dec(r)?,
+                right_is_v: Enc::dec(r)?,
+                left: self.info(r)?,
+                right: self.info(r)?,
+                bridge_marked: Enc::dec(r)?,
+                side: Enc::dec(r)?,
+            }),
+            2 => FrameLbl::E(EFrameLbl {
+                node: Enc::dec(r)?,
+                lane: Enc::dec(r)?,
+                tin: Enc::dec(r)?,
+                tout: Enc::dec(r)?,
+            }),
+            _ => {
+                let node = Enc::dec(r)?;
+                let len: usize = Enc::dec(r)?;
+                if len > 1 << 24 {
+                    return None;
+                }
+                let mut ids = InlineVec::new();
+                for _ in 0..len {
+                    ids.push(self.id(r)?);
+                }
+                FrameLbl::P(PFrameLbl {
+                    node,
+                    ids,
+                    marks: Enc::dec(r)?,
+                    pos: Enc::dec(r)?,
+                })
+            }
         })
     }
 }
 
 impl Enc for EdgeCertLbl {
     fn enc(&self, w: &mut BitWriter) {
-        self.a.enc(w);
-        self.b.enc(w);
-        self.marked.enc(w);
-        self.frames.enc(w);
+        CertWriter::new(None).cert(w, self);
     }
     fn dec(r: &mut BitReader<'_>) -> Option<Self> {
+        let a = Enc::dec(r)?;
+        let b = Enc::dec(r)?;
+        let marked = Enc::dec(r)?;
+        let len: usize = Enc::dec(r)?;
+        if len > 1 << 24 {
+            return None;
+        }
+        let mut reader = CertReader;
+        let mut frames = Vec::with_capacity(len.min(1 << 12));
+        for _ in 0..len {
+            frames.push(reader.frame(r)?);
+        }
         Some(Self {
-            a: Enc::dec(r)?,
-            b: Enc::dec(r)?,
-            marked: Enc::dec(r)?,
-            frames: Enc::dec(r)?,
+            a,
+            b,
+            marked,
+            frames,
         })
+    }
+}
+
+impl TransitLbl {
+    fn enc_tallied(&self, w: &mut BitWriter, tally: Option<&mut FieldBits>) {
+        let mut cw = CertWriter::new(tally);
+        cw.varint(w, Field::Rank, u64::from(self.rank_fwd));
+        cw.varint(w, Field::Rank, u64::from(self.rank_bwd));
+        cw.cert(w, &self.cert);
     }
 }
 
 impl Enc for TransitLbl {
     fn enc(&self, w: &mut BitWriter) {
-        self.rank_fwd.enc(w);
-        self.rank_bwd.enc(w);
-        self.cert.enc(w);
+        self.enc_tallied(w, None);
     }
     fn dec(r: &mut BitReader<'_>) -> Option<Self> {
         Some(Self {
@@ -467,10 +626,20 @@ impl Enc for TransitLbl {
     }
 }
 
+impl EdgeLabel {
+    fn enc_tallied(&self, w: &mut BitWriter, mut tally: Option<&mut FieldBits>) {
+        let mut cw = CertWriter::new(tally.as_deref_mut());
+        cw.cert(w, &self.own);
+        cw.varint(w, Field::Length, self.transits.len() as u64);
+        for t in &self.transits {
+            t.enc_tallied(w, tally.as_deref_mut());
+        }
+    }
+}
+
 impl Enc for EdgeLabel {
     fn enc(&self, w: &mut BitWriter) {
-        self.own.enc(w);
-        self.transits.enc(w);
+        self.enc_tallied(w, None);
     }
     fn dec(r: &mut BitReader<'_>) -> Option<Self> {
         Some(Self {
@@ -571,9 +740,30 @@ mod tests {
                 pos: 1,
             }),
         ] {
-            let (bytes, _) = encode(&f);
-            assert_eq!(decode::<FrameLbl>(&bytes), Some(f));
+            // Frames are encoded inside a certificate, below its root frame.
+            let mut cert = sample_cert();
+            cert.frames[1] = f;
+            let (bytes, _) = encode(&cert);
+            assert_eq!(decode::<EdgeCertLbl>(&bytes), Some(cert));
         }
+    }
+
+    #[test]
+    fn field_bits_sum_to_the_label_bits() {
+        let label = EdgeLabel {
+            own: sample_cert(),
+            transits: vec![TransitLbl {
+                rank_fwd: 2,
+                rank_bwd: 5,
+                cert: sample_cert(),
+            }],
+        };
+        let mut tally = FieldBits::default();
+        let bits = field_bits(&label, &mut tally);
+        assert_eq!(bits, encode(&label).1);
+        assert_eq!(tally.iter().sum::<u64>(), bits as u64);
+        assert_eq!(tally[Field::Rank as usize], 10);
+        assert_eq!(tally[Field::Tag as usize], 8);
     }
 
     #[test]

@@ -50,6 +50,7 @@ struct Frames<'a> {
     arena: Vec<u8>,                    // slot templates, each byte-aligned
     edge_slot: Vec<Option<u32>>,       // per built-graph edge: innermost slot
     w: BitWriter,                      // template scratch
+    cw: CertWriter<'static>,           // template field writer
 }
 
 /// A T-node's pointer root and the BFS distances from it inside the
@@ -139,6 +140,7 @@ pub(super) fn build_labels(
         arena: Vec::new(),
         edge_slot: vec![None; bg.edge_count()],
         w: BitWriter::new(),
+        cw: CertWriter::new(None),
     };
     fr.summarize().map_err(CertError::Internal)?;
     if !alg.accept(&fr.summaries[layout.hierarchy.root].class) {
@@ -353,11 +355,11 @@ impl<'a> Frames<'a> {
             .ok_or_else(|| internal("a T frame names a node without pointers"))
     }
 
-    /// Encodes `frame`'s template (see [`FrameLbl::enc_template`]) as a
+    /// Encodes `frame`'s template (see [`CertWriter::template`]) as a
     /// new slot below `parent`.
     fn push_slot(&mut self, parent: Option<u32>, frame: &FrameLbl) -> u32 {
         let start = self.arena.len();
-        frame.enc_template(&mut self.w);
+        self.cw.template(&mut self.w, frame);
         let bits = self.w.flush_into(&mut self.arena);
         let t_node = match frame {
             FrameLbl::T(t) => Some(t.t_node as NodeId),
@@ -476,7 +478,7 @@ impl<'a> Frames<'a> {
                         children,
                         is_root_member: idx == 0,
                         root_vertex,
-                        // Not encoded: `enc_template` stops before them.
+                        // Not encoded: templates stop before them.
                         d_a: 0,
                         d_b: 0,
                     });
