@@ -424,6 +424,15 @@ pub fn decode<T: Enc>(bytes: &[u8]) -> Option<T> {
     T::dec(&mut r)
 }
 
+/// Decodes a value whose encoding is exactly the first `bits` bits of
+/// `bytes`: a decode that ends before them or reads past them (into the
+/// zero padding of the last byte, say) is malformed.
+pub fn decode_exact<T: Enc>(bytes: &[u8], bits: usize) -> Option<T> {
+    let mut r = BitReader::new(bytes);
+    let value = T::dec(&mut r)?;
+    (r.pos == bits).then_some(value)
+}
+
 /// Bit length of a value's encoding.
 pub fn bit_len<T: Enc>(value: &T) -> usize {
     encode(value).1

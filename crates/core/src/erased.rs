@@ -115,12 +115,13 @@ impl EncodedLabelRef<'_> {
         bits::decode::<L>(self.bytes)
     }
 
-    /// Decodes only canonical labels (see [`EncodedLabel::is_canonical`]);
-    /// non-canonical ones are treated as undecodable, exactly as the
-    /// erased verifier does.
+    /// Decodes only canonical labels (see [`EncodedLabel::is_canonical`])
+    /// whose decode ends exactly at the claimed bit length
+    /// ([`bits::decode_exact`]); other labels are treated as
+    /// undecodable, exactly as the erased verifier does.
     pub fn decode_canonical<L: Enc>(&self) -> Option<L> {
         if self.is_canonical() {
-            self.decode()
+            bits::decode_exact(self.bytes, self.bits)
         } else {
             None
         }

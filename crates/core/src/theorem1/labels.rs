@@ -355,15 +355,43 @@ pub fn field_bits(label: &EdgeLabel, tally: &mut FieldBits) -> usize {
     w.bit_len()
 }
 
+/// The ids one certificate has written so far, in order of first
+/// appearance: the targets of its back-references. Thirty-two inline ids
+/// cover the certificates of the test and benchmark corpora, so decoding
+/// allocates nothing for them.
+type SeenIds = InlineVec<u64, 32>;
+
+/// Bits of a back-reference into a seen list of `len ≥ 1` ids: the
+/// fewest that can name every index, so 0 when there is one id.
+fn index_width(len: usize) -> usize {
+    (usize::BITS - len.saturating_sub(1).leading_zeros()) as usize
+}
+
 /// Writes the fields of one certificate's frames, remembering the ids
-/// written so far, and optionally adds each field's bits to a tally.
+/// written so far (see the [module docs](self)), and optionally adds each
+/// field's bits to a tally.
 pub(super) struct CertWriter<'t> {
+    seen: SeenIds,
     tally: Option<&'t mut FieldBits>,
 }
 
 impl<'t> CertWriter<'t> {
     pub(super) fn new(tally: Option<&'t mut FieldBits>) -> Self {
-        Self { tally }
+        Self {
+            seen: SeenIds::new(),
+            tally,
+        }
+    }
+
+    /// How many ids have been seen: a mark to [`CertWriter::rewind`] to.
+    pub(super) fn mark(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Forgets the ids seen after `mark`, so the next frame is written
+    /// as it would be below the frames written before `mark`.
+    pub(super) fn rewind(&mut self, mark: usize) {
+        self.seen.truncate(mark);
     }
 
     /// Runs `write` and tallies the bits it wrote under `field`.
@@ -383,17 +411,39 @@ impl<'t> CertWriter<'t> {
         self.put(w, field, |w| w.put_bit(bit));
     }
 
+    /// Writes an id: a back-reference if this certificate has written it
+    /// before, otherwise the id itself, which joins the seen list. With
+    /// nothing seen yet there is no reference flag.
     fn id(&mut self, w: &mut BitWriter, field: Field, id: u64) {
-        self.varint(w, field, id);
+        let seen = self.seen.len();
+        let at = self.seen.iter().position(|&x| x == id);
+        self.put(w, field, |w| match at {
+            Some(x) => {
+                w.put_bit(true);
+                w.put_bits(x as u64, index_width(seen));
+            }
+            None => {
+                if seen > 0 {
+                    w.put_bit(false);
+                }
+                w.put_varint(id);
+            }
+        });
+        if at.is_none() {
+            self.seen.push(id);
+        }
     }
 
+    /// Writes the lane mask, then each side's terminal ids in lane order:
+    /// one per mask lane, which is all a valid side holds. A side without
+    /// a terminal on some mask lane has no encoding; it is written with
+    /// id 0 there, and its terminals off the mask are dropped.
     fn iface(&mut self, w: &mut BitWriter, iface: &IfaceLbl) {
         self.varint(w, Field::LaneMask, iface.lanes.0);
         for side in [&iface.tin, &iface.tout] {
-            self.varint(w, Field::TerminalLanes, side.len() as u64);
-            for &(lane, id) in side.iter() {
-                self.varint(w, Field::TerminalLanes, u64::from(lane));
-                self.id(w, Field::TerminalId, id);
+            for lane in iface.lanes.iter() {
+                let id = side.iter().find(|&&(l, _)| l as Lane == lane);
+                self.id(w, Field::TerminalId, id.map_or(0, |&(_, id)| id));
             }
         }
     }
@@ -405,9 +455,9 @@ impl<'t> CertWriter<'t> {
     }
 
     /// Writes `frame`'s tag and fields, stopping before a `T` frame's
-    /// `d_a`/`d_b` (the whole frame for the other kinds). The prover
-    /// encodes each frame template once this way and completes `T`
-    /// frames per certificate.
+    /// `d_a`/`d_b` (the whole frame for the other kinds), below the
+    /// frames this writer has seen. The prover encodes each frame
+    /// template once this way and completes `T` frames per certificate.
     pub(super) fn template(&mut self, w: &mut BitWriter, frame: &FrameLbl) {
         let tag = match frame {
             FrameLbl::T(_) => 0,
@@ -419,8 +469,10 @@ impl<'t> CertWriter<'t> {
         match frame {
             FrameLbl::T(f) => {
                 self.varint(w, Field::NodeId, u64::from(f.t_node));
+                // The subtree claim's node is the member's: not written.
                 self.varint(w, Field::NodeId, u64::from(f.member));
-                self.info(w, &f.subtree);
+                self.varint(w, Field::ClassId, u64::from(f.subtree.class));
+                self.iface(w, &f.subtree.iface);
                 self.varint(w, Field::Length, f.children.len() as u64);
                 for child in &f.children {
                     self.info(w, child);
@@ -442,8 +494,9 @@ impl<'t> CertWriter<'t> {
             FrameLbl::E(f) => {
                 self.varint(w, Field::NodeId, u64::from(f.node));
                 self.varint(w, Field::Lane, u64::from(f.lane));
-                self.varint(w, Field::EdgeTerminals, f.tin);
-                self.varint(w, Field::EdgeTerminals, f.tout);
+                // The terminals are the certificate's endpoints: one bit
+                // says whether the in-terminal is `b`.
+                self.flag(w, Field::EdgeTerminals, f.tin > f.tout);
             }
             FrameLbl::P(f) => {
                 self.varint(w, Field::NodeId, u64::from(f.node));
@@ -467,8 +520,9 @@ impl<'t> CertWriter<'t> {
         self.varint(w, Field::Distance, u64::from(d_b));
     }
 
-    /// Writes a whole certificate.
+    /// Writes a whole certificate, with a fresh seen list.
     fn cert(&mut self, w: &mut BitWriter, cert: &EdgeCertLbl) {
+        self.rewind(0);
         self.varint(w, Field::EndpointId, cert.a);
         self.varint(w, Field::EndpointId, cert.b);
         self.flag(w, Field::Flags, cert.marked);
@@ -482,34 +536,46 @@ impl<'t> CertWriter<'t> {
     }
 }
 
-/// Reads one certificate's fields back.
-struct CertReader;
+/// Reads one certificate's frames back: its endpoints, which `E` frames
+/// name, and the ids seen so far, which back-references name.
+struct CertReader {
+    a: u64,
+    b: u64,
+    seen: SeenIds,
+}
 
 impl CertReader {
+    /// Reads an id as [`CertWriter`] writes it. A literal id the
+    /// certificate has already written is malformed: it has exactly one
+    /// encoding, a back-reference.
     fn id(&mut self, r: &mut BitReader<'_>) -> Option<u64> {
-        r.get_varint()
+        if !self.seen.is_empty() && r.get_bit()? {
+            let x = r.get_bits(index_width(self.seen.len()))?;
+            return self.seen.get(x as usize).copied();
+        }
+        let id = r.get_varint()?;
+        if self.seen.contains(&id) {
+            return None;
+        }
+        self.seen.push(id);
+        Some(id)
     }
 
     fn iface(&mut self, r: &mut BitReader<'_>) -> Option<IfaceLbl> {
         let lanes = LaneSet(Enc::dec(r)?);
         let mut sides = [Terminals::new(), Terminals::new()];
         for side in &mut sides {
-            let len: usize = Enc::dec(r)?;
-            if len > 1 << 24 {
-                return None;
-            }
-            for _ in 0..len {
-                let lane = Enc::dec(r)?;
-                side.push((lane, self.id(r)?));
+            for lane in lanes.iter() {
+                side.push((lane as u8, self.id(r)?));
             }
         }
         let [tin, tout] = sides;
         Some(IfaceLbl { lanes, tin, tout })
     }
 
-    fn info(&mut self, r: &mut BitReader<'_>) -> Option<BasicInfoLbl> {
+    fn info(&mut self, r: &mut BitReader<'_>, node: u32) -> Option<BasicInfoLbl> {
         Some(BasicInfoLbl {
-            node: Enc::dec(r)?,
+            node,
             class: Enc::dec(r)?,
             iface: self.iface(r)?,
         })
@@ -520,14 +586,15 @@ impl CertReader {
             0 => {
                 let t_node = Enc::dec(r)?;
                 let member = Enc::dec(r)?;
-                let subtree = self.info(r)?;
+                let subtree = self.info(r, member)?;
                 let len: usize = Enc::dec(r)?;
                 if len > 1 << 24 {
                     return None;
                 }
                 let mut children = Vec::with_capacity(len.min(1 << 12));
                 for _ in 0..len {
-                    children.push(self.info(r)?);
+                    let node = Enc::dec(r)?;
+                    children.push(self.info(r, node)?);
                 }
                 FrameLbl::T(TFrameLbl {
                     t_node,
@@ -540,23 +607,42 @@ impl CertReader {
                     d_b: Enc::dec(r)?,
                 })
             }
-            1 => FrameLbl::B(BFrameLbl {
-                node: Enc::dec(r)?,
-                i: Enc::dec(r)?,
-                j: Enc::dec(r)?,
-                left_is_v: Enc::dec(r)?,
-                right_is_v: Enc::dec(r)?,
-                left: self.info(r)?,
-                right: self.info(r)?,
-                bridge_marked: Enc::dec(r)?,
-                side: Enc::dec(r)?,
-            }),
-            2 => FrameLbl::E(EFrameLbl {
-                node: Enc::dec(r)?,
-                lane: Enc::dec(r)?,
-                tin: Enc::dec(r)?,
-                tout: Enc::dec(r)?,
-            }),
+            1 => {
+                let node = Enc::dec(r)?;
+                let i = Enc::dec(r)?;
+                let j = Enc::dec(r)?;
+                let left_is_v = Enc::dec(r)?;
+                let right_is_v = Enc::dec(r)?;
+                let left_node = Enc::dec(r)?;
+                let left = self.info(r, left_node)?;
+                let right_node = Enc::dec(r)?;
+                FrameLbl::B(BFrameLbl {
+                    node,
+                    i,
+                    j,
+                    left_is_v,
+                    right_is_v,
+                    left,
+                    right: self.info(r, right_node)?,
+                    bridge_marked: Enc::dec(r)?,
+                    side: Enc::dec(r)?,
+                })
+            }
+            2 => {
+                let node = Enc::dec(r)?;
+                let lane = Enc::dec(r)?;
+                let (tin, tout) = if r.get_bit()? {
+                    (self.b, self.a)
+                } else {
+                    (self.a, self.b)
+                };
+                FrameLbl::E(EFrameLbl {
+                    node,
+                    lane,
+                    tin,
+                    tout,
+                })
+            }
             _ => {
                 let node = Enc::dec(r)?;
                 let len: usize = Enc::dec(r)?;
@@ -590,7 +676,11 @@ impl Enc for EdgeCertLbl {
         if len > 1 << 24 {
             return None;
         }
-        let mut reader = CertReader;
+        let mut reader = CertReader {
+            a,
+            b,
+            seen: SeenIds::new(),
+        };
         let mut frames = Vec::with_capacity(len.min(1 << 12));
         for _ in 0..len {
             frames.push(reader.frame(r)?);

@@ -43,6 +43,13 @@ pub use labels::EdgeLabel;
 use crate::scheme::{ProverHint, Scheme, Verdict, VertexView};
 use crate::{CertError, Configuration, EncodedLabeling};
 
+/// Version of the Theorem 1 wire format ([`labels`]), folded into
+/// [`Scheme::fingerprint`] so that a labeling stamped under another
+/// format is refused instead of misdecoded. Format 2 implies interface
+/// lanes, writes repeated ids as back-references and `E` terminals as
+/// one bit; format 1 was not versioned.
+const WIRE_FORMAT: u32 = 2;
+
 /// Scheme parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct SchemeOptions {
@@ -222,11 +229,12 @@ impl Scheme for PathwidthScheme {
 
     fn fingerprint(&self) -> u64 {
         // Labels carry canonical table ids, so the label format is the
-        // (name, table) pair.
+        // (name, table, wire format) triple.
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         Scheme::name(self).hash(&mut h);
         self.frozen.fingerprint().hash(&mut h);
+        WIRE_FORMAT.hash(&mut h);
         h.finish()
     }
 
@@ -481,6 +489,34 @@ mod tests {
     }
 
     #[test]
+    fn labelings_stamped_under_the_previous_wire_format_are_refused() {
+        use crate::erased::DynScheme;
+        use std::hash::{Hash, Hasher};
+        let scheme = PathwidthScheme::new(
+            Algebra::shared(Connected),
+            SchemeOptions::exact_pathwidth(2),
+        );
+        let g = generators::ladder(8);
+        let hint = ProverHint::with_representation(rep_of(&g));
+        let cfg = Configuration::with_random_ids(g, 5);
+        let wire = DynScheme::prove_encoded(&scheme, &cfg, &hint).unwrap();
+        assert!(DynScheme::verify_encoded(&scheme, &cfg, &wire)
+            .unwrap()
+            .accepted());
+        // Format 1's fingerprint hashed the name and the table only.
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        Scheme::name(&scheme).hash(&mut h);
+        scheme.frozen.fingerprint().hash(&mut h);
+        let old = h.finish();
+        assert_ne!(old, Scheme::fingerprint(&scheme));
+        let restamped = wire.with_fingerprint(old);
+        assert!(matches!(
+            DynScheme::verify_encoded(&scheme, &cfg, &restamped),
+            Err(CertError::FingerprintMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn out_of_order_interface_claims_are_rejected() {
         use super::labels::{BasicInfoLbl, EdgeCertLbl, FrameLbl};
         use crate::erased::{DynScheme, EncodedLabeling};
@@ -521,13 +557,32 @@ mod tests {
                 }
             }
         }
-        let wire = EncodedLabeling::encode(&labels);
-        let report = DynScheme::verify_encoded(&scheme, &cfg, &wire).unwrap();
-        assert!(report.reject_count() >= 1);
-        assert!(report
-            .verdicts
+        // The verifier rejects the typed claim.
+        let g = cfg.graph();
+        let verdicts: Vec<Verdict> = g
+            .vertices()
+            .map(|v| {
+                let incident: Vec<Option<&EdgeLabel>> = (g.incident(v).iter())
+                    .map(|h| Some(&labels[h.edge.index()]))
+                    .collect();
+                scheme.verify_at(&VertexView {
+                    id: cfg.id_of(v),
+                    incident: &incident,
+                })
+            })
+            .collect();
+        assert!(verdicts
             .iter()
             .any(|v| *v == Verdict::reject("terminals not strictly ascending by lane")));
+        // The wire writes a side's ids in lane order and implies the
+        // lanes, so it cannot carry the reordered claim: it encodes the
+        // honest labels, which verify.
+        let wire = EncodedLabeling::encode(&labels);
+        let honest = scheme.prove(&cfg, &hint).unwrap();
+        assert_eq!(wire.to_vec(), EncodedLabeling::encode(&honest).to_vec());
+        assert!(DynScheme::verify_encoded(&scheme, &cfg, &wire)
+            .unwrap()
+            .accepted());
     }
 
     #[test]

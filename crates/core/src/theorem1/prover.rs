@@ -383,6 +383,9 @@ impl<'a> Frames<'a> {
     /// subtree.
     fn walk(&mut self, node: NodeId, parent: Option<u32>) -> Result<(), CertError> {
         let h: &'a Hierarchy = &self.layout.hierarchy;
+        // Every slot below `parent` is written after the ids of its
+        // ancestors only: each rewinds what its sibling before it saw.
+        let mark = self.cw.mark();
         match h.nodes[node].kind {
             NodeKind::V { .. } => {}
             NodeKind::E {
@@ -398,6 +401,7 @@ impl<'a> Frames<'a> {
                     tout: self.id(tout),
                 });
                 self.edge_slot[edge.index()] = Some(self.push_slot(parent, &frame));
+                self.cw.rewind(mark);
             }
             NodeKind::P {
                 ref vertices,
@@ -413,6 +417,7 @@ impl<'a> Frames<'a> {
                         pos: pos as u16,
                     });
                     self.edge_slot[e.index()] = Some(self.push_slot(parent, &frame));
+                    self.cw.rewind(mark);
                 }
             }
             NodeKind::B {
@@ -443,6 +448,7 @@ impl<'a> Frames<'a> {
                 };
                 let slot = self.push_slot(parent, &FrameLbl::B(frame.clone()));
                 self.edge_slot[bridge.index()] = Some(slot);
+                self.cw.rewind(mark);
                 for (side, child) in [(1u8, left), (2u8, right)] {
                     if matches!(h.nodes[child].kind, NodeKind::V { .. }) {
                         continue;
@@ -450,6 +456,7 @@ impl<'a> Frames<'a> {
                     frame.side = side;
                     let slot = self.push_slot(parent, &FrameLbl::B(frame.clone()));
                     self.walk(child, Some(slot))?;
+                    self.cw.rewind(mark);
                 }
             }
             NodeKind::T { ref members, .. } => {
@@ -484,6 +491,7 @@ impl<'a> Frames<'a> {
                     });
                     let slot = self.push_slot(parent, &frame);
                     self.walk(m, Some(slot))?;
+                    self.cw.rewind(mark);
                 }
             }
         }
