@@ -30,6 +30,9 @@ pub enum Corruption {
     HugeClass,
     /// Drop all transit records from one edge.
     DropTransits,
+    /// Duplicate one transit record on one edge: both endpoints of the
+    /// edge then see a virtual edge's path cross it twice.
+    InflateTransits,
 }
 
 /// Applies one corruption; returns `None` when the labeling has no
@@ -82,6 +85,13 @@ pub fn corrupt(labels: &[EdgeLabel], kind: Corruption, rng: &mut StdRng) -> Opti
             let with = (0..out.len()).find(|&i| !out[i].transits.is_empty())?;
             out[with].transits.clear();
         }
+        Corruption::InflateTransits => {
+            let with = (0..out.len()).find(|&i| !out[i].transits.is_empty())?;
+            let transits = &mut out[with].transits;
+            let x = rng.random_range(0..transits.len());
+            let copy = transits[x].clone();
+            transits.insert(x, copy);
+        }
     }
     Some(out)
 }
@@ -107,6 +117,7 @@ pub fn fuzz_scheme<S: Scheme<Label = EdgeLabel>>(
         Corruption::BumpClass,
         Corruption::HugeClass,
         Corruption::DropTransits,
+        Corruption::InflateTransits,
     ];
     let mut attempted = 0;
     let mut rejected = 0;

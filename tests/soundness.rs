@@ -11,7 +11,7 @@ use lanecert_suite::graph::{generators, Graph, VertexId};
 use lanecert_suite::pathwidth::{solver, Interval, IntervalRep};
 use lanecert_suite::pls::attacks::{self, Corruption};
 use lanecert_suite::pls::theorem1::{PathwidthScheme, SchemeOptions};
-use lanecert_suite::{CertError, Configuration, ProverHint, Scheme};
+use lanecert_suite::{CertError, Configuration, ProverHint, Scheme, Verdict};
 
 #[test]
 fn fuzzing_many_properties() {
@@ -155,11 +155,36 @@ fn congested_double_star_verifies_and_rejects_every_corruption() {
         Corruption::BumpClass,
         Corruption::HugeClass,
         Corruption::DropTransits,
+        Corruption::InflateTransits,
     ];
     for (i, kind) in kinds.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(i as u64);
         let bad = attacks::corrupt(&labels, kind, &mut rng).unwrap();
         let report = scheme.run(&cfg, &bad).unwrap();
         assert!(!report.accepted(), "{kind:?} accepted");
+    }
+    // A duplicated record is caught on its edge: a virtual endpoint sees
+    // a second path edge, an inner vertex a third record.
+    for seed in 0..4 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bad = attacks::corrupt(&labels, Corruption::InflateTransits, &mut rng).unwrap();
+        let report = scheme.run(&cfg, &bad).unwrap();
+        let reasons: Vec<&str> = report
+            .verdicts
+            .iter()
+            .filter_map(|v| match v {
+                Verdict::Reject(reason) => Some(reason.as_str()),
+                Verdict::Accept => None,
+            })
+            .collect();
+        assert!(!reasons.is_empty(), "seed {seed}: inflated transits accepted");
+        assert!(
+            reasons.iter().all(|r| [
+                "virtual endpoint sees multiple path edges",
+                "path transit without two consecutive edges"
+            ]
+            .contains(r)),
+            "seed {seed}: {reasons:?}"
+        );
     }
 }
