@@ -1,4 +1,4 @@
-//! Prints the experiment tables (T1–T9) plus the engine throughput sweep
+//! Prints the experiment tables (T1–T10) plus the engine throughput sweep
 //! and records a machine-readable summary so successive PRs have a perf
 //! trajectory to compare against.
 //!

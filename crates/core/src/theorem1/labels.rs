@@ -8,12 +8,45 @@
 //! Observation 5.5 — each carrying the *basic information* `B(·)`
 //! (Definition 6.3): lanes, homomorphism class, and terminal identifiers.
 //!
-//! The [`Enc`] impls below define the wire layout. The prover does not
-//! build these types: it encodes each frame once per hierarchy slot
-//! ([`FrameLbl`] up to a `T` frame's `d_a`/`d_b`), writes every
-//! certificate once from those templates, and copies certificate bits
-//! into each [`TransitLbl`] position. The types are what the verifier and
-//! the typed prover decode those bytes into.
+//! The [`Enc`] impls below define the wire layout (format 2, see
+//! `WIRE_FORMAT` in the parent module). The prover does not build these
+//! types: it encodes each frame once per hierarchy slot ([`FrameLbl`] up
+//! to a `T` frame's `d_a`/`d_b`), writes every certificate once from
+//! those templates, and copies certificate bits into each [`TransitLbl`]
+//! position. The types are what the verifier and the typed prover decode
+//! those bytes into.
+//!
+//! # Layout
+//!
+//! Numbers are nibble-varints, flags one bit, frame tags two bits, and
+//! lists length-prefixed. A certificate writes its endpoints `a < b`, its
+//! mark and its frame count, then its frames root first. Identifiers are
+//! most of a certificate, and its frames repeat the same few: the
+//! terminals of a member recur in its parent's child claim, in the frame
+//! below, and as the pointer root. Three rules write them once:
+//!
+//! - **Implied lanes.** An interface side writes only its terminal ids, in
+//!   lane order, one per lane of the mask. [`IfaceLbl::validate`] accepts
+//!   no other side, so the lanes and the side's length follow from the
+//!   mask.
+//! - **Back-references.** Each certificate keeps a *seen list*: the ids
+//!   its frames have written, in order of first appearance. An id already
+//!   on it is written as a `1` flag and its index, in the fewest bits
+//!   that can name every index so far; a new id as a `0` flag and the id,
+//!   which then joins the list. The first id has no flag, and a decoder
+//!   refuses a literal id that is already on the list, so every
+//!   certificate has one encoding.
+//! - **`E` orientation.** An `E` frame's terminals are the certificate's
+//!   endpoints (the verifier requires it), so one bit says whether the
+//!   in-terminal is `b`. A `T` frame's subtree claim names the member (the
+//!   verifier requires that too), so its node id is not written.
+//!
+//! The seen list leaves out `a` and `b`. Every certificate below one
+//! hierarchy slot shares that slot's frame but not its endpoints, so
+//! with the endpoints on the list a slot's bits would differ from edge to
+//! edge. Without them, a frame's bits depend only on the frames above
+//! it: the prover still encodes each slot's template once, below its
+//! ancestors' templates, and copies it into every certificate.
 
 use lanecert_lanes::{Lane, LaneSet};
 
@@ -84,6 +117,13 @@ impl IfaceLbl {
     /// `max_lanes` lanes, and per side exactly one terminal per lane,
     /// strictly ascending by lane (the one order the prover emits, so
     /// every interface has one encoding), with distinct ids.
+    ///
+    /// The wire implies each terminal's lane from the mask, so a decoded
+    /// label cannot trip the per-lane checks ("terminal on unused lane",
+    /// "terminals not strictly ascending by lane", "missing terminal for
+    /// some lane"); they still guard typed labels handed to the verifier
+    /// directly. The empty-set, lane-bound and injectivity checks are
+    /// reachable from the wire.
     ///
     /// # Errors
     ///
@@ -286,8 +326,6 @@ pub enum Field {
     ClassId,
     /// Interface lane masks.
     LaneMask,
-    /// Interface terminal lanes and side lengths.
-    TerminalLanes,
     /// `B` bridge lanes and `E` lanes.
     Lane,
     /// `T` pointer distances.
@@ -304,7 +342,7 @@ pub enum Field {
 
 impl Field {
     /// Every field, in tally order.
-    pub const ALL: [Field; 15] = [
+    pub const ALL: [Field; 14] = [
         Field::EndpointId,
         Field::TerminalId,
         Field::RootId,
@@ -313,7 +351,6 @@ impl Field {
         Field::NodeId,
         Field::ClassId,
         Field::LaneMask,
-        Field::TerminalLanes,
         Field::Lane,
         Field::Distance,
         Field::Rank,
@@ -333,7 +370,6 @@ impl Field {
             Field::NodeId => "node",
             Field::ClassId => "class",
             Field::LaneMask => "mask",
-            Field::TerminalLanes => "tlanes",
             Field::Lane => "lane",
             Field::Distance => "dist",
             Field::Rank => "rank",
@@ -356,9 +392,9 @@ pub fn field_bits(label: &EdgeLabel, tally: &mut FieldBits) -> usize {
 }
 
 /// The ids one certificate has written so far, in order of first
-/// appearance: the targets of its back-references. Thirty-two inline ids
-/// cover the certificates of the test and benchmark corpora, so decoding
-/// allocates nothing for them.
+/// appearance: the targets of its back-references. The longest list
+/// measured on the corpus families at pathwidth 2 holds 12 ids, so
+/// thirty-two inline ids keep decoding off the heap.
 type SeenIds = InlineVec<u64, 32>;
 
 /// Bits of a back-reference into a seen list of `len ≥ 1` ids: the
@@ -513,13 +549,6 @@ impl<'t> CertWriter<'t> {
         }
     }
 
-    /// Writes a `T` frame's pointer distances, which complete its
-    /// template per certificate.
-    pub(super) fn distances(&mut self, w: &mut BitWriter, d_a: u32, d_b: u32) {
-        self.varint(w, Field::Distance, u64::from(d_a));
-        self.varint(w, Field::Distance, u64::from(d_b));
-    }
-
     /// Writes a whole certificate, with a fresh seen list.
     fn cert(&mut self, w: &mut BitWriter, cert: &EdgeCertLbl) {
         self.rewind(0);
@@ -530,7 +559,8 @@ impl<'t> CertWriter<'t> {
         for frame in &cert.frames {
             self.template(w, frame);
             if let FrameLbl::T(f) = frame {
-                self.distances(w, f.d_a, f.d_b);
+                self.varint(w, Field::Distance, u64::from(f.d_a));
+                self.varint(w, Field::Distance, u64::from(f.d_b));
             }
         }
     }
@@ -854,6 +884,94 @@ mod tests {
         assert_eq!(tally.iter().sum::<u64>(), bits as u64);
         assert_eq!(tally[Field::Rank as usize], 10);
         assert_eq!(tally[Field::Tag as usize], 8);
+    }
+
+    #[test]
+    fn a_repeated_id_costs_a_flag_and_an_index() {
+        // The sample's root vertex 3 is its fourth id use, after 3, 4, 9
+        // and 4 were seen: a flag and a 2-bit index instead of a flag and
+        // a 15-bit literal.
+        let cert = sample_cert();
+        let mut fresh = cert.clone();
+        let FrameLbl::T(t) = &mut fresh.frames[0] else {
+            unreachable!()
+        };
+        t.root_vertex = 1000;
+        assert_eq!(encode(&fresh).1 - encode(&cert).1, 15 - 2);
+        assert_eq!(decode::<EdgeCertLbl>(&encode(&fresh).0), Some(fresh));
+    }
+
+    #[test]
+    fn every_certificate_has_one_encoding() {
+        // A certificate `1-2` with one P frame whose ids are written by
+        // `ids`, so the id stream can be malformed by hand.
+        let wire = |ids: &dyn Fn(&mut BitWriter)| {
+            let mut w = BitWriter::new();
+            for v in [1, 2] {
+                w.put_varint(v);
+            }
+            w.put_bit(true);
+            w.put_varint(1);
+            w.put_bits(3, 2);
+            w.put_varint(0);
+            w.put_varint(4);
+            ids(&mut w);
+            w.put_varint(3);
+            w.put_bits(0b111, 3);
+            w.put_varint(0);
+            w.into_bytes()
+        };
+        let literal = |w: &mut BitWriter, id: u64| {
+            w.put_bit(false);
+            w.put_varint(id);
+        };
+        let reference = |w: &mut BitWriter, x: u64| {
+            w.put_bit(true);
+            w.put_bits(x, 2);
+        };
+        let honest = wire(&|w| {
+            w.put_varint(5);
+            literal(w, 6);
+            literal(w, 7);
+            reference(w, 1);
+        });
+        let cert = decode::<EdgeCertLbl>(&honest).expect("well-formed");
+        let FrameLbl::P(p) = &cert.frames[0] else {
+            panic!("{cert:?}")
+        };
+        assert_eq!(p.ids.as_slice(), [5, 6, 7, 6]);
+        assert_eq!(encode(&cert).0, honest);
+        // The same ids with the repeat written out: not the encoding.
+        let repeated = wire(&|w| {
+            w.put_varint(5);
+            literal(w, 6);
+            literal(w, 7);
+            literal(w, 6);
+        });
+        assert_eq!(decode::<EdgeCertLbl>(&repeated), None);
+        // An index past the three ids seen.
+        let dangling = wire(&|w| {
+            w.put_varint(5);
+            literal(w, 6);
+            literal(w, 7);
+            reference(w, 3);
+        });
+        assert_eq!(decode::<EdgeCertLbl>(&dangling), None);
+    }
+
+    #[test]
+    fn e_terminals_are_the_endpoints_in_either_orientation() {
+        for (tin, tout) in [(3, 9), (9, 3)] {
+            let mut cert = sample_cert();
+            cert.frames[1] = FrameLbl::E(EFrameLbl {
+                node: 2,
+                lane: 0,
+                tin,
+                tout,
+            });
+            let (bytes, _) = encode(&cert);
+            assert_eq!(decode::<EdgeCertLbl>(&bytes), Some(cert));
+        }
     }
 
     #[test]

@@ -160,101 +160,53 @@ type Pin = (CorpusFamily, usize, u64, u64);
 
 /// The pinned `connected` instances. Graph seed 7, identifier seed `n`.
 fn connected_pins() -> Vec<Pin> {
-    let pw2 = || CorpusFamily::RandomPathwidth { k: 2, density: 0.4 };
+    use CorpusFamily::*;
+    let pw2 = || RandomPathwidth { k: 2, density: 0.4 };
     vec![
-        (
-            CorpusFamily::Path,
-            512,
-            0x7598_2ad7_c7a6_3b79,
-            0x4670_aa87_9930_77dd,
-        ),
-        (
-            CorpusFamily::Path,
-            2048,
-            0x90ba_30b0_cb01_f38a,
-            0x9de3_2660_e9d5_b571,
-        ),
-        (
-            CorpusFamily::Ladder,
-            512,
-            0x47c1_35c0_dbff_3205,
-            0xed92_cd27_5efe_80b2,
-        ),
-        (
-            CorpusFamily::Ladder,
-            2048,
-            0x88e5_357f_9ef9_2b62,
-            0xab41_7f07_6f09_48e4,
-        ),
+        (Path, 512, 0x7598_2ad7_c7a6_3b79, 0x4670_aa87_9930_77dd),
+        (Path, 2048, 0x90ba_30b0_cb01_f38a, 0x9de3_2660_e9d5_b571),
+        (Ladder, 512, 0x47c1_35c0_dbff_3205, 0xed92_cd27_5efe_80b2),
+        (Ladder, 2048, 0x88e5_357f_9ef9_2b62, 0xab41_7f07_6f09_48e4),
         (pw2(), 512, 0xec73_f0e5_7918_859b, 0xf4b9_1c17_d3cc_d005),
         (pw2(), 2048, 0x4629_81c8_9145_b6e3, 0xdf8d_8332_83af_5295),
         (
-            CorpusFamily::Caterpillar,
+            Caterpillar,
             512,
             0x0ca0_fa1f_481b_80c3,
             0xc29c_c98e_cfb7_a34e,
         ),
         (
-            CorpusFamily::Caterpillar,
+            Caterpillar,
             2048,
             0xa0fa_c9eb_68d0_1367,
             0x80fe_82f3_5680_a8fa,
         ),
-        (
-            CorpusFamily::Cycle,
-            512,
-            0x08b5_b2b3_25b7_7194,
-            0x5e7a_801c_cfd0_beed,
-        ),
-        (
-            CorpusFamily::Cycle,
-            2048,
-            0x7a25_a08c_e73d_5620,
-            0xec60_371f_09ca_8374,
-        ),
+        (Cycle, 512, 0x08b5_b2b3_25b7_7194, 0x5e7a_801c_cfd0_beed),
+        (Cycle, 2048, 0x7a25_a08c_e73d_5620, 0xec60_371f_09ca_8374),
     ]
 }
 
 /// The pinned `bipartite` instances (bipartite families only; the
 /// cycle has even length at both sizes).
 fn bipartite_pins() -> Vec<Pin> {
+    use CorpusFamily::*;
     vec![
+        (Ladder, 512, 0xcd49_fe55_088c_b709, 0x1ceb_a4ff_a414_8040),
+        (Ladder, 2048, 0xef27_46d5_e6ae_c8d1, 0x6256_cf31_8a22_f214),
         (
-            CorpusFamily::Ladder,
-            512,
-            0xcd49_fe55_088c_b709,
-            0x1ceb_a4ff_a414_8040,
-        ),
-        (
-            CorpusFamily::Ladder,
-            2048,
-            0xef27_46d5_e6ae_c8d1,
-            0x6256_cf31_8a22_f214,
-        ),
-        (
-            CorpusFamily::Caterpillar,
+            Caterpillar,
             512,
             0x129a_1d1a_bb0b_1763,
             0xfc96_63d6_c8f2_1f63,
         ),
         (
-            CorpusFamily::Caterpillar,
+            Caterpillar,
             2048,
             0x6b3c_4648_1cb8_8b0f,
             0xb1fe_bb65_58a0_6a79,
         ),
-        (
-            CorpusFamily::Cycle,
-            512,
-            0x6704_0cc9_2f2c_7ecf,
-            0x28fc_846d_9ee8_4ddd,
-        ),
-        (
-            CorpusFamily::Cycle,
-            2048,
-            0x5d06_bcbd_81af_8053,
-            0x76b2_d0b1_65ad_5aab,
-        ),
+        (Cycle, 512, 0x6704_0cc9_2f2c_7ecf, 0x28fc_846d_9ee8_4ddd),
+        (Cycle, 2048, 0x5d06_bcbd_81af_8053, 0x76b2_d0b1_65ad_5aab),
     ]
 }
 
@@ -262,31 +214,12 @@ fn bipartite_pins() -> Vec<Pin> {
 /// table is sealed: ids past the enumerated prefix are interned in the
 /// order the prover asks for them, so these digests also pin that order.
 fn sealed_pins() -> Vec<Pin> {
+    use CorpusFamily::*;
     vec![
-        (
-            CorpusFamily::Ladder,
-            512,
-            0x3255_ac34_c3e2_f278,
-            0x403b_3816_6efa_83b5,
-        ),
-        (
-            CorpusFamily::Ladder,
-            2048,
-            0x16ad_2949_df17_85b5,
-            0x55b3_0281_80dd_ed14,
-        ),
-        (
-            CorpusFamily::Cycle,
-            512,
-            0x80c1_00e9_2321_cc9f,
-            0xe8a2_73f7_37f1_3641,
-        ),
-        (
-            CorpusFamily::Cycle,
-            2048,
-            0xbe16_0f33_9293_ff78,
-            0xf85b_d3eb_b88b_fae4,
-        ),
+        (Ladder, 512, 0x3255_ac34_c3e2_f278, 0x403b_3816_6efa_83b5),
+        (Ladder, 2048, 0x16ad_2949_df17_85b5, 0x55b3_0281_80dd_ed14),
+        (Cycle, 512, 0x80c1_00e9_2321_cc9f, 0xe8a2_73f7_37f1_3641),
+        (Cycle, 2048, 0xbe16_0f33_9293_ff78, 0xf85b_d3eb_b88b_fae4),
     ]
 }
 

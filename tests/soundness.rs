@@ -177,7 +177,10 @@ fn congested_double_star_verifies_and_rejects_every_corruption() {
                 Verdict::Accept => None,
             })
             .collect();
-        assert!(!reasons.is_empty(), "seed {seed}: inflated transits accepted");
+        assert!(
+            !reasons.is_empty(),
+            "seed {seed}: inflated transits accepted"
+        );
         assert!(
             reasons.iter().all(|r| [
                 "virtual endpoint sees multiple path edges",
